@@ -12,7 +12,7 @@ type peer = {
   pmu : Mutex.t;
   pcv : Condition.t;
   outq : Wire.frame Queue.t;
-  ptx : msg Transport.tx;
+  ptx : msg Chan.tx;
   mutable tx_gen : int;
   mutable fd : Unix.file_descr option;
   mutable peer_boot : int option;
@@ -22,7 +22,7 @@ type peer = {
    source opens over time (a restart can briefly leave two). *)
 type inbound = {
   imu : Mutex.t;
-  irx : msg Transport.rx;
+  irx : msg Chan.rx;
   mutable iboot : int option;
 }
 
@@ -35,8 +35,6 @@ type t = {
   peers : peer option array;
   inbound : inbound array;
   chaos : Chaos.state option;
-  rto0 : float;
-  rto_max : float;
   t0 : int64;
   metrics : Obs.Metrics.t;
   c_sent : Obs.Metrics.counter;
@@ -59,7 +57,7 @@ type t = {
   mutable delayed : (float * peer * int * Wire.frame) list;
 }
 
-let create ?chaos ?(rto0 = 0.1) ?(rto_max = 2.0) ~me ~eps () =
+let create ?chaos ~me ~eps () =
   let n = Array.length eps in
   if me < 0 || me >= n then invalid_arg "Net.create: me out of range";
   (* A peer writing into our dead socket must not kill the process. *)
@@ -88,17 +86,15 @@ let create ?chaos ?(rto0 = 0.1) ?(rto_max = 2.0) ~me ~eps () =
                 pmu = Mutex.create ();
                 pcv = Condition.create ();
                 outq = Queue.create ();
-                ptx = Transport.tx ~rto0 ~rto_max ();
+                ptx = Chan.tx ();
                 tx_gen = 0;
                 fd = None;
                 peer_boot = None;
               });
     inbound =
       Array.init n (fun _ ->
-          { imu = Mutex.create (); irx = Transport.rx (); iboot = None });
+          { imu = Mutex.create (); irx = Chan.rx (); iboot = None });
     chaos;
-    rto0;
-    rto_max;
     t0 = Monotonic_clock.now ();
     metrics;
     c_sent = Obs.Metrics.counter metrics "net.sent";
@@ -164,7 +160,7 @@ let ack_reader_loop t p fd reader gen =
     | Ok (Wire.Ack { upto }) ->
         Mutex.lock p.pmu;
         if p.tx_gen = gen then
-          ignore (Transport.tx_ack p.ptx ~now:(now t) ~upto);
+          ignore (Chan.tx_ack p.ptx ~now:(now t) ~upto);
         Mutex.unlock p.pmu;
         loop ()
     | Ok _ | Error _ -> ()
@@ -267,7 +263,7 @@ let run_connection t p fd =
              corrupt) them. *)
           Queue.clear p.outq;
           let frames =
-            Transport.tx_reconnect p.ptx ~now:(now t)
+            Chan.tx_reconnect p.ptx ~now:(now t)
               ~peer_rebooted:rebooted ~rx_expected
           in
           List.iter
@@ -312,7 +308,7 @@ let retransmit_loop t =
         | Some p ->
             Mutex.lock p.pmu;
             if p.fd <> None then begin
-              match Transport.tx_due p.ptx ~now:(now t) with
+              match Chan.tx_due p.ptx ~now:(now t) with
               | [] -> ()
               | frames ->
                   List.iter
@@ -339,10 +335,10 @@ let peer_conn_loop t fd reader ~src ~src_boot =
   let ib = t.inbound.(src) in
   Mutex.lock ib.imu;
   if ib.iboot <> Some src_boot then begin
-    Transport.rx_reset ib.irx;
+    Chan.rx_reset ib.irx;
     ib.iboot <- Some src_boot
   end;
-  let expected = Transport.rx_expected ib.irx in
+  let expected = Chan.rx_expected ib.irx in
   Mutex.unlock ib.imu;
   if Conn.write_frame fd (Wire.Welcome { boot = t.boot; rx_expected = expected })
   then
@@ -359,8 +355,8 @@ let peer_conn_loop t fd reader ~src ~src_boot =
                   Obs.Metrics.incr t.c_delivered;
                   ignore
                     (Rt.Node.post t.node (Rt.Node.Net { src; msg = m; meta = None })))
-                (Transport.rx_data ib.irx ~seq msg);
-              Transport.rx_expected ib.irx
+                (Chan.rx_data ib.irx ~seq msg);
+              Chan.rx_expected ib.irx
             end
           in
           Mutex.unlock ib.imu;
@@ -494,7 +490,7 @@ let send t ~src ~dst m =
       | None -> ()
       | Some p ->
           Mutex.lock p.pmu;
-          let seq = Transport.tx_send p.ptx ~now:(now t) m in
+          let seq = Chan.tx_send p.ptx ~now:(now t) m in
           Queue.push (Wire.Data { seq; msg = m }) p.outq;
           Condition.broadcast p.pcv;
           Mutex.unlock p.pmu

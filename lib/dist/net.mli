@@ -9,7 +9,7 @@
     peer. Each directed channel (me, dst) rides me's outbound
     connection to dst as [Data] frames; the acceptor acks cumulatively
     on the same socket, so a channel's ack path dies exactly when its
-    data path does. {!Transport} gives each channel reliable-FIFO
+    data path does. {!Chan} gives each channel reliable-FIFO
     delivery across drops, reconnects and peer restarts; the handshake
     ([Hello]/[Welcome] with boot incarnation ids) tells a plain
     reconnect apart from a peer that came back as a new process.
@@ -28,15 +28,14 @@ type t
 
 val create :
   ?chaos:Chaos.t ->
-  ?rto0:float ->
-  ?rto_max:float ->
   me:int ->
   eps:Conn.endpoint array ->
   unit ->
   t
 (** Build node [me] of the deployment described by [eps] (one endpoint
-    per node, everyone agreeing on the array). Nothing listens or
-    dials until {!start}. *)
+    per node, everyone agreeing on the array). Retransmission uses
+    {!Chan}'s LAN timeouts (0.1 s, doubling to 2 s). Nothing listens
+    or dials until {!start}. *)
 
 val me : t -> int
 val size : t -> int
@@ -73,8 +72,9 @@ val set_client_handler :
     from any thread. Install before {!start}. *)
 
 val request_stop : t -> unit
-(** Make {!run} return after the current mailbox item. Safe from a
-    signal handler's deferred context or any thread. *)
+(** Make {!run} return after the current mailbox item. Safe from any
+    thread, not from a signal handler (see
+    {!Node_main.request_stop}). *)
 
 val stop : t -> unit
 (** Tear the sockets and helper threads down. Call after {!run}

@@ -31,9 +31,11 @@ val run : t -> unit
     after {!request_stop}. *)
 
 val request_stop : t -> unit
-(** Graceful shutdown trigger — safe from a signal handler. In-flight
-    client operations complete before {!run} returns (the [Stop] is
-    just another mailbox item behind them). *)
+(** Graceful shutdown trigger, from any thread. In-flight client
+    operations complete before {!run} returns (the [Stop] is just
+    another mailbox item behind them). Not from a signal handler: it
+    takes the mailbox lock, which the interrupted thread may hold — have
+    the handler set a flag and a thread call this. *)
 
 val shutdown : t -> unit
 (** Close sockets, stop helper threads and the telemetry endpoint.

@@ -187,7 +187,6 @@ type report = {
   killed : int list;
   recoveries : recovery list;
   exits : node_exit list;
-  retransmits : int;
 }
 
 type config = {
@@ -413,7 +412,6 @@ let run cfg =
     killed = victims;
     recoveries = List.rev !recoveries;
     exits = List.rev !exits;
-    retransmits = -1;
   }
 
 let pp_status ppf = function

@@ -75,7 +75,6 @@ type report = {
   killed : int list;
   recoveries : recovery list;
   exits : node_exit list;
-  retransmits : int;  (** summed over nodes' final metric dumps; -1 if unknown *)
 }
 
 type config = {

@@ -138,10 +138,11 @@ let create_writer path =
     open_out_gen [ Open_wronly; Open_creat; Open_append; Open_binary ] 0o644
       path
   in
-  (* Fresh log: stamp the header. [pos_out] in append mode reports the
-     end of the file, so 0 means the file did not exist (or was empty
-     and therefore not a valid log anyway). *)
-  if pos_out oc = 0 then begin
+  (* Fresh log: stamp the header. An empty file did not exist (or was
+     not a valid log anyway). [pos_out] will not do: on an append
+     channel it reads 0 until the first write, so every reopen would
+     stamp a second header mid-file. *)
+  if out_channel_length oc = 0 then begin
     output_string oc (magic ^ "\n");
     flush oc
   end;

@@ -200,9 +200,9 @@ let on_restart t f = Queue.push f t.restart_hooks
 (* Restart = the same node id comes back up with empty volatile state;
    only the ideal substrate supports it. [Transport.kill] discarded the
    per-channel sequence state on both sides, so reviving a node over the
-   lossy stack would need a connection-epoch handshake the transport does
-   not implement — restarts against it are a configuration bug, like
-   [partition] against the ideal one. *)
+   lossy stack would need the transport to run a reboot handshake
+   ([Chan.tx_reconnect]), which it does not yet drive — restarts against
+   it are a configuration bug, like [partition] against the ideal one. *)
 let restart t i =
   if t.crashed.(i) then begin
     (match t.backend with

@@ -12,9 +12,9 @@
 
     The network has two interchangeable substrates. {!Ideal} (the
     default) implements the contract axiomatically, as the paper assumes
-    it. {!Lossy} implements it as a protocol: a {!Transport} (sequence
-    numbers, cumulative acks, retransmission with exponential backoff)
-    over a {!Link} that drops, duplicates, reorders, and partitions.
+    it. {!Lossy} implements it as a protocol: a {!Transport} (the
+    {!Chan} machines: sequence numbers, cumulative acks, retransmission
+    with exponential backoff) over a {!Link} that drops, duplicates, reorders, and partitions.
     Algorithms are substrate-oblivious; the harness selects via
     {!with_substrate} (or the [?substrate] argument). One honest
     difference: over a faulty link, a message unacknowledged at its

@@ -1,136 +1,95 @@
 type 'm packet = Data of { seq : int; payload : 'm } | Ack of { upto : int }
 
-(* Sender side of one ordered channel (src, dst). [unacked] holds
-   (seq, payload) in increasing seq order. *)
-type 'm tx = {
-  mutable next_seq : int;
-  unacked : (int * 'm) Queue.t;
-  mutable rto : float;
-  (* Bumping the generation cancels the outstanding timer: the scheduled
-     closure compares and becomes a no-op. *)
-  mutable timer_gen : int;
-  mutable timer_armed : bool;
-}
-
-(* Receiver side of one ordered channel: [expected] is the next in-order
-   sequence number; anything later waits in [ooo]. *)
-type 'm rx = { mutable expected : int; ooo : (int, 'm) Hashtbl.t }
-
 type 'm t = {
   engine : Engine.t;
   n : int;
   link : 'm packet Link.t;
   handlers : (src:int -> 'm -> unit) array;
   dead : bool array;
-  tx : 'm tx array array; (* tx.(src).(dst) *)
-  rx : 'm rx array array; (* rx.(dst).(src) *)
-  rto0 : float;
-  backoff : float;
-  rto_max : float;
+  tx : 'm Chan.tx array array; (* tx.(src).(dst) *)
+  rx : 'm Chan.rx array array; (* rx.(dst).(src) *)
+  (* Bumping a channel's generation cancels its outstanding timer: the
+     scheduled closure compares and becomes a no-op. *)
+  timer_gen : int array array;
   delivered : Obs.Metrics.counter;
   data_sent : Obs.Metrics.counter;
   retransmits : Obs.Metrics.counter;
   acks_sent : Obs.Metrics.counter;
 }
 
-let cancel_timer tx =
-  tx.timer_gen <- tx.timer_gen + 1;
-  tx.timer_armed <- false
+let fresh_tx link =
+  let d = Link.delay_bound link in
+  Chan.tx ~rto0:(2.5 *. d) ~rto_max:(16. *. d) ()
 
-(* Arm the retransmission timer for channel (src, dst). On expiry, resend
-   everything still unacked and back off, doubling up to the cap. *)
+(* Turn channel (src, dst)'s deadline into an engine timer. The delay is
+   the machine's current RTO — the deadline it just set is now + RTO, so
+   the event fires exactly at it. On expiry, resend whatever [tx_due]
+   hands back and re-arm. *)
 let rec arm_timer t ~src ~dst =
-  let tx = t.tx.(src).(dst) in
-  tx.timer_armed <- true;
-  let gen = tx.timer_gen in
+  let gen = t.timer_gen.(src).(dst) in
   (* Labeled with the sender: the expiry touches only [src]'s tx state
      (and re-sends on the link, which schedules future deliveries). *)
-  Engine.schedule ~label:(Label.Timer src) t.engine ~delay:tx.rto (fun () ->
-      if tx.timer_gen = gen && not t.dead.(src) && not t.dead.(dst) then
-        if Queue.is_empty tx.unacked then tx.timer_armed <- false
-        else begin
-          let obs = Engine.trace t.engine in
-          Queue.iter
-            (fun (seq, payload) ->
-              Obs.Metrics.incr t.retransmits;
-              if Obs.Trace.enabled obs then
-                Obs.Trace.instant obs ~ts:(Engine.now t.engine) ~pid:src
-                  ~cat:"transport"
-                  ~args:
-                    [ ("dst", Obs.Trace.Int dst); ("seq", Obs.Trace.Int seq) ]
-                  "retransmit";
-              Link.send t.link ~src ~dst (Data { seq; payload }))
-            tx.unacked;
-          tx.rto <- Float.min (tx.rto *. t.backoff) t.rto_max;
-          tx.timer_gen <- tx.timer_gen + 1;
-          arm_timer t ~src ~dst
-        end)
+  Engine.schedule ~label:(Label.Timer src) t.engine
+    ~delay:(Chan.tx_rto t.tx.(src).(dst))
+    (fun () ->
+      if t.timer_gen.(src).(dst) = gen && not t.dead.(src) && not t.dead.(dst)
+      then
+        match Chan.tx_due t.tx.(src).(dst) ~now:(Engine.now t.engine) with
+        | [] -> ()
+        | frames ->
+            let obs = Engine.trace t.engine in
+            List.iter
+              (fun (seq, payload) ->
+                Obs.Metrics.incr t.retransmits;
+                if Obs.Trace.enabled obs then
+                  Obs.Trace.instant obs ~ts:(Engine.now t.engine) ~pid:src
+                    ~cat:"transport"
+                    ~args:
+                      [ ("dst", Obs.Trace.Int dst); ("seq", Obs.Trace.Int seq) ]
+                    "retransmit";
+                Link.send t.link ~src ~dst (Data { seq; payload }))
+              frames;
+            arm_timer t ~src ~dst)
 
 let handle_data t ~me ~src ~seq payload =
   let rx = t.rx.(me).(src) in
-  if seq >= rx.expected && not (Hashtbl.mem rx.ooo seq) then begin
-    Hashtbl.replace rx.ooo seq payload;
-    while Hashtbl.mem rx.ooo rx.expected do
-      let m = Hashtbl.find rx.ooo rx.expected in
-      Hashtbl.remove rx.ooo rx.expected;
-      rx.expected <- rx.expected + 1;
-      Obs.Metrics.incr t.delivered;
-      t.handlers.(me) ~src m
-    done
-  end;
+  (* A handler may crash its own node mid-batch; the rest of the batch
+     then dies with it. *)
+  List.iter
+    (fun m ->
+      if not t.dead.(me) then begin
+        Obs.Metrics.incr t.delivered;
+        t.handlers.(me) ~src m
+      end)
+    (Chan.rx_data rx ~seq payload);
   (* Always (re-)ack cumulatively — also on duplicates, since the
      original ack may have been the packet that was lost. *)
   if not t.dead.(src) then begin
     Obs.Metrics.incr t.acks_sent;
-    Link.send t.link ~src:me ~dst:src (Ack { upto = rx.expected })
+    Link.send t.link ~src:me ~dst:src (Ack { upto = Chan.rx_expected rx })
   end
 
 let handle_ack t ~me ~src ~upto =
-  let tx = t.tx.(me).(src) in
-  let progressed = ref false in
-  while
-    (not (Queue.is_empty tx.unacked)) && fst (Queue.peek tx.unacked) < upto
-  do
-    ignore (Queue.pop tx.unacked);
-    progressed := true
-  done;
-  if !progressed then begin
-    cancel_timer tx;
-    tx.rto <- t.rto0;
-    if not (Queue.is_empty tx.unacked) then arm_timer t ~src:me ~dst:src
+  if Chan.tx_ack t.tx.(me).(src) ~now:(Engine.now t.engine) ~upto then begin
+    t.timer_gen.(me).(src) <- t.timer_gen.(me).(src) + 1;
+    if Chan.tx_unacked t.tx.(me).(src) > 0 then arm_timer t ~src:me ~dst:src
   end
 
-let create ?rto0 ?(backoff = 2.0) ?rto_max ?faults ?metrics engine ~n ~delay =
-  let d = Delay.bound delay in
-  let rto0 = Option.value rto0 ~default:(2.5 *. d) in
-  let rto_max = Option.value rto_max ~default:(16. *. d) in
-  assert (rto0 > 0. && backoff >= 1.0 && rto_max >= rto0);
+let create ?faults ?metrics engine ~n ~delay =
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
+  let link = Link.create ?faults ~metrics engine ~n ~delay in
   let t =
     {
       engine;
       n;
-      link = Link.create ?faults ~metrics engine ~n ~delay;
+      link;
       handlers = Array.make n (fun ~src:_ _ -> ());
       dead = Array.make n false;
-      tx =
-        Array.init n (fun _ ->
-            Array.init n (fun _ ->
-                {
-                  next_seq = 0;
-                  unacked = Queue.create ();
-                  rto = rto0;
-                  timer_gen = 0;
-                  timer_armed = false;
-                }));
-      rx =
-        Array.init n (fun _ ->
-            Array.init n (fun _ -> { expected = 0; ooo = Hashtbl.create 8 }));
-      rto0;
-      backoff;
-      rto_max;
+      tx = Array.init n (fun _ -> Array.init n (fun _ -> fresh_tx link));
+      rx = Array.init n (fun _ -> Array.init n (fun _ -> Chan.rx ()));
+      timer_gen = Array.make_matrix n n 0;
       delivered = Obs.Metrics.counter metrics "transport.delivered";
       data_sent = Obs.Metrics.counter metrics "transport.data_sent";
       retransmits = Obs.Metrics.counter metrics "transport.retransmits";
@@ -138,7 +97,7 @@ let create ?rto0 ?(backoff = 2.0) ?rto_max ?faults ?metrics engine ~n ~delay =
     }
   in
   for i = 0 to n - 1 do
-    Link.set_handler t.link i (fun ~src packet ->
+    Link.set_handler link i (fun ~src packet ->
         if not t.dead.(i) then
           match packet with
           | Data { seq; payload } -> handle_data t ~me:i ~src ~seq payload
@@ -147,8 +106,6 @@ let create ?rto0 ?(backoff = 2.0) ?rto_max ?faults ?metrics engine ~n ~delay =
   t
 
 let link t = t.link
-let engine t = t.engine
-let size t = t.n
 let set_handler t i h = t.handlers.(i) <- h
 
 let send t ~src ~dst m =
@@ -160,44 +117,41 @@ let send t ~src ~dst m =
      time). Dead sources send nothing, as everywhere else. *)
   if not (t.dead.(src) || t.dead.(dst)) then begin
     let tx = t.tx.(src).(dst) in
-    let seq = tx.next_seq in
-    tx.next_seq <- seq + 1;
-    Queue.push (seq, m) tx.unacked;
+    (* An idle channel has no timer running: [tx_send] sets its
+       deadline, and the engine event goes with it. *)
+    let idle = Chan.tx_unacked tx = 0 in
+    let seq = Chan.tx_send tx ~now:(Engine.now t.engine) m in
     Obs.Metrics.incr t.data_sent;
     Link.send t.link ~src ~dst (Data { seq; payload = m });
-    if not tx.timer_armed then arm_timer t ~src ~dst
+    if idle then arm_timer t ~src ~dst
   end
 
+(* The dead flag alone stops every timer touching [i]; dropping the
+   channel state frees it and keeps [pp_state] to live traffic. *)
 let kill t i =
   if not t.dead.(i) then begin
     t.dead.(i) <- true;
     for j = 0 to t.n - 1 do
-      (* The dead node stops (re)transmitting... *)
-      cancel_timer t.tx.(i).(j);
-      Queue.clear t.tx.(i).(j).unacked;
-      (* ...and peers stop retransmitting to it: no ack will ever come. *)
-      cancel_timer t.tx.(j).(i);
-      Queue.clear t.tx.(j).(i).unacked;
-      Hashtbl.reset t.rx.(i).(j).ooo
+      t.tx.(i).(j) <- fresh_tx t.link;
+      t.tx.(j).(i) <- fresh_tx t.link;
+      Chan.rx_reset t.rx.(i).(j)
     done
   end
 
-let is_dead t i = t.dead.(i)
-let messages_delivered t = Obs.Metrics.count t.delivered
-let data_sent t = Obs.Metrics.count t.data_sent
 let retransmits t = Obs.Metrics.count t.retransmits
 let acks_sent t = Obs.Metrics.count t.acks_sent
-let metrics t = Link.metrics t.link
 
 let pp_state ppf t =
   Format.fprintf ppf
     "transport: data=%d retransmits=%d acks=%d delivered=%d@.  %a"
-    (data_sent t) (retransmits t) (acks_sent t) (messages_delivered t)
+    (Obs.Metrics.count t.data_sent)
+    (retransmits t) (acks_sent t)
+    (Obs.Metrics.count t.delivered)
     Link.pp_state t.link;
   for i = 0 to t.n - 1 do
     let busy =
-      Array.exists (fun tx -> not (Queue.is_empty tx.unacked)) t.tx.(i)
-      || Array.exists (fun rx -> Hashtbl.length rx.ooo > 0) t.rx.(i)
+      Array.exists (fun tx -> Chan.tx_unacked tx > 0) t.tx.(i)
+      || Array.exists (fun rx -> Chan.rx_buffered rx > 0) t.rx.(i)
     in
     if busy then begin
       Format.fprintf ppf "@.  node %d%s:" i
@@ -205,14 +159,14 @@ let pp_state ppf t =
       for j = 0 to t.n - 1 do
         let tx = t.tx.(i).(j) in
         let rx = t.rx.(i).(j) in
-        if not (Queue.is_empty tx.unacked) then
-          Format.fprintf ppf " [->%d unacked=%d lo=%d rto=%.1f]" j
-            (Queue.length tx.unacked)
-            (fst (Queue.peek tx.unacked))
-            tx.rto;
-        if Hashtbl.length rx.ooo > 0 then
-          Format.fprintf ppf " [<-%d expected=%d buffered=%d]" j rx.expected
-            (Hashtbl.length rx.ooo)
+        let unacked = Chan.tx_unacked tx in
+        if unacked > 0 then
+          Format.fprintf ppf " [->%d unacked=%d lo=%d rto=%.1f]" j unacked
+            (Chan.tx_next_seq tx - unacked)
+            (Chan.tx_rto tx);
+        if Chan.rx_buffered rx > 0 then
+          Format.fprintf ppf " [<-%d expected=%d buffered=%d]" j
+            (Chan.rx_expected rx) (Chan.rx_buffered rx)
       done
     end
   done

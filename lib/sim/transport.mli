@@ -1,12 +1,15 @@
 (** Reliable FIFO transport over a {!Link}: the protocol layer that turns
     the paper's Section II-A channel {e assumption} into code.
 
-    Per ordered pair [(src, dst)], payloads are numbered, buffered until
-    cumulatively acknowledged, retransmitted on a timer with exponential
-    backoff (capped), and delivered to the destination handler exactly
-    once, in send order — restoring the ideal {!Network} contract between
-    live nodes over links that lose, duplicate and reorder packets and
-    across partitions that eventually heal.
+    A thin driver of the {!Chan} state machines — the same ones the
+    socket backend runs. Per ordered pair [(src, dst)], payloads are
+    numbered, buffered until cumulatively acknowledged, retransmitted on
+    a timer with exponential backoff (capped), and delivered to the
+    destination handler exactly once, in send order — restoring the
+    ideal {!Network} contract between live nodes over links that lose,
+    duplicate and reorder packets and across partitions that eventually
+    heal. This module only turns {!Chan}'s deadlines into engine timers
+    and its frames into link packets.
 
     Crash handling is by simulation oracle ({!kill}): a dead node neither
     transmits (including retransmissions — a crashed node must not keep
@@ -23,9 +26,6 @@ type 'm packet = Data of { seq : int; payload : 'm } | Ack of { upto : int }
 type 'm t
 
 val create :
-  ?rto0:float ->
-  ?backoff:float ->
-  ?rto_max:float ->
   ?faults:Link.faults ->
   ?metrics:Obs.Metrics.t ->
   Engine.t ->
@@ -33,21 +33,14 @@ val create :
   delay:Delay.t ->
   'm t
 (** Creates the underlying ['m packet Link.t] and installs its handlers.
-    [rto0] (default [2.5 * D]) must exceed one round trip ([2 D]) so a
-    zero-fault stack never retransmits; [backoff] (default 2.0)
-    multiplies the timer on each expiry up to [rto_max] (default
-    [16 * D]). Transport counters register in [metrics] (fresh registry
-    if omitted) under ["transport.*"], alongside the link's
-    ["link.*"]. *)
+    The retransmission timeout starts at [2.5 * D], above one round trip
+    ([2 D]) so a zero-fault stack never retransmits, and doubles on each
+    expiry up to [16 * D]. Transport counters register in [metrics]
+    (fresh registry if omitted) under ["transport.*"], alongside the
+    link's ["link.*"]. *)
 
 val link : 'm t -> 'm packet Link.t
 (** The underlying link, for fault/partition control and wire tracing. *)
-
-val metrics : _ t -> Obs.Metrics.t
-(** The registry shared with the underlying link. *)
-
-val engine : _ t -> Engine.t
-val size : _ t -> int
 
 val set_handler : 'm t -> int -> (src:int -> 'm -> unit) -> unit
 (** In-order, exactly-once payload delivery for node [i]. *)
@@ -60,14 +53,6 @@ val send : 'm t -> src:int -> dst:int -> 'm -> unit
 val kill : _ t -> int -> unit
 (** Crash node [i]: drop its send/receive state, cancel every
     retransmission timer touching it (both directions). Idempotent. *)
-
-val is_dead : _ t -> int -> bool
-
-val messages_delivered : _ t -> int
-(** Payloads handed to handlers (each exactly once). *)
-
-val data_sent : _ t -> int
-(** First transmissions, excluding retransmits (logical data volume). *)
 
 val retransmits : _ t -> int
 val acks_sent : _ t -> int

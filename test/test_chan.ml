@@ -1,0 +1,233 @@
+(* The reliable-FIFO channel state machines ([Chan]) that both the
+   simulator's transport and the socket backend drive: hand-written
+   units for each operation, then one tx/rx pair checked against a
+   sequential model over random drop, dup, reorder, reconnect and
+   reboot schedules. *)
+
+(* ---- units ----------------------------------------------------------- *)
+
+let test_rx_order () =
+  let r = Chan.rx () in
+  Alcotest.(check (list string)) "in-order 0" [ "a" ] (Chan.rx_data r ~seq:0 "a");
+  Alcotest.(check (list string)) "in-order 1" [ "b" ] (Chan.rx_data r ~seq:1 "b");
+  Alcotest.(check (list string)) "dup dropped" [] (Chan.rx_data r ~seq:0 "a");
+  Alcotest.(check (list string)) "gap buffers" [] (Chan.rx_data r ~seq:3 "d");
+  Alcotest.(check (list string))
+    "gap fill flushes in order" [ "c"; "d" ]
+    (Chan.rx_data r ~seq:2 "c");
+  Alcotest.(check int) "expected advances" 4 (Chan.rx_expected r);
+  Chan.rx_reset r;
+  Alcotest.(check int) "reset rewinds" 0 (Chan.rx_expected r);
+  Alcotest.(check (list string)) "fresh channel" [ "z" ] (Chan.rx_data r ~seq:0 "z")
+
+let test_tx_ack_trim () =
+  let t = Chan.tx ~rto0:0.1 ~rto_max:2.0 () in
+  Alcotest.(check int) "seq 0" 0 (Chan.tx_send t ~now:0.0 "a");
+  Alcotest.(check int) "seq 1" 1 (Chan.tx_send t ~now:0.0 "b");
+  Alcotest.(check int) "seq 2" 2 (Chan.tx_send t ~now:0.0 "c");
+  Alcotest.(check bool) "ack trims" true (Chan.tx_ack t ~now:0.01 ~upto:2);
+  Alcotest.(check int) "one left" 1 (Chan.tx_unacked t);
+  Alcotest.(check bool) "stale ack is no progress" false
+    (Chan.tx_ack t ~now:0.02 ~upto:2);
+  Alcotest.(check bool) "final ack" true (Chan.tx_ack t ~now:0.03 ~upto:3);
+  Alcotest.(check int) "drained" 0 (Chan.tx_unacked t)
+
+let test_tx_backoff () =
+  let t = Chan.tx ~rto0:0.1 ~rto_max:0.3 () in
+  ignore (Chan.tx_send t ~now:0.0 "a");
+  Alcotest.(check int) "not yet due" 0 (List.length (Chan.tx_due t ~now:0.05));
+  Alcotest.(check (list (pair int string)))
+    "due after rto" [ (0, "a") ] (Chan.tx_due t ~now:0.11);
+  (* rto doubled to 0.2, re-armed at 0.11 *)
+  Alcotest.(check int) "backed off" 0 (List.length (Chan.tx_due t ~now:0.25));
+  Alcotest.(check (list (pair int string)))
+    "due after doubled rto" [ (0, "a") ] (Chan.tx_due t ~now:0.32);
+  (* rto capped at 0.3, re-armed at 0.32 *)
+  Alcotest.(check int) "capped not yet" 0 (List.length (Chan.tx_due t ~now:0.60));
+  Alcotest.(check (list (pair int string)))
+    "due after capped rto" [ (0, "a") ] (Chan.tx_due t ~now:0.63)
+
+let test_tx_reconnect () =
+  let t = Chan.tx () in
+  ignore (Chan.tx_send t ~now:0.0 "a");
+  ignore (Chan.tx_send t ~now:0.0 "b");
+  ignore (Chan.tx_send t ~now:0.0 "c");
+  (* same incarnation: the peer already delivered seq 0 and 1 *)
+  Alcotest.(check (list (pair int string)))
+    "resync trims delivered" [ (2, "c") ]
+    (Chan.tx_reconnect t ~now:0.1 ~peer_rebooted:false ~rx_expected:2);
+  Alcotest.(check int) "numbering preserved" 3 (Chan.tx_next_seq t);
+  (* peer restarted: volatile rx state gone, channel renumbers from 0 *)
+  ignore (Chan.tx_send t ~now:0.1 "d");
+  Alcotest.(check (list (pair int string)))
+    "reboot renumbers survivors" [ (0, "c"); (1, "d") ]
+    (Chan.tx_reconnect t ~now:0.2 ~peer_rebooted:true ~rx_expected:0);
+  Alcotest.(check int) "next_seq follows" 2 (Chan.tx_next_seq t)
+
+(* ---- one tx/rx pair against a sequential model ---------------------- *)
+
+(* A random schedule for one channel and its peer process. Indices pick
+   an in-flight frame (mod the number in flight), so delivering any but
+   the oldest is a reorder. *)
+type step =
+  | Send
+  | Deliver of int
+  | Drop of int
+  | Dup of int
+  | Ack of int
+  | Ack_drop of int
+  | Tick of int  (** advance the clock this many 10 ms *)
+  | Reconnect  (** the stream dies and comes back, same processes *)
+  | Peer_reboot  (** the receiver comes back as a fresh process *)
+  | Sender_reboot  (** the sender comes back as a fresh process *)
+
+let pp_step = function
+  | Send -> "send"
+  | Deliver i -> Printf.sprintf "deliver %d" i
+  | Drop i -> Printf.sprintf "drop %d" i
+  | Dup i -> Printf.sprintf "dup %d" i
+  | Ack i -> Printf.sprintf "ack %d" i
+  | Ack_drop i -> Printf.sprintf "ack-drop %d" i
+  | Tick k -> Printf.sprintf "tick %d" k
+  | Reconnect -> "reconnect"
+  | Peer_reboot -> "peer-reboot"
+  | Sender_reboot -> "sender-reboot"
+
+let step_gen =
+  QCheck.Gen.(
+    let idx = int_bound 7 in
+    frequency
+      [
+        (6, return Send);
+        (6, map (fun i -> Deliver i) idx);
+        (2, map (fun i -> Drop i) idx);
+        (1, map (fun i -> Dup i) idx);
+        (4, map (fun i -> Ack i) idx);
+        (2, map (fun i -> Ack_drop i) idx);
+        (3, map (fun k -> Tick k) (int_range 1 40));
+        (1, return Reconnect);
+        (1, return Peer_reboot);
+        (1, return Sender_reboot);
+      ])
+
+let schedule_arb =
+  QCheck.make
+    ~print:(fun steps -> String.concat "; " (List.map pp_step steps))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 120) step_gen)
+
+(* Remove the [i]-th (mod length) element of a non-empty list. *)
+let take i l =
+  let i = i mod List.length l in
+  (List.nth l i, List.filteri (fun j _ -> j <> i) l)
+
+let rec is_prefix p l =
+  match (p, l) with
+  | [], _ -> true
+  | x :: p', y :: l' -> x = y && is_prefix p' l'
+  | _ :: _, [] -> false
+
+(* The model: what the receiver's current incarnation must deliver is
+   [epoch] — the sender's unacked survivors when that incarnation began,
+   then every message sent since, in send order. A reboot of either end
+   starts a new epoch; wires of the old connection die with it.
+   Exactly-once in order: [got] is a prefix of [epoch] after every step.
+   No stall: once the faults stop, [got] catches up with all of
+   [epoch]. *)
+let chan_matches_model =
+  QCheck.Test.make ~name:"chan: tx/rx pair = sequential model" ~count:500
+    schedule_arb (fun steps ->
+      let tx = ref (Chan.tx ()) and rx = Chan.rx () in
+      let now = ref 0. and next = ref 0 in
+      let data = ref [] and acks = ref [] in
+      let epoch = ref [] and got = ref [] in
+      let arrive (seq, m) =
+        got := !got @ Chan.rx_data rx ~seq m;
+        acks := !acks @ [ Chan.rx_expected rx ]
+      in
+      let new_epoch ~survivors =
+        data := survivors;
+        acks := [];
+        epoch := List.map snd survivors;
+        got := []
+      in
+      let apply = function
+        | Send ->
+            let m = !next in
+            incr next;
+            let seq = Chan.tx_send !tx ~now:!now m in
+            data := !data @ [ (seq, m) ];
+            epoch := !epoch @ [ m ]
+        | Deliver i when !data <> [] ->
+            let f, rest = take i !data in
+            data := rest;
+            arrive f
+        | Drop i when !data <> [] -> data := snd (take i !data)
+        | Dup i when !data <> [] -> data := !data @ [ fst (take i !data) ]
+        | Ack i when !acks <> [] ->
+            let upto, rest = take i !acks in
+            acks := rest;
+            ignore (Chan.tx_ack !tx ~now:!now ~upto)
+        | Ack_drop i when !acks <> [] -> acks := snd (take i !acks)
+        | Tick k ->
+            now := !now +. (0.01 *. float_of_int k);
+            data := !data @ Chan.tx_due !tx ~now:!now
+        | Reconnect ->
+            data :=
+              !data
+              @ Chan.tx_reconnect !tx ~now:!now ~peer_rebooted:false
+                  ~rx_expected:(Chan.rx_expected rx)
+        | Peer_reboot ->
+            Chan.rx_reset rx;
+            new_epoch
+              ~survivors:
+                (Chan.tx_reconnect !tx ~now:!now ~peer_rebooted:true
+                   ~rx_expected:0)
+        | Sender_reboot ->
+            tx := Chan.tx ();
+            Chan.rx_reset rx;
+            new_epoch ~survivors:[]
+        | Deliver _ | Drop _ | Dup _ | Ack _ | Ack_drop _ -> ()
+      in
+      List.iter
+        (fun s ->
+          apply s;
+          if not (is_prefix !got !epoch) then
+            QCheck.Test.fail_reportf "after %s: delivered [%s], model [%s]"
+              (pp_step s)
+              (String.concat ";" (List.map string_of_int !got))
+              (String.concat ";" (List.map string_of_int !epoch)))
+        steps;
+      (* Faults stop: let the timer fire and deliver everything, in
+         order, until the sender has nothing left. *)
+      let rounds = ref 0 in
+      while (Chan.tx_unacked !tx > 0 || !data <> []) && !rounds < 20 do
+        incr rounds;
+        List.iter arrive !data;
+        data := [];
+        List.iter (fun upto -> ignore (Chan.tx_ack !tx ~now:!now ~upto)) !acks;
+        acks := [];
+        now := !now +. 3.;
+        data := Chan.tx_due !tx ~now:!now
+      done;
+      if !got <> !epoch || Chan.tx_unacked !tx > 0 then
+        QCheck.Test.fail_reportf
+          "stalled: delivered %d of %d, %d unacked, %d buffered at the \
+           receiver"
+          (List.length !got) (List.length !epoch) (Chan.tx_unacked !tx)
+          (Chan.rx_buffered rx);
+      true)
+
+let suites =
+  [
+    (* Named for the dist backend that first grew these machines: the
+       dist-smoke CI job selects suites by the [dist_] prefix. *)
+    ( "dist_transport",
+      [
+        Alcotest.test_case "rx order, dups, gaps, reset" `Quick test_rx_order;
+        Alcotest.test_case "tx cumulative ack trim" `Quick test_tx_ack_trim;
+        Alcotest.test_case "tx retransmit backoff" `Quick test_tx_backoff;
+        Alcotest.test_case "tx reconnect resync" `Quick test_tx_reconnect;
+        QCheck_alcotest.to_alcotest chan_matches_model;
+      ] );
+  ]

@@ -1,11 +1,11 @@
 (* The dist backend: wire-codec fuzz (round-trip + garbage rejection,
-   mirroring test_persist's torn-record matrix), transport state-machine
-   units, and in-process end-to-end runs — a Local cluster over real
-   unix sockets, closed-loop clients, and the merged history fed to the
-   same A0–A4 / S1–S3 checkers the simulator runs use. *)
+   mirroring test_persist's torn-record matrix) and in-process
+   end-to-end runs — a Local cluster over real unix sockets,
+   closed-loop clients, and the merged history fed to the same
+   A0–A4 / S1–S3 checkers the simulator runs use. The channel state
+   machines it drives are tested in test_chan.ml. *)
 
 module W = Dist.Wire
-module T = Dist.Transport
 module LC = Aso_core.Lattice_core
 
 let qcase t = QCheck_alcotest.to_alcotest t
@@ -237,66 +237,6 @@ let wire_garbage_no_crash =
       (match W.decode payload ~pos:0 with Ok _ | Error _ -> ());
       true)
 
-(* ---- transport state machines --------------------------------------- *)
-
-let test_rx_order () =
-  let r = T.rx () in
-  Alcotest.(check (list string)) "in-order 0" [ "a" ] (T.rx_data r ~seq:0 "a");
-  Alcotest.(check (list string)) "in-order 1" [ "b" ] (T.rx_data r ~seq:1 "b");
-  Alcotest.(check (list string)) "dup dropped" [] (T.rx_data r ~seq:0 "a");
-  Alcotest.(check (list string)) "gap buffers" [] (T.rx_data r ~seq:3 "d");
-  Alcotest.(check (list string))
-    "gap fill flushes in order" [ "c"; "d" ]
-    (T.rx_data r ~seq:2 "c");
-  Alcotest.(check int) "expected advances" 4 (T.rx_expected r);
-  T.rx_reset r;
-  Alcotest.(check int) "reset rewinds" 0 (T.rx_expected r);
-  Alcotest.(check (list string)) "fresh channel" [ "z" ] (T.rx_data r ~seq:0 "z")
-
-let test_tx_ack_trim () =
-  let t = T.tx ~rto0:0.1 ~rto_max:2.0 () in
-  Alcotest.(check int) "seq 0" 0 (T.tx_send t ~now:0.0 "a");
-  Alcotest.(check int) "seq 1" 1 (T.tx_send t ~now:0.0 "b");
-  Alcotest.(check int) "seq 2" 2 (T.tx_send t ~now:0.0 "c");
-  Alcotest.(check bool) "ack trims" true (T.tx_ack t ~now:0.01 ~upto:2);
-  Alcotest.(check int) "one left" 1 (T.tx_unacked t);
-  Alcotest.(check bool) "stale ack is no progress" false
-    (T.tx_ack t ~now:0.02 ~upto:2);
-  Alcotest.(check bool) "final ack" true (T.tx_ack t ~now:0.03 ~upto:3);
-  Alcotest.(check int) "drained" 0 (T.tx_unacked t)
-
-let test_tx_backoff () =
-  let t = T.tx ~rto0:0.1 ~rto_max:0.3 () in
-  ignore (T.tx_send t ~now:0.0 "a");
-  Alcotest.(check int) "not yet due" 0 (List.length (T.tx_due t ~now:0.05));
-  Alcotest.(check (list (pair int string)))
-    "due after rto" [ (0, "a") ] (T.tx_due t ~now:0.11);
-  (* rto doubled to 0.2, re-armed at 0.11 *)
-  Alcotest.(check int) "backed off" 0 (List.length (T.tx_due t ~now:0.25));
-  Alcotest.(check (list (pair int string)))
-    "due after doubled rto" [ (0, "a") ] (T.tx_due t ~now:0.32);
-  (* rto capped at 0.3, re-armed at 0.32 *)
-  Alcotest.(check int) "capped not yet" 0 (List.length (T.tx_due t ~now:0.60));
-  Alcotest.(check (list (pair int string)))
-    "due after capped rto" [ (0, "a") ] (T.tx_due t ~now:0.63)
-
-let test_tx_reconnect () =
-  let t = T.tx () in
-  ignore (T.tx_send t ~now:0.0 "a");
-  ignore (T.tx_send t ~now:0.0 "b");
-  ignore (T.tx_send t ~now:0.0 "c");
-  (* same incarnation: the peer already delivered seq 0 and 1 *)
-  Alcotest.(check (list (pair int string)))
-    "resync trims delivered" [ (2, "c") ]
-    (T.tx_reconnect t ~now:0.1 ~peer_rebooted:false ~rx_expected:2);
-  Alcotest.(check int) "numbering preserved" 3 (T.tx_next_seq t);
-  (* peer restarted: volatile rx state gone, channel renumbers from 0 *)
-  ignore (T.tx_send t ~now:0.1 "d");
-  Alcotest.(check (list (pair int string)))
-    "reboot renumbers survivors" [ (0, "c"); (1, "d") ]
-    (T.tx_reconnect t ~now:0.2 ~peer_rebooted:true ~rx_expected:0);
-  Alcotest.(check int) "next_seq follows" 2 (T.tx_next_seq t)
-
 (* ---- end-to-end over real sockets ----------------------------------- *)
 
 let fresh_dir name =
@@ -400,13 +340,6 @@ let suites =
         qcase wire_garbage_no_crash;
         Alcotest.test_case "header rejection matrix" `Quick
           test_header_rejection;
-      ] );
-    ( "dist_transport",
-      [
-        Alcotest.test_case "rx order, dups, gaps, reset" `Quick test_rx_order;
-        Alcotest.test_case "tx cumulative ack trim" `Quick test_tx_ack_trim;
-        Alcotest.test_case "tx retransmit backoff" `Quick test_tx_backoff;
-        Alcotest.test_case "tx reconnect resync" `Quick test_tx_reconnect;
       ] );
     ( "dist_e2e",
       [

@@ -29,5 +29,6 @@ let () =
          Test_verif.suites;
          Test_persist.suites;
          Test_configs.suites;
+         Test_chan.suites;
          Test_dist.suites;
        ])

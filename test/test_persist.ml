@@ -145,7 +145,17 @@ let test_file_store_roundtrip () =
       (* A second store on the same path sees the appended records — the
          durability a restart relies on. *)
       let s2 = Persist.Store.file path in
-      Alcotest.(check bool) "reopened" true (Persist.Store.read s2 = records))
+      Alcotest.(check bool) "reopened" true (Persist.Store.read s2 = records);
+      (* Appending after the reopen extends the same log: no second
+         header mid-file, so replay keeps every record and ends clean. *)
+      let more = Persist.Record.Entry { tag = 3; writer = 2; value = 12 } in
+      Persist.Store.append s2 more;
+      match Persist.Log.replay_file path with
+      | Error e -> Alcotest.fail e
+      | Ok r ->
+          Alcotest.(check bool) "records across the reopen" true
+            (r.records = records @ [ more ]);
+          Alcotest.(check bool) "clean tail" true (r.tail = Persist.Log.Clean))
 
 (* ------------------------------------------------------------------ *)
 (* Monitor restart semantics. *)
