@@ -334,12 +334,12 @@ let table_byz () =
           done)
     done;
     Sim.Engine.run_until_quiescent engine;
-    (match Checker.Conditions.check_atomic ~n history with
+    (match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n history with
     | Ok () -> ()
     | Error v ->
         failwith
           (Format.asprintf "byz run not linearizable: %a"
-             Checker.Conditions.pp_violation v));
+             Obs.Monitor.pp_violation v));
     let durations op_filter =
       List.filter_map
         (fun op -> if op_filter op then Proto.History.duration op else None)
@@ -644,24 +644,26 @@ let table_mc_throughput () =
 
 let rt_algos = [ Rt.Service.Eq_aso; Rt.Service.Sso_fast_scan ]
 
-let rt_check algo ~n (report : Rt.Service.report) =
-  let fail e =
-    (* The verdict lands in a pass/FAIL table cell; keep the why. *)
-    Printf.eprintf "checker (%s): %s\n%!" (Rt.Service.algo_name algo) e;
-    false
+(* The verdict lands in a pass/FAIL table cell; keep the why on stderr.
+   Same size split as [aso_demo serve]: histories of at most 1500 ops
+   also get the quadratic witness (and, when tiny, the oracle); longer
+   ones the streaming monitor alone. *)
+let history_ok ~backend algo ~n history =
+  let mode = Rt.Service.mode algo in
+  let verdict =
+    if List.length (Proto.History.ops history) <= 1500 then
+      Checker.Batch.check ~n mode history
+    else
+      Result.map_error
+        (Format.asprintf "%a" Obs.Monitor.pp_violation)
+        (Checker.Feed.check ~mode ~n history)
   in
-  match algo with
-  | Rt.Service.Eq_aso -> (
-      match Checker.Feed.check ~n report.Rt.Service.history with
-      | Ok () -> true
-      | Error v -> fail (Format.asprintf "%a" Obs.Monitor.pp_violation v))
-  | Rt.Service.Sso_fast_scan -> (
-      match
-        Checker.Batch.check ~n Checker.Batch.Sequential
-          report.Rt.Service.history
-      with
-      | Ok () -> true
-      | Error e -> fail e)
+  match verdict with
+  | Ok () -> true
+  | Error e ->
+      Printf.eprintf "%s checker (%s): %s\n%!" backend
+        (Rt.Service.algo_name algo) e;
+      false
 
 let rt_run algo =
   let n = 4 and f = 1 in
@@ -669,7 +671,7 @@ let rt_run algo =
     Rt.Service.run ~algo ~n ~f ~clients:4 ~secs:0.3
       ~seed:(Int64.to_int seed) ()
   in
-  (report, rt_check algo ~n report)
+  (report, history_ok ~backend:"rt" algo ~n report.history)
 
 let table_runtime_throughput () =
   let rows =
@@ -710,21 +712,6 @@ let table_runtime_throughput () =
    prices the socket stack, not just the protocol. Every wall-clock
    rate goes under the JSON rows' "volatile" section; the gated metrics
    are the run shape and the checker verdict on the merged history. *)
-
-let dist_check algo ~n history =
-  let fail e =
-    Printf.eprintf "dist checker (%s): %s\n%!" (Rt.Service.algo_name algo) e;
-    false
-  in
-  match algo with
-  | Rt.Service.Eq_aso -> (
-      match Checker.Feed.check ~n history with
-      | Ok () -> true
-      | Error v -> fail (Format.asprintf "%a" Obs.Monitor.pp_violation v))
-  | Rt.Service.Sso_fast_scan -> (
-      match Checker.Batch.check ~n Checker.Batch.Sequential history with
-      | Ok () -> true
-      | Error e -> fail e)
 
 type dist_numbers = {
   d_updates : int;
@@ -796,7 +783,7 @@ let dist_run algo =
     d_ops_per_sec = float_of_int (List.length completed) /. duration;
     d_upd_lat;
     d_retx = !retx;
-    d_ok = dist_check algo ~n history;
+    d_ok = history_ok ~backend:"dist" algo ~n history;
   }
 
 let table_dist_throughput () =
@@ -942,7 +929,7 @@ let rt_recovery_run algo =
         ~crash_after:0.1 ~restart_after:0.25 ~wal_dir
         ~seed:(Int64.to_int seed) ()
     in
-    (report, rt_check algo ~n report)
+    (report, history_ok ~backend:"rt" algo ~n report.history)
   in
   let rec go tries =
     let ((report, ok) as r) = attempt () in
@@ -1147,7 +1134,7 @@ let rt_parking_run parking =
     Rt.Service.run ~parking ~algo:Rt.Service.Eq_aso ~n ~f ~clients:4 ~secs:0.3
       ~seed:(Int64.to_int seed) ()
   in
-  (report, rt_check Rt.Service.Eq_aso ~n report)
+  (report, history_ok ~backend:"rt" Rt.Service.Eq_aso ~n report.history)
 
 let parking_name = function `Mutex -> "mutex-park" | `Eventcount -> "eventcount"
 

@@ -96,15 +96,10 @@ let run_cmd_impl (algo : Harness.Algo.t) n k ops seed scan_fraction =
     (Harness.Runner.max_latency scn)
     (Harness.Runner.mean_latency scn)
     (List.length scn);
-  let verdict =
-    match algo.consistency with
-    | Harness.Algo.Atomic -> (Harness.Runner.check_linearizable outcome, "linearizable")
-    | Harness.Algo.Sequential ->
-        (Harness.Runner.check_sequential outcome, "sequentially consistent")
-  in
-  match verdict with
-  | Ok (), label -> Format.printf "history     : %s (checked)@." label
-  | Error e, label ->
+  let label = Checker.Batch.label algo.consistency in
+  match Checker.Batch.check algo.consistency outcome.history with
+  | Ok () -> Format.printf "history     : %s (checked)@." label
+  | Error e ->
       Format.printf "history     : NOT %s — %s@." label e;
       exit 1
 
@@ -151,10 +146,10 @@ let fig1_impl () =
   Format.printf "History H (invocation order):@.%a@.@." History.pp history;
   Format.printf "Timeline (one lane per node, as in the paper's figure):@.%s@."
     (Checker.Timeline.render ~width:64 history);
-  (match Checker.Conditions.check_atomic ~n history with
-  | Ok () -> Format.printf "Conditions (A1)-(A4): satisfied.@.@."
+  (match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n history with
+  | Ok () -> Format.printf "Conditions (A0)-(A4): satisfied.@.@."
   | Error v ->
-      Format.printf "Conditions violated: %a@." Checker.Conditions.pp_violation v);
+      Format.printf "Conditions violated: %a@." Obs.Monitor.pp_violation v);
   (match Checker.Linearize.linearize ~n history with
   | Ok order ->
       Format.printf "A linearization L (legal + real-time checked):@.";
@@ -410,16 +405,10 @@ let causal_impl (algo : Harness.Algo.t) n k ops seed out trace_out mutation
                      no violation@."
         (Obs.Monitor.events_seen monitor)
         (Obs.Monitor.scans_checked monitor);
-      let verdict =
-        match algo.consistency with
-        | Harness.Algo.Atomic ->
-            (Harness.Runner.check_linearizable outcome, "linearizable")
-        | Harness.Algo.Sequential ->
-            (Harness.Runner.check_sequential outcome, "sequentially consistent")
-      in
-      (match verdict with
-      | Ok (), label -> Format.printf "history     : %s (batch-checked)@." label
-      | Error e, label ->
+      let label = Checker.Batch.label algo.consistency in
+      (match Checker.Batch.check algo.consistency outcome.history with
+      | Ok () -> Format.printf "history     : %s (batch-checked)@." label
+      | Error e ->
           Format.printf "history     : NOT %s — %s@." label e;
           exit 1)
   | exception Harness.Runner.Monitor_violation c ->
@@ -832,135 +821,25 @@ let replay_cmd =
 
 (* ---- serve: parallel runtime backend under closed-loop load -------- *)
 
-(* Scalable (S1)-(S3) pass for large rt histories of the sequentially
-   consistent SSO: the reference [Checker.Conditions.check_sequential]
-   compares all scan pairs, which is quadratic in the scan count —
-   unusable on a multi-second load run. Subset inclusion is transitive,
-   so comparability needs only consecutive bases in cardinality order
-   (exactly the reference checker's own trick) and per-node monotonicity
-   needs only consecutive same-node scans in program order. *)
-let check_sequential_scalable ~n history =
-  let ( let* ) = Result.bind in
-  match Checker.Base.context ~n history with
-  | Error e -> Error e
-  | Ok ctx ->
-      let* scan_bases =
-        List.fold_left
-          (fun acc sc ->
-            let* acc = acc in
-            let* b = Checker.Base.of_scan ctx sc in
-            Ok ((sc, b) :: acc))
-          (Ok [])
-          (Checker.Base.completed_scans ctx)
-      in
-      (* (S1) comparability: consecutive pairs in cardinality order. *)
-      let by_card =
-        List.sort
-          (fun (_, b1) (_, b2) ->
-            Int.compare
-              (Checker.Base.Int_set.cardinal b1)
-              (Checker.Base.Int_set.cardinal b2))
-          scan_bases
-      in
-      let rec walk_chain = function
-        | (sc1, b1) :: ((sc2, b2) :: _ as rest) ->
-            if not (Checker.Base.subset b1 b2) then
-              Error
-                (Printf.sprintf
-                   "(S1) bases of scans #%d and #%d are incomparable"
-                   sc1.History.id sc2.History.id)
-            else walk_chain rest
-        | [ _ ] | [] -> Ok ()
-      in
-      let* () = walk_chain by_card in
-      (* (S2) read-your-writes: each scan vs its own node's updates. *)
-      let updates_at = Array.make n [] in
-      List.iter
-        (fun (u : History.op) ->
-          updates_at.(u.node) <- u :: updates_at.(u.node))
-        (Checker.Base.updates ctx);
-      let* () =
-        List.fold_left
-          (fun acc (sc, b) ->
-            let* () = acc in
-            List.fold_left
-              (fun acc (u : History.op) ->
-                let* () = acc in
-                let in_base = Checker.Base.Int_set.mem u.id b in
-                if u.id < sc.History.id && not in_base then
-                  Error
-                    (Printf.sprintf
-                       "(S2) node %d's update #%d precedes its scan #%d in \
-                        program order but is missing from the base"
-                       u.node u.id sc.History.id)
-                else if u.id > sc.History.id && in_base then
-                  Error
-                    (Printf.sprintf
-                       "(S2) node %d's scan #%d returned its own later \
-                        update #%d"
-                       u.node sc.History.id u.id)
-                else Ok ())
-              (Ok ())
-              updates_at.(sc.History.node))
-          (Ok ()) scan_bases
-      in
-      (* (S3) per-node monotonicity: consecutive scans in program order. *)
-      let scans_at = Array.make n [] in
-      List.iter
-        (fun ((sc : History.op), b) ->
-          scans_at.(sc.node) <- (sc, b) :: scans_at.(sc.node))
-        scan_bases;
-      Array.fold_left
-        (fun acc per_node ->
-          let* () = acc in
-          let ordered =
-            List.sort
-              (fun ((a : History.op), _) ((b : History.op), _) ->
-                Int.compare a.id b.id)
-              per_node
-          in
-          let rec walk = function
-            | ((sc1 : History.op), b1) :: (((sc2 : History.op), b2) :: _ as rest)
-              ->
-                if not (Checker.Base.subset b1 b2) then
-                  Error
-                    (Printf.sprintf
-                       "(S3) node %d's scans #%d and #%d have non-monotone \
-                        bases"
-                       sc1.node sc1.id sc2.id)
-                else walk rest
-            | [ _ ] | [] -> Ok ()
-          in
-          walk ordered)
-        (Ok ()) scans_at
-
-(* Small histories afford the full reference checkers (conditions +
-   constructive witness + Wing-Gong oracle); large ones get the scalable
-   passes: the streaming A0-A4 monitor for eq-aso, the transitivity-
-   based (S1)-(S3) walk above for sso. *)
+(* Small histories afford the full battery (monitor + constructive
+   witness; the Wing-Gong oracle only below its own 14-op ceiling); on
+   large ones the witness is quadratic, so the streaming monitor alone
+   decides. *)
 let serve_check_history algo ~n history =
-  let total = List.length (History.ops history) in
-  let small = total <= 1500 in
-  match algo with
-  | Rt.Service.Eq_aso -> (
-      match Checker.Feed.check ~n history with
-      | Error v ->
-          Error (Format.asprintf "%a" Obs.Monitor.pp_violation v)
-      | Ok () ->
-          if small then
-            match Checker.Batch.check ~n Checker.Batch.Atomic history with
-            | Ok () -> Ok "linearizable (A0-A4 monitor + batch cross-check)"
-            | Error e -> Error e
-          else Ok "linearizable (A0-A4, streaming monitor)")
-  | Rt.Service.Sso_fast_scan ->
-      if small then
-        match Checker.Batch.check ~n Checker.Batch.Sequential history with
-        | Ok () -> Ok "sequentially consistent (S1-S3 batch + oracle)"
-        | Error e -> Error e
-      else (
-        match check_sequential_scalable ~n history with
-        | Ok () -> Ok "sequentially consistent (S1-S3, scalable pass)"
-        | Error e -> Error e)
+  let mode = Rt.Service.mode algo in
+  let passed how =
+    Printf.sprintf "%s (%s, %s)" (Checker.Batch.label mode)
+      (match mode with Atomic -> "A0-A4" | Sequential -> "S1-S3")
+      how
+  in
+  if List.length (History.ops history) <= 1500 then
+    Result.map
+      (fun () -> passed "monitor + witness")
+      (Checker.Batch.check ~n mode history)
+  else
+    match Checker.Feed.check ~mode ~n history with
+    | Ok () -> Ok (passed "streaming monitor")
+    | Error v -> Error (Format.asprintf "%a" Obs.Monitor.pp_violation v)
 
 let serve_impl algo_name n clients secs batch scan_fraction seed crash
     crash_restart wal_dir telemetry stats_every dump_dir mutation no_recorder

@@ -3,7 +3,6 @@ module Int_set = Set.Make (Int)
 type t = Int_set.t
 
 type context = {
-  ops : History.op array;
   update_of_value : (int, History.op) Hashtbl.t;
   (* per update id: its writer's program-order prefix up to and
      including itself *)
@@ -15,15 +14,13 @@ type context = {
 let ( let* ) = Result.bind
 
 let context ~n history =
-  let ops = Array.of_list (History.ops history) in
+  let ops = History.ops history in
   let update_of_value = Hashtbl.create 64 in
   let prefixes = Hashtbl.create 64 in
   let last_prefix = Array.make n Int_set.empty in
-  let updates = List.filter History.is_update (Array.to_list ops) in
+  let updates = List.filter History.is_update ops in
   let scans =
-    List.filter
-      (fun op -> History.is_scan op && op.History.resp <> None)
-      (Array.to_list ops)
+    List.filter (fun op -> History.is_scan op && op.History.resp <> None) ops
   in
   let rec index = function
     | [] -> Ok ()
@@ -36,7 +33,7 @@ let context ~n history =
             Error (Printf.sprintf "duplicate update value %d (op #%d)" v op.id)
           else begin
             Hashtbl.replace update_of_value v op;
-            (* Array order = invocation order = program order per node
+            (* List order = invocation order = program order per node
                (nodes are sequential). *)
             last_prefix.(op.node) <- Int_set.add op.id last_prefix.(op.node);
             Hashtbl.replace prefixes op.id last_prefix.(op.node);
@@ -45,7 +42,7 @@ let context ~n history =
         end
   in
   let* () = index updates in
-  Ok { ops; update_of_value; prefixes; updates; scans }
+  Ok { update_of_value; prefixes; updates; scans }
 
 let of_scan ctx (scan : History.op) =
   let snap = History.scan_result scan in
@@ -74,10 +71,5 @@ let of_scan ctx (scan : History.op) =
   in
   build 0 Int_set.empty
 
-let comparable a b = Int_set.subset a b || Int_set.subset b a
-let subset = Int_set.subset
-
 let updates ctx = ctx.updates
 let completed_scans ctx = ctx.scans
-let op ctx id = ctx.ops.(id)
-let prefix_of_update ctx (u : History.op) = Hashtbl.find ctx.prefixes u.id

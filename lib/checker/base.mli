@@ -3,8 +3,9 @@
     The base of a SCAN returning [Snap] is [∪_i U_{i,H}^{<= op_i}] where
     [op_i] is the UPDATE that wrote [Snap[i]] — i.e. per segment, the
     writer's whole program-order prefix of UPDATEs up to the scanned one.
-    Bases are the raw material of the tight conditions (A1)–(A4) and of
-    the linearization construction.
+    Bases are the raw material of the linearization construction
+    ({!Linearize}); [Obs.Monitor] builds the same bases incrementally,
+    as per-node prefix-length vectors, to decide (A0)–(A4).
 
     Operations are identified by their {!History.op.id}; a base is a set
     of update ids. Values must be globally unique across updates (the
@@ -28,16 +29,8 @@ val of_scan : context -> History.op -> (t, string) result
     update wrote, or a value in the wrong segment (segment [j] written
     by a node other than [j]). *)
 
-val comparable : t -> t -> bool
-val subset : t -> t -> bool
-
 val updates : context -> History.op list
 (** All updates, invocation order. *)
 
 val completed_scans : context -> History.op list
 
-val op : context -> int -> History.op
-(** Operation by id. *)
-
-val prefix_of_update : context -> History.op -> t
-(** [U_{i,H}^{<= op}]: the update's own-writer prefix including itself. *)

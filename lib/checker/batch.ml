@@ -1,6 +1,11 @@
-type level = Atomic | Sequential
+type level = Obs.Monitor.mode = Atomic | Sequential
 
-let default_wg_limit = 14
+let label = function
+  | Atomic -> "linearizable"
+  | Sequential -> "sequentially consistent"
+
+(* Operation-count ceiling for the exponential search oracle. *)
+let wg_limit = 14
 
 let infer_n history =
   match History.ops history with
@@ -14,38 +19,30 @@ let infer_n history =
           | _ -> max acc (op.node + 1))
         1 ops
 
-let check ?(wg_limit = default_wg_limit) ?n level history =
+let check ?n level history =
   let n = match n with Some n -> n | None -> infer_n history in
-  let conditions, construct, oracle, label =
+  let construct, oracle =
     match level with
-    | Atomic ->
-        ( Conditions.check_atomic,
-          Linearize.linearize,
-          Wg.linearizable,
-          "linearizable" )
-    | Sequential ->
-        ( Conditions.check_sequential,
-          Linearize.sequentialize,
-          Wg.equivalent_sequential,
-          "sequentially consistent" )
+    | Atomic -> (Linearize.linearize, Wg.linearizable)
+    | Sequential -> (Linearize.sequentialize, Wg.equivalent_sequential)
   in
-  match conditions ~n history with
-  | Error v -> Error (Format.asprintf "%a" Conditions.pp_violation v)
+  match Feed.check ~mode:level ~n history with
+  | Error v -> Error (Format.asprintf "%a" Obs.Monitor.pp_violation v)
   | Ok () -> (
       match construct ~n history with
       | Error e -> Error (Printf.sprintf "no witness order: %s" e)
       | Ok (_ : History.op list) ->
           (* Independent oracle, affordable only on small histories: a
-             pass here that the search refutes means the conditions
-             checker itself is wrong — exactly what an explorer of rare
-             interleavings must not silently trust. *)
+             pass here that the search refutes means the monitor itself
+             is wrong — exactly what an explorer of rare interleavings
+             must not silently trust. *)
           if
             List.length (History.ops history) <= wg_limit
             && not (oracle ~n history)
           then
             Error
               (Printf.sprintf
-                 "conditions accept the history but the Wing-Gong search \
+                 "the monitor accepts the history but the Wing-Gong search \
                   finds no %s order"
-                 label)
+                 (label level))
           else Ok ())

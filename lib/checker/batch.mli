@@ -2,26 +2,24 @@
 
     The model checker runs thousands of schedules and wants the
     strongest verdict available per history: the Theorem 1 conditions
-    ((A0)–(A4) or (S1)–(S3)), the constructive Steps I–II witness, and —
-    on histories small enough to afford it — the independent Wing–Gong
-    search oracle. Any disagreement between the three is reported as a
-    violation (a checker bug is as much a counterexample as a protocol
-    bug). *)
+    ((A0)–(A4) or (S1)–(S3), decided by {!Feed.check}), the
+    constructive Steps I–II witness, and — on histories of at most 14
+    operations — the independent Wing–Gong search oracle. Any
+    disagreement between the three is reported as a violation (a checker
+    bug is as much a counterexample as a protocol bug). *)
 
-type level = Atomic | Sequential
+type level = Obs.Monitor.mode = Atomic | Sequential
 
-val default_wg_limit : int
-(** Operation-count ceiling for running the exponential search oracle
-    (14). *)
+val label : level -> string
+(** ["linearizable"] or ["sequentially consistent"]. *)
 
 val infer_n : History.t -> int
 (** Segment count of a history: scans carry it in their snapshots; falls
     back to the largest node id seen. 1 on the empty history. *)
 
-val check :
-  ?wg_limit:int -> ?n:int -> level -> History.t -> (unit, string) result
-(** [check level history] runs the conditions checker, the constructive
+val check : ?n:int -> level -> History.t -> (unit, string) result
+(** [check level history] runs {!Feed.check}, the constructive
     linearization/sequentialization, and (when the history has at most
-    [wg_limit] operations) the Wing–Gong oracle. [n] defaults to
-    {!infer_n}. [Error] carries a human-readable diagnosis naming the
-    failed condition or the disagreeing checker. *)
+    14 operations) the Wing–Gong oracle. [n] defaults to {!infer_n}.
+    [Error] carries a human-readable diagnosis naming the failed
+    condition or the disagreeing checker. *)

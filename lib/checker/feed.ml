@@ -1,8 +1,8 @@
 (* Lower a finished history to the monitor's event stream. Each event
-   is keyed (time, phase, id) with responses before invocations at
-   equal times: real-time precedence is strict ([resp < inv]), so tie
-   order only matters for the monitor's sequential-process check, where
-   a node may legally invoke at the instant its previous op responded. *)
+   is keyed (time, id, phase) with an operation's invoke (phase 0)
+   before its response or abort (phase 1). Ids follow invocation order,
+   so a node's next op, invoked at the instant its previous op
+   responded, sorts after that response. *)
 
 let events history =
   let evs =
@@ -10,8 +10,8 @@ let events history =
       (fun (op : History.op) ->
         let invoke =
           ( op.inv,
-            1,
             op.id,
+            0,
             Obs.Monitor.Invoke
               {
                 id = op.id;
@@ -29,27 +29,27 @@ let events history =
                monitor frees the node's outstanding slot before the
                post-restart invocations arrive. *)
             let at = Option.get op.aborted in
-            [ invoke; (at, 0, op.id, Obs.Monitor.Abort { id = op.id; at }) ]
+            [ invoke; (at, op.id, 1, Obs.Monitor.Abort { id = op.id; at }) ]
         | None, _ | Some _, History.Scan None -> [ invoke ]
         | Some at, History.Update _ ->
-            [ invoke; (at, 0, op.id, Obs.Monitor.Respond_update { id = op.id; at }) ]
+            [ invoke; (at, op.id, 1, Obs.Monitor.Respond_update { id = op.id; at }) ]
         | Some at, History.Scan (Some snap) ->
             [ invoke;
-              (at, 0, op.id, Obs.Monitor.Respond_scan { id = op.id; at; snap })
+              (at, op.id, 1, Obs.Monitor.Respond_scan { id = op.id; at; snap })
             ])
       (History.ops history)
   in
   List.map
     (fun (_, _, _, ev) -> ev)
     (List.sort
-       (fun (t1, p1, i1, _) (t2, p2, i2, _) ->
+       (fun (t1, i1, p1, _) (t2, i2, p2, _) ->
          match Float.compare t1 t2 with
-         | 0 -> ( match compare p1 p2 with 0 -> compare i1 i2 | c -> c)
+         | 0 -> ( match Int.compare i1 i2 with 0 -> Int.compare p1 p2 | c -> c)
          | c -> c)
        evs)
 
-let check ?budget ~n history =
-  let m = Obs.Monitor.create ?budget ~n () in
+let check ~mode ~n history =
+  let m = Obs.Monitor.create ~mode ~n () in
   let rec go = function
     | [] -> Ok ()
     | ev :: rest -> (

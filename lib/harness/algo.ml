@@ -1,4 +1,4 @@
-type consistency = Atomic | Sequential
+type consistency = Checker.Batch.level = Atomic | Sequential
 
 type t = {
   name : string;

@@ -4,7 +4,7 @@
     uniform {!Runner.maker} face, tagged with the consistency level its
     histories must satisfy (checked after every run in the tests). *)
 
-type consistency = Atomic | Sequential
+type consistency = Checker.Batch.level = Atomic | Sequential
 
 type t = {
   name : string;  (** as printed in tables, e.g. "eq-aso" *)

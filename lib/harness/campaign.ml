@@ -50,12 +50,7 @@ let one_run (algo : Algo.t) rng run_index =
   | outcome -> (
       let ops = List.length (History.completed outcome.history) in
       let crashed = List.length outcome.crashed in
-      let verdict =
-        match algo.Algo.consistency with
-        | Algo.Atomic -> Runner.check_linearizable outcome
-        | Algo.Sequential -> Runner.check_sequential outcome
-      in
-      match verdict with
+      match Checker.Batch.check algo.Algo.consistency outcome.history with
       | Ok () -> (ops, crashed, outcome.metrics, None)
       | Error e -> (ops, crashed, outcome.metrics, Some (describe e)))
 

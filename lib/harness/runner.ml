@@ -337,20 +337,8 @@ let mean_latency = function
   | [] -> 0.
   | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 
-let check_with ~conditions ~construct outcome =
-  let n = Checker.Batch.infer_n outcome.history in
-  match conditions ~n outcome.history with
-  | Error v ->
-      Error (Format.asprintf "%a" Checker.Conditions.pp_violation v)
-  | Ok () -> (
-      match construct ~n outcome.history with
-      | Error e -> Error e
-      | Ok (_ : History.op list) -> Ok ())
-
 let check_linearizable outcome =
-  check_with ~conditions:Checker.Conditions.check_atomic ~construct:Checker.Linearize.linearize
-    outcome
+  Checker.Batch.check Checker.Batch.Atomic outcome.history
 
 let check_sequential outcome =
-  check_with ~conditions:Checker.Conditions.check_sequential
-    ~construct:Checker.Linearize.sequentialize outcome
+  Checker.Batch.check Checker.Batch.Sequential outcome.history

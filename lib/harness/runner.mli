@@ -138,7 +138,9 @@ val mean_latency : float list -> float
 (** 0 on empty. *)
 
 val check_linearizable : outcome -> (unit, string) result
-(** Conditions (A1)–(A4) plus an explicit validated linearization. *)
+(** [Checker.Batch.check Atomic]: (A0)–(A4), a validated linearization
+    and, on small histories, the Wing–Gong oracle. *)
 
 val check_sequential : outcome -> (unit, string) result
-(** (S1)–(S3) plus an explicit validated sequentialization. *)
+(** [Checker.Batch.check Sequential]: (S1)–(S3) with (A0), a validated
+    sequentialization and, on small histories, the Wing–Gong oracle. *)

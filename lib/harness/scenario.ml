@@ -18,12 +18,7 @@ let run_and_check ?substrate ?watchdog ~(algo : Algo.t) ~config ~workload
     Runner.run ~workload_seed:seed ?substrate ?watchdog ~make:algo.make config
       ~workload ~adversary
   in
-  let verdict =
-    match algo.consistency with
-    | Algo.Atomic -> Runner.check_linearizable outcome
-    | Algo.Sequential -> Runner.check_sequential outcome
-  in
-  (match verdict with
+  (match Checker.Batch.check algo.consistency outcome.history with
   | Ok () -> ()
   | Error e -> failwith (Printf.sprintf "%s: correctness violation: %s" algo.name e));
   outcome

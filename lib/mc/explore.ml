@@ -262,10 +262,6 @@ let explore sys = function
   | Dfs { max_schedules; max_depth } -> dfs sys ~max_schedules ~max_depth
   | Random { schedules; seed } -> random_walk sys ~schedules ~seed
 
-let level_of_consistency = function
-  | Harness.Algo.Atomic -> Checker.Batch.Atomic
-  | Harness.Algo.Sequential -> Checker.Batch.Sequential
-
 (* Sized against the fault budget: 4 concentrated drops on one flow
    inflate the transport's doubling RTO to ~40 D, so recovery lands by
    ~80 D — a 150 D watchdog never fires on a merely-slowed schedule,
@@ -281,7 +277,6 @@ let sys_of_algo ?(crashes = []) ?(restarts = [])
   let make =
     match mutation with None -> algo.make | Some m -> Mutants.make m
   in
-  let level = level_of_consistency algo.consistency in
   {
     make;
     config;
@@ -295,7 +290,8 @@ let sys_of_algo ?(crashes = []) ?(restarts = [])
        "slow" into a spurious "stuck". *)
     max_link_faults = 4;
     check =
-      (fun (o : Harness.Runner.outcome) -> Checker.Batch.check level o.history);
+      (fun (o : Harness.Runner.outcome) ->
+        Checker.Batch.check algo.consistency o.history);
     watchdog;
     monitor;
   }

@@ -1,11 +1,12 @@
 (** Online (streaming) checker for the snapshot correctness conditions.
 
-    The batch checker ([lib/checker]) re-derives scan bases and sorts
-    them after the run has ended; this monitor consumes the same
-    information {e as the run executes} — one event per operation
-    invocation/response — and stops at the {e first} violation, so a
-    buggy run is caught after the violating scan responds rather than
-    after millions of further simulated steps.
+    This monitor is the repo's only decision procedure for (A0)–(A4)
+    and (S1)–(S3). It consumes one event per operation
+    invocation/response {e as the run executes} and stops at the
+    {e first} violation, so a buggy run is caught after the violating
+    scan responds rather than after millions of further simulated
+    steps. Batch checking is the same procedure: [Checker.Feed.check]
+    folds a finished history's event stream through a fresh monitor.
 
     Checks performed, incrementally:
     {ul
@@ -38,11 +39,16 @@
     node [j]) is automatic: bases are {e constructed} as unions of
     writer prefixes, exactly as in [lib/checker/base.ml].
 
-    The monitor is sound and complete w.r.t. the batch A0–A4 checks on
-    complete histories: each condition is a property of a scan's
-    response against operations that responded earlier, all of which
-    have been fed by then ([lib/checker/feed.ml] replays finished
-    histories through this monitor to cross-validate). *)
+    Streaming loses nothing against a whole-history check: each
+    condition is a property of a scan's response against operations
+    invoked or responded earlier, all of which have been fed by then.
+    Two independent checkers cross-validate it: the constructive Steps
+    I–II witness ([Checker.Linearize]) and the exhaustive Wing–Gong
+    search ([Checker.Wg]), which agree with it on every atomic verdict.
+    In [Sequential] mode the monitor keeps the (A0) validity check, so
+    it rejects a scan that returns the value of an update invoked after
+    the scan responded; the search, having no real time, accepts such a
+    history, which no real execution can produce. *)
 
 type op = Update of int  (** the written value *) | Scan
 

@@ -10,6 +10,10 @@ let algo_of_name s =
   | "sso-fast-scan" -> Some Sso_fast_scan
   | _ -> None
 
+let mode = function
+  | Eq_aso -> Obs.Monitor.Atomic
+  | Sso_fast_scan -> Obs.Monitor.Sequential
+
 type ops = {
   op_update : node:int -> int -> unit;
   op_scan : node:int -> int option array;
@@ -471,13 +475,8 @@ let create ?(batch = false) ?(recorder = true) ?(online = false)
   let m = Net.metrics net in
   let live =
     if online then
-      let mode =
-        match algo with
-        | Eq_aso -> Obs.Monitor.Atomic
-        | Sso_fast_scan -> Obs.Monitor.Sequential
-      in
       Some
-        (Live_monitor.create ~mode ?causal:(Net.causal net)
+        (Live_monitor.create ~mode:(mode algo) ?causal:(Net.causal net)
            ?throttle:monitor_throttle ~metrics:m
            ~now:(fun () -> Net.now net)
            ~n ())

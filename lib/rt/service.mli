@@ -44,6 +44,10 @@ val algo_name : algo -> string
 val algo_of_name : string -> algo option
 (** Accepts dashes or underscores, case-insensitive. *)
 
+val mode : algo -> Obs.Monitor.mode
+(** The conditions the algorithm's histories must satisfy: [Atomic]
+    (A0–A4) for EQ-ASO, [Sequential] (S1–S3) for SSO. *)
+
 type t
 
 type recovery = {

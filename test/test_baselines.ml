@@ -8,13 +8,8 @@ let fixed = Harness.Runner.Fixed_d 1.0
 let config ?(n = 5) ?(f = 2) ?(seed = 1L) ?(delay = fixed) () =
   { Harness.Runner.n; f; delay; seed }
 
-let check (algo : Harness.Algo.t) outcome =
-  let checkfn =
-    match algo.consistency with
-    | Harness.Algo.Atomic -> Harness.Runner.check_linearizable
-    | Harness.Algo.Sequential -> Harness.Runner.check_sequential
-  in
-  match checkfn outcome with
+let check (algo : Harness.Algo.t) (outcome : Harness.Runner.outcome) =
+  match Checker.Batch.check algo.consistency outcome.history with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: %s" algo.name e
 

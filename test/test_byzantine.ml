@@ -193,10 +193,10 @@ let run_byz ?(seed = 1L) ~behave ~workload () =
   (* All operations at correct nodes terminated. *)
   Alcotest.(check int) "no pending operations" 0
     (List.length (History.pending history));
-  (match Checker.Conditions.check_atomic ~n history with
+  (match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n history with
   | Ok () -> ()
   | Error v ->
-      Alcotest.failf "conditions: %a" Checker.Conditions.pp_violation v);
+      Alcotest.failf "conditions: %a" Obs.Monitor.pp_violation v);
   match Checker.Linearize.linearize ~n history with
   | Ok _ -> history
   | Error e -> Alcotest.failf "linearize: %s" e

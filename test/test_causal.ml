@@ -357,18 +357,18 @@ let test_monitor_sticky () =
       Alcotest.(check string) "same violation" "A0" v.condition;
       Alcotest.(check int) "stopped consuming" seen (M.events_seen m)
 
-(* ---- feed: monitor vs batch checker --------------------------------- *)
+(* ---- feed: monitor vs the constructive witness ----------------------- *)
 
 let test_feed_agrees_on_correct_runs () =
   List.iter
     (fun seed ->
       let _, outcome = recorded_run ~substrate:Sim.Network.Ideal seed in
-      (match Checker.Conditions.check_atomic ~n:4 outcome.history with
-      | Ok () -> ()
-      | Error v ->
-          Alcotest.failf "batch rejected a correct run: %a"
-            Checker.Conditions.pp_violation v);
-      match Checker.Feed.check ~n:4 outcome.history with
+      (match Checker.Linearize.linearize ~n:4 outcome.history with
+      | Ok _ -> ()
+      | Error e ->
+          Alcotest.failf "no linearization of a correct run (seed %Ld): %s"
+            seed e);
+      match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n:4 outcome.history with
       | Ok () -> ()
       | Error v ->
           Alcotest.failf "monitor rejected a correct run (seed %Ld): %a" seed
@@ -436,12 +436,17 @@ let check_online_catch m () =
   (match off.verdict with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "schedule no longer violates");
-  (* The batch checker and the feed adapter agree the history is bad. *)
-  (match Checker.Feed.check ~n:spec.n outcome.history with
+  (* The monitor fold and the independent witness construction each
+     reject the history on their own. *)
+  (match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n:spec.n outcome.history with
   | Error _ -> ()
   | Ok () ->
       Alcotest.failf "feed adapter accepted the %s history"
         (Mc.Mutants.to_string m));
+  (match Checker.Linearize.linearize ~n:spec.n outcome.history with
+  | Error _ -> ()
+  | Ok _ ->
+      Alcotest.failf "linearized the %s history" (Mc.Mutants.to_string m));
   let total = outcome.net.delivered in
   (* The same schedule with the monitor on: caught mid-run, strictly
      before all messages are delivered, with a provenance slice. *)

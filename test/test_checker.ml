@@ -1,6 +1,7 @@
-(* The conditions (A1)-(A4)/(S1)-(S3) checkers and the Steps I-II
-   construction, exercised on hand-built histories with known verdicts —
-   including the paper's Figure 1 example. *)
+(* The conditions (A0)-(A4)/(S1)-(S3), decided by the monitor fold
+   [Checker.Feed.check], and the Steps I-II construction, exercised on
+   hand-built histories with known verdicts — including the paper's
+   Figure 1 example. *)
 
 let snap l = Array.of_list l
 
@@ -45,15 +46,16 @@ let lin ~n h =
 let seq ~n h =
   Result.map (fun _ -> ()) (Checker.Linearize.sequentialize ~n h)
 
-let atomic ~n h =
+(* Verdicts as "(condition) detail", so a test names the condition it
+   expects by prefix. *)
+let conditions mode ~n h =
   Result.map_error
-    (fun v -> Format.asprintf "%a" Checker.Conditions.pp_violation v)
-    (Checker.Conditions.check_atomic ~n h)
+    (fun (v : Obs.Monitor.violation) ->
+      Printf.sprintf "(%s) %s" v.condition v.detail)
+    (Checker.Feed.check ~mode ~n h)
 
-let sequential ~n h =
-  Result.map_error
-    (fun v -> Format.asprintf "%a" Checker.Conditions.pp_violation v)
-    (Checker.Conditions.check_sequential ~n h)
+let atomic = conditions Obs.Monitor.Atomic
+let sequential = conditions Obs.Monitor.Sequential
 
 (* --- Figure 1: the paper's worked example ------------------------- *)
 
@@ -249,9 +251,9 @@ let test_garbage_value_rejected () =
   let h = build [ S (0, [ Some 99; None ], 0.0, 1.0) ] in
   match atomic ~n:2 h with
   | Error msg ->
-      Alcotest.(check bool) "base error" true
-        (String.length msg >= 6 && String.sub msg 0 6 = "(base)")
-  | Ok () -> Alcotest.fail "expected base error"
+      Alcotest.(check bool) "A0 reported" true
+        (String.length msg >= 4 && String.sub msg 0 4 = "(A0)")
+  | Ok () -> Alcotest.fail "expected A0 violation"
 
 let test_wrong_segment_rejected () =
   let h =
@@ -261,9 +263,9 @@ let test_wrong_segment_rejected () =
   (* value 10 written by node 0 shows up in segment 1 *)
   match atomic ~n:2 h with
   | Error msg ->
-      Alcotest.(check bool) "base error" true
-        (String.length msg >= 6 && String.sub msg 0 6 = "(base)")
-  | Ok () -> Alcotest.fail "expected base error"
+      Alcotest.(check bool) "A0 reported" true
+        (String.length msg >= 4 && String.sub msg 0 4 = "(A0)")
+  | Ok () -> Alcotest.fail "expected A0 violation"
 
 let test_pending_update_visible () =
   (* An update cut off by a crash may still appear in scans — the
@@ -302,9 +304,29 @@ let test_a0_future_read () =
       Alcotest.(check bool) "A0 reported" true
         (String.length msg >= 4 && String.sub msg 0 4 = "(A0)")
   | Ok () -> Alcotest.fail "expected A0 violation");
-  match lin ~n:2 h with
+  (match lin ~n:2 h with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "linearize must fail too"
+  | Ok () -> Alcotest.fail "linearize must fail too");
+  (* Without real time a legal order exists (the update first), so the
+     sequential oracle accepts; the monitor's Sequential mode keeps (A0)
+     and rejects — no real run can produce such a history. *)
+  Alcotest.(check bool) "oracle: sequentializable" true
+    (Checker.Wg.equivalent_sequential ~n:2 h);
+  match sequential ~n:2 h with
+  | Error msg ->
+      Alcotest.(check bool) "sequential: A0 reported" true
+        (String.length msg >= 4 && String.sub msg 0 4 = "(A0)")
+  | Ok () -> Alcotest.fail "expected A0 violation in sequential mode"
+
+let test_zero_duration_scan () =
+  (* A scan that responds at the instant it was invoked (the SSO fast
+     scan is local, so its sim scans take zero time) must still reach
+     the monitor invoke-first. *)
+  let h =
+    build [ U (0, 1, 0.0, 1.0); S (1, [ Some 1; None ], 2.0, 2.0) ]
+  in
+  check_ok "atomic" (Ok ()) (atomic ~n:2 h);
+  check_ok "sequential" (Ok ()) (sequential ~n:2 h)
 
 let test_duplicate_values_rejected () =
   let h =
@@ -312,8 +334,8 @@ let test_duplicate_values_rejected () =
   in
   match atomic ~n:2 h with
   | Error msg ->
-      Alcotest.(check bool) "base error" true
-        (String.length msg >= 6 && String.sub msg 0 6 = "(base)")
+      Alcotest.(check bool) "wf reported" true
+        (String.length msg >= 4 && String.sub msg 0 4 = "(wf)")
   | Ok () -> Alcotest.fail "expected duplicate-value rejection"
 
 let test_timeline_render () =
@@ -368,6 +390,7 @@ let suites =
         case "wrong segment rejected" test_wrong_segment_rejected;
         case "pending update visible" test_pending_update_visible;
         case "A0 future read" test_a0_future_read;
+        case "zero-duration scan" test_zero_duration_scan;
         case "empty history" test_empty_history;
         case "duplicate values rejected" test_duplicate_values_rejected;
         case "timeline render" test_timeline_render;

@@ -39,12 +39,7 @@ let sweep (algo : Harness.Algo.t) () =
           Alcotest.failf "%s n=%d f=%d: %s" algo.name n f
             (Printexc.to_string exn)
       in
-      let verdict =
-        match algo.consistency with
-        | Harness.Algo.Atomic -> Harness.Runner.check_linearizable outcome
-        | Harness.Algo.Sequential -> Harness.Runner.check_sequential outcome
-      in
-      match verdict with
+      match Checker.Batch.check algo.consistency outcome.history with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s n=%d f=%d: %s" algo.name n f e)
     configs
@@ -89,11 +84,11 @@ let test_byz_sweep () =
         (Printf.sprintf "n=%d f=%d: all ops done" n f)
         0
         (List.length (History.pending history));
-      match Checker.Conditions.check_atomic ~n history with
+      match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n history with
       | Ok () -> ()
       | Error v ->
           Alcotest.failf "byz n=%d f=%d: %a" n f
-            Checker.Conditions.pp_violation v)
+            Obs.Monitor.pp_violation v)
     byz_configs
 
 let suites =

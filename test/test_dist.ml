@@ -281,7 +281,7 @@ let test_e2e_eq_aso () =
   in
   let completed = List.length (List.filter (fun r -> r.Dist.Supervisor.o_ok) recs) in
   Alcotest.(check bool) "made progress" true (completed > 20);
-  match Checker.Feed.check ~n:3 (Dist.Supervisor.merge_history recs) with
+  match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n:3 (Dist.Supervisor.merge_history recs) with
   | Ok () -> ()
   | Error v ->
       Alcotest.failf "socket run not linearizable: %a" Obs.Monitor.pp_violation
@@ -306,7 +306,7 @@ let test_e2e_chaos () =
   let completed = List.length (List.filter (fun r -> r.Dist.Supervisor.o_ok) recs) in
   Alcotest.(check bool) "progress under chaos" true (completed > 0);
   Alcotest.(check bool) "chaos forced retransmissions" true (retx > 0);
-  match Checker.Feed.check ~n:3 (Dist.Supervisor.merge_history recs) with
+  match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n:3 (Dist.Supervisor.merge_history recs) with
   | Ok () -> ()
   | Error v ->
       Alcotest.failf "chaos run not linearizable: %a" Obs.Monitor.pp_violation v
@@ -319,12 +319,12 @@ let test_e2e_sso () =
   let completed = List.length (List.filter (fun r -> r.Dist.Supervisor.o_ok) recs) in
   Alcotest.(check bool) "made progress" true (completed > 10);
   match
-    Checker.Conditions.check_sequential ~n:3 (Dist.Supervisor.merge_history recs)
+    Checker.Feed.check ~mode:Obs.Monitor.Sequential ~n:3 (Dist.Supervisor.merge_history recs)
   with
   | Ok () -> ()
   | Error v ->
       Alcotest.failf "sso socket run not sequentially consistent: %a"
-        Checker.Conditions.pp_violation v
+        Obs.Monitor.pp_violation v
 
 (* ---- suites ---------------------------------------------------------- *)
 

@@ -125,8 +125,8 @@ let test_node_poison () =
    back to back (the closed-loop workload), once on the simulator and
    once on real domains. Both histories — one in virtual time, one in
    monotonic wall time — must pass the identical batch A0-A4 check.
-   18 ops > Batch.default_wg_limit, so both go through the
-   Conditions + Linearize pipeline. *)
+   18 ops is past the Wing-Gong oracle's 14-op ceiling, so both go
+   through the monitor fold and the constructive witness only. *)
 
 let rounds = 3
 let wl_n = 3
@@ -193,7 +193,7 @@ let test_rt_crash_run_linearizes () =
   Alcotest.(check bool)
     "at most one pending op at the crashed node" true
     (List.length (History.pending r.history) <= 1);
-  match Checker.Feed.check ~n:4 r.history with
+  match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n:4 r.history with
   | Ok () -> ()
   | Error v ->
       Alcotest.fail

@@ -94,13 +94,10 @@ let test_stale_scan_sequential_not_atomic () =
       let snap = Aso_core.Sso.scan t ~node:1 in
       History.finish_scan history ~now:(Sim.Engine.now engine) sc ~snap);
   Sim.Engine.run_until_quiescent engine;
-  let atomic = Checker.Conditions.check_atomic ~n:3 history in
-  let sequential = Checker.Conditions.check_sequential ~n:3 history in
+  let atomic = Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n:3 history in
+  let sequential = Checker.Feed.check ~mode:Obs.Monitor.Sequential ~n:3 history in
   (match atomic with
-  | Error v ->
-      let s = Format.asprintf "%a" Checker.Conditions.pp_violation v in
-      Alcotest.(check bool) "A2 violated" true
-        (String.length s >= 4 && String.sub s 0 4 = "(A2)")
+  | Error v -> Alcotest.(check string) "A2 violated" "A2" v.condition
   | Ok () -> Alcotest.fail "expected staleness to break atomicity");
   Alcotest.(check bool) "sequentially consistent" true
     (Result.is_ok sequential);
@@ -157,11 +154,11 @@ let test_byz_sso_sequential_with_adversaries () =
   Sim.Engine.run_until_quiescent engine;
   Alcotest.(check int) "all ops done" 0
     (List.length (History.pending history));
-  match Checker.Conditions.check_sequential ~n:7 history with
+  match Checker.Feed.check ~mode:Obs.Monitor.Sequential ~n:7 history with
   | Ok () -> ()
   | Error v ->
       Alcotest.failf "not sequentially consistent: %a"
-        Checker.Conditions.pp_violation v
+        Obs.Monitor.pp_violation v
 
 let test_byz_sso_refresh_pulls_remote () =
   let engine = Sim.Engine.create ~seed:26L () in

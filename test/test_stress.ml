@@ -252,10 +252,10 @@ let test_adversarial_delay_patterns () =
             done)
       done;
       Sim.Engine.run_until_quiescent engine;
-      match Checker.Conditions.check_atomic ~n:5 history with
+      match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n:5 history with
       | Ok () -> ()
       | Error v ->
-          Alcotest.failf "%s: %a" name Checker.Conditions.pp_violation v)
+          Alcotest.failf "%s: %a" name Obs.Monitor.pp_violation v)
     patterns
 
 let case name f = Alcotest.test_case name `Quick f

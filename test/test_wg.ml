@@ -1,8 +1,9 @@
-(* Cross-validation of Theorem 1: the (A1)-(A4) conditions checker and
-   the Steps I-II construction against an independent Wing-Gong-style
-   exhaustive search. On thousands of randomized small histories the
-   verdicts must agree exactly — sufficiency AND necessity of the
-   conditions. Same for the sequential-consistency side. *)
+(* Cross-validation of Theorem 1: the (A0)-(A4) conditions, as decided
+   by the monitor fold [Checker.Feed.check], and the Steps I-II
+   construction against an independent Wing-Gong-style exhaustive
+   search. On thousands of randomized small histories the verdicts must
+   agree exactly — sufficiency AND necessity of the conditions. Same for
+   the sequential-consistency side, up to the monitor's (A0) check. *)
 
 let build_history specs =
   (* specs: (node, kind, inv, resp_opt), kind = `U v | `S snap *)
@@ -140,17 +141,29 @@ let history_arb =
         (build_history plans))
 
 let conditions_atomic ~n h =
-  match Checker.Conditions.check_atomic ~n h with
-  | Ok () -> true
-  | Error _ -> false
+  Result.is_ok (Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n h)
 
 let construction_atomic ~n h =
   match Checker.Linearize.linearize ~n h with Ok _ -> true | Error _ -> false
 
 let conditions_seq ~n h =
-  match Checker.Conditions.check_sequential ~n h with
-  | Ok () -> true
-  | Error _ -> false
+  Result.is_ok (Checker.Feed.check ~mode:Obs.Monitor.Sequential ~n h)
+
+(* Some scan returns the value of an update invoked only after the scan
+   responded. Without real time, the oracle may order that update first
+   and accept; the monitor's Sequential mode rejects it with (A0). *)
+let future_read h =
+  let ops = History.ops h in
+  List.exists
+    (fun (sc : History.op) ->
+      History.is_scan sc && sc.resp <> None
+      && List.exists
+           (fun (u : History.op) ->
+             History.is_update u && History.precedes sc u
+             && Array.mem (Some (History.update_value u))
+                  (History.scan_result sc))
+           ops)
+    ops
 
 let construction_seq ~n h =
   match Checker.Linearize.sequentialize ~n h with
@@ -174,7 +187,7 @@ let prop_seq_agreement =
       let reference = Checker.Wg.equivalent_sequential ~n h in
       let conds = conditions_seq ~n h in
       let built = construction_seq ~n h in
-      conds = reference && built = reference)
+      conds = (reference && not (future_read h)) && built = reference)
 
 let prop_atomic_implies_sequential =
   QCheck.Test.make ~name:"linearizable ⇒ sequentially consistent" ~count:1000
