@@ -821,146 +821,155 @@ let replay_cmd =
 
 (* ---- serve: parallel runtime backend under closed-loop load -------- *)
 
-(* Small histories afford the full battery (monitor + constructive
-   witness; the Wing-Gong oracle only below its own 14-op ceiling); on
-   large ones the witness is quadratic, so the streaming monitor alone
-   decides. *)
-let serve_check_history algo ~n history =
-  let mode = Rt.Service.mode algo in
-  let passed how =
-    Printf.sprintf "%s (%s, %s)" (Checker.Batch.label mode)
-      (match mode with Atomic -> "A0-A4" | Sequential -> "S1-S3")
-      how
-  in
-  if List.length (History.ops history) <= 1500 then
-    Result.map
-      (fun () -> passed "monitor + witness")
-      (Checker.Batch.check ~n mode history)
+(* ---- helpers shared by the wall-clock backends (rt, dist) ---------- *)
+
+let wall_algo name =
+  match Rt.Service.algo_of_name name with
+  | Some a -> a
+  | None ->
+      Format.eprintf
+        "error: the rt and dist backends serve eq-aso and sso-fast-scan \
+         (got %S)@."
+        name;
+      exit 1
+
+(* f for n nodes, refusing deployments that tolerate no crash. *)
+let wall_f n =
+  if n < 3 then (
+    Format.eprintf "error: need n >= 3 for crash tolerance (n > 2f)@.";
+    exit 1);
+  Quorum.max_crash_faults n
+
+(* No plan for no victims; an invalid plan is a usage error. *)
+let fault_plan ~n ~f ?restart_at ~crash_at victims =
+  if victims = [] then None
   else
-    match Checker.Feed.check ~mode ~n history with
-    | Ok () -> Ok (passed "streaming monitor")
-    | Error v -> Error (Format.asprintf "%a" Obs.Monitor.pp_violation v)
+    try Some (Load.faults ~n ~f ?restart_at ~crash_at victims)
+    with Invalid_argument e ->
+      Format.eprintf "error: %s@." e;
+      exit 1
+
+(* The tail every wall-clock run prints: the checker's verdict on the
+   finished history. *)
+let print_verdict algo ~n history =
+  let total_ops = List.length (History.ops history) in
+  match Checker.Batch.verdict ~n (Rt.Service.mode algo) history with
+  | Ok label ->
+      Format.printf "history     : %s, %d ops@." label total_ops;
+      true
+  | Error e ->
+      Format.printf "history     : VIOLATION — %s@." e;
+      false
 
 let serve_impl algo_name n clients secs batch scan_fraction seed crash
     crash_restart wal_dir telemetry stats_every dump_dir mutation no_recorder
     no_online_check =
-  let algo =
-    match Rt.Service.algo_of_name algo_name with
-    | Some a -> a
-    | None ->
-        Format.eprintf
-          "error: the rt backend serves eq-aso and sso-fast-scan (got %S)@."
-          algo_name;
-        exit 1
-  in
-  let f = Quorum.max_crash_faults n in
-  if n < 3 then (
-    Format.eprintf "error: need n >= 3 for crash tolerance (n > 2f)@.";
-    exit 1);
+  let algo = wall_algo algo_name in
+  let f = wall_f n in
   (* --crash-restart with no --crash means "crash one node and bring it
      back": crash at half the run, replay + rejoin at three quarters. *)
   let crash = if crash_restart && crash = 0 then 1 else crash in
-  if crash > f then (
-    Format.eprintf "error: --crash %d exceeds f=%d for n=%d@." crash f n;
-    exit 1);
-  let crash_nodes = List.init crash (fun i -> i) in
-  let restart_after = if crash_restart then Some (secs *. 0.75) else None in
+  let faults =
+    fault_plan ~n ~f ~crash_at:(secs /. 2.)
+      ?restart_at:(if crash_restart then Some (secs *. 0.75) else None)
+      (List.init crash Fun.id)
+  in
   (match mutation with
   | Some m -> Format.printf "mutant armed: %s@." (Mc.Mutants.to_string m)
   | None -> ());
-  (* Live exposition: [on_start] receives the deployment right after its
-     domains spin up, so the sampler thread and the telemetry endpoint
-     observe the same registry the clients are writing into. *)
-  let svc_ref = ref None in
-  let expo = ref None in
-  let sampler = ref None in
-  let sampler_stop = Atomic.make false in
-  let on_start svc =
-    svc_ref := Some svc;
-    (match telemetry with
-    | Some addr ->
+  let svc =
+    Rt.Service.create ~batch ~recorder:(not no_recorder)
+      ~online:(not no_online_check) ?mutation ?wal_dir ~algo ~n ~f ()
+  in
+  let deployment = Rt.Service.deployment svc in
+  Rt.Service.start svc;
+  (* Live exposition: the sampler thread and the telemetry endpoint
+     observe the same registry the load driver's clients write into. *)
+  let expo =
+    Option.map
+      (fun addr ->
         let srv =
           Rt.Expo_server.start ~addr (fun () ->
               Obs.Expo.to_prometheus (Rt.Service.stats_snapshot svc))
         in
         Format.printf "telemetry   : Prometheus text exposition on %s@."
           (Rt.Expo_server.addr srv);
-        expo := Some srv
-    | None -> ());
+        srv)
+      telemetry
+  in
+  let sampler_stop = Atomic.make false in
+  let sampler =
     match stats_every with
     | Some every when every > 0. ->
-        sampler :=
-          Some
-            (Thread.create
-               (fun () ->
-                 let t0 = Unix.gettimeofday () in
-                 let last = ref 0 in
-                 while not (Atomic.get sampler_stop) do
-                   Thread.delay every;
-                   if not (Atomic.get sampler_stop) then begin
-                     let snap = Rt.Service.stats_snapshot svc in
-                     let count name =
-                       Option.value
-                         (Obs.Metrics.find_count snap name)
-                         ~default:0
-                     in
-                     let ok =
-                       count "svc.updates_ok" + count "svc.scans_ok"
-                     in
-                     let rate = float_of_int (ok - !last) /. every in
-                     last := ok;
-                     let q p =
-                       match
-                         Obs.Metrics.find_dist snap "svc.update_latency_s"
-                       with
-                       | Some d -> (
-                           match Obs.Hdr.dist_quantile d p with
-                           | Some v -> Printf.sprintf "%.2f" (v *. 1e3)
-                           | None -> "-")
-                       | None -> "-"
-                     in
-                     (* Monitor health inline: a stalled monitor domain
-                        shows as growing lag and last-checked-op age. *)
-                     let mon =
-                       match Rt.Service.live_monitor svc with
-                       | Some lm ->
-                           Printf.sprintf "  mon lag %d (age %.0f ms)"
-                             (Rt.Live_monitor.lag lm)
-                             (Rt.Live_monitor.last_checked_age lm *. 1e3)
-                       | None -> ""
-                     in
-                     Format.printf
-                       "[%6.1fs] %7d ops  %8.0f ops/s  upd p50 %s ms  p99 \
-                        %s ms  aborted %d%s@."
-                       (Unix.gettimeofday () -. t0)
-                       ok rate (q 0.5) (q 0.99) (count "svc.aborted") mon
-                   end
-                 done)
-               ())
-    | _ -> ()
+        Some
+          (Thread.create
+             (fun () ->
+               let t0 = Unix.gettimeofday () in
+               let last = ref 0 in
+               while not (Atomic.get sampler_stop) do
+                 Thread.delay every;
+                 if not (Atomic.get sampler_stop) then begin
+                   let snap = Rt.Service.stats_snapshot svc in
+                   let count name =
+                     Option.value (Obs.Metrics.find_count snap name) ~default:0
+                   in
+                   let ok = count "svc.updates_ok" + count "svc.scans_ok" in
+                   let rate = float_of_int (ok - !last) /. every in
+                   last := ok;
+                   let q p =
+                     match Obs.Metrics.find_dist snap "svc.update_latency_s" with
+                     | Some d -> (
+                         match Obs.Hdr.dist_quantile d p with
+                         | Some v -> Printf.sprintf "%.2f" (v *. 1e3)
+                         | None -> "-")
+                     | None -> "-"
+                   in
+                   (* Monitor health inline: a stalled monitor domain
+                      shows as growing lag and last-checked-op age. *)
+                   let mon =
+                     match Rt.Service.live_monitor svc with
+                     | Some lm ->
+                         Printf.sprintf "  mon lag %d (age %.0f ms)"
+                           (Rt.Live_monitor.lag lm)
+                           (Rt.Live_monitor.last_checked_age lm *. 1e3)
+                     | None -> ""
+                   in
+                   Format.printf
+                     "[%6.1fs] %7d ops  %8.0f ops/s  upd p50 %s ms  p99 %s \
+                      ms  aborted %d%s@."
+                     (Unix.gettimeofday () -. t0)
+                     ok rate (q 0.5) (q 0.99) (count "svc.aborted") mon
+                 end
+               done)
+             ())
+    | _ -> None
   in
   let report =
-    Rt.Service.run ~batch ~recorder:(not no_recorder)
-      ~online:(not no_online_check) ?mutation ~on_start ~scan_fraction ~seed
-      ~crash:crash_nodes ?restart_after ?wal_dir ~algo ~n ~f ~clients ~secs ()
+    Load.run ?faults deployment ~clients ~secs ~scan_fraction ~seed
   in
+  Rt.Service.stop svc;
   Atomic.set sampler_stop true;
-  Option.iter Thread.join !sampler;
-  Option.iter Rt.Expo_server.stop !expo;
+  Option.iter Thread.join sampler;
+  Option.iter Rt.Expo_server.stop expo;
+  let history = Rt.Service.history svc in
   (* Forensics: on any failing exit, dump the flight recorder (merged
      rings as Perfetto-loadable Chrome JSON) and the final metrics
      snapshot, so the violating run can be examined after the process is
      gone — CI uploads exactly these files. *)
-  let dump_forensics reason =
+  let dump_file name =
     (try
        if not (Sys.file_exists dump_dir) then Sys.mkdir dump_dir 0o755
      with Sys_error _ -> ());
-    let stats_file = Filename.concat dump_dir "flight-recorder.stats" in
-    Obs.Expo.save stats_file (Obs.Metrics.sorted report.final_metrics);
+    Filename.concat dump_dir name
+  in
+  let dump_forensics reason =
+    let stats_file = dump_file "flight-recorder.stats" in
+    Obs.Expo.save stats_file
+      (Obs.Metrics.sorted (Rt.Service.stats_snapshot svc));
     Format.printf "forensics   : metrics snapshot -> %s@." stats_file;
-    (match Option.bind !svc_ref Rt.Service.recorder with
+    (match Rt.Service.recorder svc with
     | Some rc ->
-        let trace_file = Filename.concat dump_dir "flight-recorder.json" in
+        let trace_file = dump_file "flight-recorder.json" in
         (* Recorder timestamps are wall seconds; Trace renders one unit
            as 1 ms, so scale by 1e3 to keep Perfetto's axis honest. *)
         let tr = Obs.Recorder.to_trace ~mul:1e3 rc in
@@ -979,35 +988,16 @@ let serve_impl algo_name n clients secs batch scan_fraction seed crash
   in
   Format.printf "backend     : rt (%d node domains, %d client threads)@." n
     clients;
-  Format.printf "algorithm   : %s@." report.algorithm;
-  Format.printf "duration    : %.2f s (requested %.1f)@." report.duration secs;
-  Format.printf
-    "operations  : %d updates + %d scans completed, %d rejected, %d aborted, \
-     %d pending@."
-    report.completed_updates report.completed_scans report.rejected
-    report.aborted
-    (List.length (History.pending report.history));
-  Format.printf "throughput  : %.0f ops/s@." report.ops_per_sec;
-  let pp_lat label (d : Obs.Hdr.dist) =
-    match
-      (Obs.Hdr.dist_quantile d 0.5, Obs.Hdr.dist_quantile d 0.99)
-    with
-    | Some p50, Some p99 ->
-        Format.printf "%s : p50 %.2f ms   p99 %.2f ms   (%d ops)@." label
-          (p50 *. 1e3) (p99 *. 1e3) d.Obs.Hdr.d_count
-    | _ -> Format.printf "%s : (no completed ops)@." label
-  in
-  pp_lat "update lat " report.update_lat;
-  pp_lat "scan lat   " report.scan_lat;
+  Format.printf "algorithm   : %s@." (Rt.Service.algo_name algo);
+  Format.printf "%a@." Load.pp_report report;
+  Format.printf "pending     : %d@." (List.length (History.pending history));
   if batch then
     Format.printf "batching    : %d updates fused into group commits@."
-      report.fused_updates;
-  Format.printf "messages    : %d@." report.messages_sent;
-  (match report.crashed_nodes with
-  | [] -> ()
-  | nodes ->
-      Format.printf "crashed     : %s (mid-run)@."
-        (String.concat ", " (List.map (Printf.sprintf "n%d") nodes)));
+      (Rt.Service.fused_updates svc);
+  Format.printf "messages    : %d@."
+    (Option.value ~default:0
+       (Obs.Metrics.find_count (Rt.Service.stats_snapshot svc) "net.sent"));
+  let recoveries = Rt.Service.recoveries svc in
   List.iter
     (fun (r : Rt.Service.recovery) ->
       Format.printf
@@ -1016,22 +1006,20 @@ let serve_impl algo_name n clients secs batch scan_fraction seed crash
         r.rec_node r.rec_replayed
         (r.rec_ready_after *. 1e3)
         (r.rec_first_op *. 1e3))
-    report.recoveries;
+    recoveries;
   (* The live monitor's verdict outranks everything else: it halted
-     intake mid-run, so the report below describes a truncated run. The
+     intake mid-run, so the report above describes a truncated run. The
      dump gains the causal-cone slice next to the Perfetto trace (whose
      net.msg flow events carry the same cross-domain arrows). *)
-  (match report.live_verdict with
+  let live = Rt.Service.live_monitor svc in
+  (match Option.bind live Rt.Live_monitor.tripped with
   | Some v ->
       Format.printf
         "history     : LIVE VIOLATION — caught mid-run at %.2f s of the \
          %.1f s budget@."
         v.Rt.Live_monitor.at secs;
       Format.printf "%a@." Rt.Live_monitor.pp_verdict v;
-      (try
-         if not (Sys.file_exists dump_dir) then Sys.mkdir dump_dir 0o755
-       with Sys_error _ -> ());
-      let slice_file = Filename.concat dump_dir "live-violation.txt" in
+      let slice_file = dump_file "live-violation.txt" in
       let oc = open_out slice_file in
       let ppf = Format.formatter_of_out_channel oc in
       Format.fprintf ppf "%a@." Rt.Live_monitor.pp_verdict v;
@@ -1040,22 +1028,21 @@ let serve_impl algo_name n clients secs batch scan_fraction seed crash
       dump_forensics "the live monitor tripped mid-run";
       exit 1
   | None ->
-      if not no_online_check then
-        Format.printf
-          "monitor     : live — %d events checked, %d scans verified, no \
-           violation@."
-          report.monitor_events_checked report.monitor_scans_verified);
-  (if crash_restart && report.recoveries = [] then (
+      Option.iter
+        (fun lm ->
+          Format.printf
+            "monitor     : live — %d events checked, %d scans verified, no \
+             violation@."
+            (Rt.Live_monitor.events_checked lm)
+            (Rt.Live_monitor.scans_verified lm))
+        live);
+  (if crash_restart && recoveries = [] then (
      Format.printf "history     : VIOLATION — no node completed recovery@.";
      dump_forensics "no node completed recovery";
      exit 1));
-  let total_ops = List.length (History.ops report.history) in
-  match serve_check_history algo ~n report.history with
-  | Ok label -> Format.printf "history     : %s, %d ops@." label total_ops
-  | Error e ->
-      Format.printf "history     : VIOLATION — %s@." e;
-      dump_forensics "the checker found a violation";
-      exit 1
+  if not (print_verdict algo ~n history) then (
+    dump_forensics "the checker found a violation";
+    exit 1)
 
 let serve_cmd =
   Cmd.v
@@ -1265,15 +1252,6 @@ let stats_cmd =
 
 (* ---- dist-node / dist-serve: multi-process socket backend ---------- *)
 
-let dist_algo_of_name name =
-  match Rt.Service.algo_of_name name with
-  | Some a -> a
-  | None ->
-      Format.eprintf
-        "error: the dist backend serves eq-aso and sso-fast-scan (got %S)@."
-        name;
-      exit 1
-
 (* The chaos knobs are shared verbatim between dist-node (what a worker
    actually applies) and dist-serve (which forwards them to every worker
    it spawns). *)
@@ -1340,7 +1318,7 @@ let parse_chaos ~drop ~dup ~delay_prob ~delay_ms ~seed =
 
 let dist_node_impl algo_name me peers f_opt wal recover telemetry chaos_drop
     chaos_dup chaos_delay_prob chaos_delay_ms chaos_seed =
-  let algo = dist_algo_of_name algo_name in
+  let algo = wall_algo algo_name in
   let eps =
     peers |> String.split_on_char ','
     |> List.map (fun s ->
@@ -1355,10 +1333,7 @@ let dist_node_impl algo_name me peers f_opt wal recover telemetry chaos_drop
   if me < 0 || me >= n then (
     Format.eprintf "error: --me %d out of range for %d peers@." me n;
     exit 1);
-  if n < 3 then (
-    Format.eprintf "error: need n >= 3 for crash tolerance (n > 2f)@.";
-    exit 1);
-  let f = Option.value f_opt ~default:(Quorum.max_crash_faults n) in
+  let f = Option.value f_opt ~default:(wall_f n) in
   let chaos =
     parse_chaos ~drop:chaos_drop ~dup:chaos_dup ~delay_prob:chaos_delay_prob
       ~delay_ms:chaos_delay_ms ~seed:chaos_seed
@@ -1446,14 +1421,15 @@ let dist_node_cmd =
 let dist_serve_impl algo_name nodes clients secs kill dir tcp_base
     scan_fraction seed chaos_drop chaos_dup chaos_delay_prob chaos_delay_ms
     chaos_seed =
-  let algo = dist_algo_of_name algo_name in
-  if nodes < 3 then (
-    Format.eprintf "error: need n >= 3 for crash tolerance (n > 2f)@.";
-    exit 1);
-  let f = Quorum.max_crash_faults nodes in
-  if kill > f then (
-    Format.eprintf "error: --kill %d exceeds f=%d for n=%d@." kill f nodes;
-    exit 1);
+  let algo = wall_algo algo_name in
+  let f = wall_f nodes in
+  (* Kill the highest node ids: client c's home is node c mod n, so
+     the low ids keep their load and the clients homed on a victim
+     exercise failover and their return. *)
+  let faults =
+    fault_plan ~n:nodes ~f ~crash_at:(secs *. 0.5) ~restart_at:(secs *. 0.75)
+      (List.init kill (fun j -> nodes - 1 - j))
+  in
   let chaos =
     parse_chaos ~drop:chaos_drop ~dup:chaos_dup ~delay_prob:chaos_delay_prob
       ~delay_ms:chaos_delay_ms ~seed:chaos_seed
@@ -1475,59 +1451,55 @@ let dist_serve_impl algo_name nodes clients secs kill dir tcp_base
       "fault plan  : SIGKILL %d node(s) at half-time, respawn with \
        --recover at three-quarter time@."
       kill;
-  let report =
-    Dist.Supervisor.run
+  let sup =
+    Dist.Supervisor.start
       {
         Dist.Supervisor.algo;
         nodes;
         f;
-        clients;
-        secs;
-        kill;
         dir;
         tcp_base;
-        scan_fraction;
-        seed;
         chaos;
         worker_argv = [| Sys.executable_name; "dist-node" |];
       }
   in
-  Format.printf "%a@." Dist.Supervisor.pp_report report;
+  let report =
+    Load.run ?faults
+      (Dist.Supervisor.deployment sup)
+      ~clients ~secs ~scan_fraction ~seed
+  in
+  let exits = Dist.Supervisor.stop sup in
+  let recoveries = Dist.Supervisor.recoveries sup in
+  Format.printf "%a@." Load.pp_report report;
+  List.iter
+    (fun (rc : Dist.Supervisor.recovery) ->
+      Format.printf "recovered   : n%d served again %.2f s after respawn@."
+        rc.rec_node rc.rec_ready_after)
+    recoveries;
   (* Clean-exit discipline: the only tolerable non-zero exit is the
      SIGKILL we sent on purpose. Anything else is a worker crash, and a
      crash we did not schedule fails the run even if the history passes. *)
-  let unexpected =
-    List.filter
-      (fun (x : Dist.Supervisor.node_exit) ->
-        match x.x_status with
-        | Dist.Supervisor.Clean -> false
-        | Dist.Supervisor.Signaled s
-          when s = Sys.sigkill && List.mem x.x_node report.killed ->
-            false
-        | _ -> true)
-      report.exits
+  let expected (x : Dist.Supervisor.node_exit) =
+    match x.x_status with
+    | Dist.Supervisor.Clean -> true
+    | Signaled s -> s = Sys.sigkill && List.mem x.x_node report.crashed
+    | Exited _ -> false
   in
   List.iter
     (fun (x : Dist.Supervisor.node_exit) ->
-      Format.printf "exit        : UNEXPECTED — node %d %a@." x.x_node
-        (fun ppf -> function
-          | Dist.Supervisor.Clean -> Format.pp_print_string ppf "clean"
-          | Dist.Supervisor.Exited c -> Format.fprintf ppf "exit code %d" c
-          | Dist.Supervisor.Signaled s -> Format.fprintf ppf "signal %d" s)
-        x.x_status)
-    unexpected;
-  let failed = ref (unexpected <> []) in
-  if kill > 0 && report.recoveries = [] then begin
+      Format.printf "node %d      : %a%s%s@." x.x_node Dist.Supervisor.pp_status
+        x.x_status
+        (if x.x_restarted then " [was killed and restarted]" else "")
+        (if expected x then "" else " — UNEXPECTED"))
+    (List.sort compare exits);
+  let failed = ref (not (List.for_all expected exits)) in
+  if kill > 0 && recoveries = [] then begin
     Format.printf "history     : VIOLATION — no killed node completed \
                    recovery@.";
     failed := true
   end;
-  let total_ops = List.length (History.ops report.history) in
-  (match serve_check_history algo ~n:nodes report.history with
-  | Ok label -> Format.printf "history     : %s, %d ops@." label total_ops
-  | Error e ->
-      Format.printf "history     : VIOLATION — %s@." e;
-      failed := true);
+  if not (print_verdict algo ~n:nodes (Dist.Supervisor.history sup)) then
+    failed := true;
   if !failed then exit 1
 
 let dist_serve_cmd =

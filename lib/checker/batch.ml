@@ -1,6 +1,4 @@
-type level = Obs.Monitor.mode = Atomic | Sequential
-
-let label = function
+let label : Obs.Monitor.mode -> string = function
   | Atomic -> "linearizable"
   | Sequential -> "sequentially consistent"
 
@@ -23,7 +21,7 @@ let check ?n level history =
   let n = match n with Some n -> n | None -> infer_n history in
   let construct, oracle =
     match level with
-    | Atomic -> (Linearize.linearize, Wg.linearizable)
+    | Obs.Monitor.Atomic -> (Linearize.linearize, Wg.linearizable)
     | Sequential -> (Linearize.sequentialize, Wg.equivalent_sequential)
   in
   match Feed.check ~mode:level ~n history with
@@ -46,3 +44,16 @@ let check ?n level history =
                   finds no %s order"
                  (label level))
           else Ok ())
+
+let verdict ~n mode history =
+  let passed how =
+    Printf.sprintf "%s (%s, %s)" (label mode)
+      (match mode with Atomic -> "A0-A4" | Sequential -> "S1-S3")
+      how
+  in
+  if List.length (History.ops history) <= 1500 then
+    Result.map (fun () -> passed "monitor + witness") (check ~n mode history)
+  else
+    match Feed.check ~mode ~n history with
+    | Ok () -> Ok (passed "streaming monitor")
+    | Error v -> Error (Format.asprintf "%a" Obs.Monitor.pp_violation v)

@@ -1,8 +1,8 @@
 (** An in-process dist cluster: every node is a {!Node_main} instance
     on its own thread, talking over real sockets exactly like separate
-    processes would. Tests and benches use this to exercise the whole
-    wire / transport / reconnect stack without forking — forking is
-    [bin/aso_demo dist-serve]'s job. *)
+    processes would. Tests and benches drive it through {!Load.run} to
+    exercise the whole wire / transport / reconnect stack without
+    forking — forking is {!Supervisor}'s job. *)
 
 type t
 
@@ -18,10 +18,21 @@ val start :
 (** Unix-socket endpoints (and WALs, when [wal]) under [dir], which is
     created if needed. Returns once every node is listening. *)
 
-val endpoints : t -> Conn.endpoint array
-
 val net : t -> int -> Net.t
 (** Node [i]'s network stack (metrics live there). *)
 
+val deployment : t -> Load.deployment
+(** The in-process adapter {!Load.run} drives, with
+    {!Supervisor.session} clients. A crash stops the node's loop and
+    closes its sockets (a thread cannot be killed, so in-flight
+    operations complete first); a restart starts a fresh node that
+    replays its WAL and rejoins before it serves (the cluster must have
+    been started with [~wal:true]). A node is up except between the
+    two. *)
+
+val history : t -> Proto.History.t
+(** The merged history of every closed session. *)
+
 val stop : t -> unit
-(** Graceful: stop each node's loop, join its thread, close sockets. *)
+(** Graceful: stop each live node's loop, join its thread, close
+    sockets. *)

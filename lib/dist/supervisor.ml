@@ -9,82 +9,69 @@ type op_rec = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Client load.                                                        *)
+(* Client sessions.                                                    *)
 
-let drive_clients ~eps ~clients ~secs ?(scan_fraction = 0.3) ?(seed = 0) () =
-  let n = Array.length eps in
-  let results = Array.make clients [] in
-  let threads =
-    List.init clients (fun c ->
-        Thread.create
-          (fun () ->
-            let rng = Random.State.make [| seed; c; 0x5eed |] in
-            let recs = ref [] in
-            let k = ref 0 in
-            let home = ref (c mod n) in
-            let conn = ref (Client.connect eps.(!home)) in
-            let t_end = Net.now_ns () + int_of_float (secs *. 1e9) in
-            while Net.now_ns () < t_end do
-              match !conn with
-              | None ->
-                  (* Fail over to the next node; it may itself be dead,
-                     so keep rotating. *)
-                  home := (!home + 1) mod n;
-                  Thread.delay 0.05;
-                  conn := Client.connect ~attempts:5 eps.(!home)
-              | Some cl ->
-                  let abort kind t0 =
-                    recs :=
-                      {
-                        o_node = !home;
-                        o_kind = kind;
-                        o_inv = t0;
-                        o_resp = Net.now_ns ();
-                        o_ok = false;
-                      }
-                      :: !recs;
-                    Client.close cl;
-                    conn := None
-                  in
-                  if Random.State.float rng 1.0 < scan_fraction then begin
-                    let t0 = Net.now_ns () in
-                    match Client.scan cl with
-                    | Ok (snap, t_inv, t_resp) ->
-                        recs :=
-                          {
-                            o_node = !home;
-                            o_kind = K_scan snap;
-                            o_inv = t_inv;
-                            o_resp = t_resp;
-                            o_ok = true;
-                          }
-                          :: !recs
-                    | Error () -> abort (K_scan [||]) t0
-                  end
-                  else begin
-                    incr k;
-                    let v = ((c + 1) * 1_000_000) + !k in
-                    let t0 = Net.now_ns () in
-                    match Client.update cl v with
-                    | Ok (t_inv, t_resp) ->
-                        recs :=
-                          {
-                            o_node = !home;
-                            o_kind = K_update v;
-                            o_inv = t_inv;
-                            o_resp = t_resp;
-                            o_ok = true;
-                          }
-                          :: !recs
-                    | Error () -> abort (K_update v) t0
-                  end
-            done;
-            (match !conn with Some cl -> Client.close cl | None -> ());
-            results.(c) <- !recs)
-          ())
+type log = { mu : Mutex.t; mutable recs : op_rec list }
+
+let log () = { mu = Mutex.create (); recs = [] }
+
+let add log recs =
+  Mutex.lock log.mu;
+  log.recs <- recs @ log.recs;
+  Mutex.unlock log.mu
+
+let records log =
+  Mutex.lock log.mu;
+  let r = log.recs in
+  Mutex.unlock log.mu;
+  r
+
+let session log eps =
+  (* One connection at a time, to the node of the last op: moving to
+     another node closes it, so a client that comes back to a restarted
+     node dials the new incarnation rather than a dead socket. *)
+  let conn = ref None in
+  let recs = ref [] in
+  let record o_node o_kind o_inv o_resp o_ok =
+    recs := { o_node; o_kind; o_inv; o_resp; o_ok } :: !recs
   in
-  List.iter Thread.join threads;
-  List.concat (Array.to_list results)
+  let drop () =
+    Option.iter (fun (_, cl) -> Client.close cl) !conn;
+    conn := None
+  in
+  let call ~node abort_kind run =
+    (match !conn with
+    | Some (i, _) when i = node -> ()
+    | _ ->
+        drop ();
+        conn := Option.map (fun cl -> (node, cl)) (Client.connect eps.(node)));
+    match !conn with
+    | None -> `Rejected
+    | Some (_, cl) -> (
+        let t0 = Net.now_ns () in
+        match run cl with
+        | Ok (kind, t_inv, t_resp) ->
+            record node kind t_inv t_resp true;
+            `Done
+        | Error () ->
+            record node abort_kind t0 (Net.now_ns ()) false;
+            drop ();
+            `Aborted)
+  in
+  {
+    Load.update =
+      (fun ~node v ->
+        call ~node (K_update v) (fun cl ->
+            Result.map (fun (a, b) -> (K_update v, a, b)) (Client.update cl v)));
+    scan =
+      (fun ~node ->
+        call ~node (K_scan [||]) (fun cl ->
+            Result.map (fun (snap, a, b) -> (K_scan snap, a, b)) (Client.scan cl)));
+    close =
+      (fun () ->
+        drop ();
+        add log !recs);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* History merge.                                                      *)
@@ -176,30 +163,12 @@ type node_exit = { x_node : int; x_status : exit_status; x_restarted : bool }
 
 type recovery = { rec_node : int; rec_ready_after : float }
 
-type report = {
-  history : Proto.History.t;
-  ops_total : int;
-  ops_aborted : int;
-  duration : float;
-  ops_per_sec : float;
-  update_lat : Obs.Hdr.dist;
-  scan_lat : Obs.Hdr.dist;
-  killed : int list;
-  recoveries : recovery list;
-  exits : node_exit list;
-}
-
 type config = {
   algo : Rt.Service.algo;
   nodes : int;
   f : int;
-  clients : int;
-  secs : float;
-  kill : int;
   dir : string;
   tcp_base : int option;
-  scan_fraction : float;
-  seed : int;
   chaos : Chaos.t option;
   worker_argv : string array;
 }
@@ -286,133 +255,96 @@ let status_of = function
   | Unix.WEXITED c -> Exited c
   | Unix.WSIGNALED s | Unix.WSTOPPED s -> Signaled s
 
-let run cfg =
-  if cfg.kill > cfg.f then
-    invalid_arg "Supervisor.run: kill must be <= f (the design bound)";
+(* [exits] and [recoveries] are written by the load driver's fault
+   thread during a run and by {!stop} after it, never concurrently. *)
+type t = {
+  cfg : config;
+  eps : Conn.endpoint array;
+  pids : int array;
+  up : bool Atomic.t array;
+  restarted : bool array;
+  log : log;
+  metrics : Obs.Metrics.t;
+  mutable exits : node_exit list;  (* newest first *)
+  mutable recoveries : recovery list;  (* newest first *)
+}
+
+let start cfg =
+  (* A client writing into a killed worker's socket must get EPIPE, not
+     take the supervisor down with it. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (try Unix.mkdir cfg.dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let eps = endpoints cfg in
-  let pids = Array.init cfg.nodes (fun i -> spawn_node cfg eps ~recover:false i) in
-  let restarted = Array.make cfg.nodes false in
-  let exits = ref [] in
-  (* Kill the highest node ids: client c starts at node c mod n, so low
-     ids keep their load and the probe exercises failover. *)
-  let victims =
-    List.init cfg.kill (fun j -> cfg.nodes - 1 - j) |> List.filter (fun i -> i >= 0)
+  {
+    cfg;
+    eps;
+    pids = Array.init cfg.nodes (fun i -> spawn_node cfg eps ~recover:false i);
+    up = Array.init cfg.nodes (fun _ -> Atomic.make true);
+    restarted = Array.make cfg.nodes false;
+    log = log ();
+    metrics = Obs.Metrics.create ();
+    exits = [];
+    recoveries = [];
+  }
+
+let note_exit t i st ~restarted =
+  t.exits <-
+    { x_node = i; x_status = status_of st; x_restarted = restarted } :: t.exits
+
+let kill t i =
+  Atomic.set t.up.(i) false;
+  (try Unix.kill t.pids.(i) Sys.sigkill with Unix.Unix_error _ -> ());
+  note_exit t i (wait_reap t.pids.(i)) ~restarted:true
+
+let respawn t i =
+  let t_respawn = Net.now_ns () in
+  t.pids.(i) <- spawn_node t.cfg t.eps ~recover:true i;
+  t.restarted.(i) <- true;
+  (* Probe until the rejoined node serves an operation again; the probe
+     ops join the merged history so the checker covers the recovered
+     incarnation's responses. *)
+  let rec probe () =
+    if Net.now_ns () - t_respawn < 30_000_000_000 then begin
+      let s = session t.log t.eps in
+      let r = s.scan ~node:i in
+      s.close ();
+      match r with
+      | `Done ->
+          let ready = float_of_int (Net.now_ns () - t_respawn) *. 1e-9 in
+          t.recoveries <- { rec_node = i; rec_ready_after = ready } :: t.recoveries;
+          Atomic.set t.up.(i) true
+      | `Rejected | `Aborted ->
+          Thread.delay 0.1;
+          probe ()
+    end
   in
-  let recoveries_mu = Mutex.create () in
-  let recoveries = ref [] in
-  let extra_recs = ref [] in
-  let t_start = Net.now_ns () in
-  let killer =
-    Thread.create
-      (fun () ->
-        if cfg.kill > 0 then begin
-          Thread.delay (cfg.secs *. 0.5);
-          List.iter
-            (fun i ->
-              (try Unix.kill pids.(i) Sys.sigkill with Unix.Unix_error _ -> ());
-              let st = wait_reap pids.(i) in
-              exits :=
-                { x_node = i; x_status = status_of st; x_restarted = true }
-                :: !exits)
-            victims;
-          Thread.delay (cfg.secs *. 0.25);
-          List.iter
-            (fun i ->
-              let t_respawn = Net.now_ns () in
-              pids.(i) <- spawn_node cfg eps ~recover:true i;
-              restarted.(i) <- true;
-              (* Probe until the rejoined node serves an operation again;
-                 the probe ops join the merged history so the checker
-                 covers the recovered incarnation's responses. *)
-              let rec probe () =
-                if Net.now_ns () - t_respawn < 30_000_000_000 then
-                  match Client.connect ~attempts:10 eps.(i) with
-                  | None ->
-                      Thread.delay 0.1;
-                      probe ()
-                  | Some cl -> (
-                      let r = Client.scan cl in
-                      Client.close cl;
-                      match r with
-                      | Ok (snap, t_inv, t_resp) ->
-                          Mutex.lock recoveries_mu;
-                          extra_recs :=
-                            {
-                              o_node = i;
-                              o_kind = K_scan snap;
-                              o_inv = t_inv;
-                              o_resp = t_resp;
-                              o_ok = true;
-                            }
-                            :: !extra_recs;
-                          recoveries :=
-                            {
-                              rec_node = i;
-                              rec_ready_after =
-                                float_of_int (Net.now_ns () - t_respawn)
-                                *. 1e-9;
-                            }
-                            :: !recoveries;
-                          Mutex.unlock recoveries_mu
-                      | Error () ->
-                          Thread.delay 0.1;
-                          probe ())
-              in
-              probe ())
-            victims
-        end)
-      ()
-  in
-  let recs =
-    drive_clients ~eps ~clients:cfg.clients ~secs:cfg.secs
-      ~scan_fraction:cfg.scan_fraction ~seed:cfg.seed ()
-  in
-  Thread.join killer;
-  let duration = float_of_int (Net.now_ns () - t_start) *. 1e-9 in
+  probe ()
+
+let deployment t =
+  {
+    Load.n = t.cfg.nodes;
+    up = (fun i -> Atomic.get t.up.(i));
+    session = (fun _ -> session t.log t.eps);
+    crash = kill t;
+    restart = respawn t;
+    halted = (fun () -> false);
+    metrics = t.metrics;
+  }
+
+let stop t =
   (* Clients are done and joined, so the nodes are idle: SIGTERM is a
      clean shutdown and anything else is a bug worth reporting. *)
   Thread.delay 0.1;
+  Array.iter
+    (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
+    t.pids;
   Array.iteri
-    (fun i pid ->
-      ignore i;
-      try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-    pids;
-  Array.iteri
-    (fun i pid ->
-      let st = wait_reap pid in
-      exits :=
-        { x_node = i; x_status = status_of st; x_restarted = restarted.(i) }
-        :: !exits)
-    pids;
-  let recs = recs @ !extra_recs in
-  let history = merge_history recs in
-  let update_h = Obs.Hdr.create () and scan_h = Obs.Hdr.create () in
-  let aborted = ref 0 in
-  List.iter
-    (fun r ->
-      if not r.o_ok then incr aborted
-      else
-        let dt = float_of_int (r.o_resp - r.o_inv) *. 1e-9 in
-        match r.o_kind with
-        | K_update _ -> Obs.Hdr.observe update_h dt
-        | K_scan _ -> Obs.Hdr.observe scan_h dt)
-    recs;
-  let total = List.length recs in
-  {
-    history;
-    ops_total = total;
-    ops_aborted = !aborted;
-    duration;
-    ops_per_sec =
-      (if duration > 0. then float_of_int (total - !aborted) /. duration
-       else 0.);
-    update_lat = Obs.Hdr.snapshot update_h;
-    scan_lat = Obs.Hdr.snapshot scan_h;
-    killed = victims;
-    recoveries = List.rev !recoveries;
-    exits = List.rev !exits;
-  }
+    (fun i pid -> note_exit t i (wait_reap pid) ~restarted:t.restarted.(i))
+    t.pids;
+  List.rev t.exits
+
+let history t = merge_history (records t.log)
+let recoveries t = List.rev t.recoveries
 
 let pp_status ppf = function
   | Clean -> Format.pp_print_string ppf "clean exit"
@@ -424,34 +356,3 @@ let pp_status ppf = function
       else if s = Sys.sigterm then
         Format.pp_print_string ppf "killed by SIGTERM"
       else Format.fprintf ppf "killed by signal %d (OCaml numbering)" s
-
-let pp_quantile ppf (d, q) =
-  match Obs.Hdr.dist_quantile d q with
-  | Some v -> Format.fprintf ppf "%.2f ms" (v *. 1e3)
-  | None -> Format.pp_print_string ppf "-"
-
-let pp_report ppf r =
-  Format.fprintf ppf "@[<v>ops        : %d (%d aborted)@," r.ops_total
-    r.ops_aborted;
-  Format.fprintf ppf "duration   : %.2f s@," r.duration;
-  Format.fprintf ppf "throughput : %.0f ops/s@," r.ops_per_sec;
-  Format.fprintf ppf "update lat : p50 %a  p99 %a@," pp_quantile
-    (r.update_lat, 0.5) pp_quantile (r.update_lat, 0.99);
-  Format.fprintf ppf "scan lat   : p50 %a  p99 %a@," pp_quantile
-    (r.scan_lat, 0.5) pp_quantile (r.scan_lat, 0.99);
-  (match r.killed with
-  | [] -> ()
-  | ks ->
-      Format.fprintf ppf "killed     : node %s (SIGKILL mid-run)@,"
-        (String.concat ", " (List.map string_of_int ks)));
-  List.iter
-    (fun rc ->
-      Format.fprintf ppf "recovered  : node %d served again %.2f s after respawn@,"
-        rc.rec_node rc.rec_ready_after)
-    r.recoveries;
-  List.iter
-    (fun x ->
-      Format.fprintf ppf "node %d     : %a%s@," x.x_node pp_status x.x_status
-        (if x.x_restarted then " [was killed and restarted]" else ""))
-    (List.sort compare r.exits);
-  Format.fprintf ppf "@]"

@@ -1,7 +1,7 @@
-(** The off-box experiment driver: client load against a running dist
-    deployment, merging the per-operation timestamps every node reports
-    into one {!Proto.History.t}, and (in process mode) the whole
-    spawn / kill -9 / WAL-recovery / reap choreography.
+(** The dist backend under {!Load.run}: client sessions over sockets,
+    the merge of the per-operation timestamps every node reports into
+    one {!Proto.History.t}, and (in process mode) the spawn / kill -9 /
+    WAL-recovery / reap adapter.
 
     The history merge is sound because every node stamps operations
     with the same system-wide [CLOCK_MONOTONIC]: real-time precedence
@@ -28,20 +28,23 @@ type op_rec = {
   o_ok : bool;  (** false = aborted (conn died mid-op) *)
 }
 
-val drive_clients :
-  eps:Conn.endpoint array ->
-  clients:int ->
-  secs:float ->
-  ?scan_fraction:float ->
-  ?seed:int ->
-  unit ->
-  op_rec list
-(** Closed-loop load: [clients] threads, each pinned to node
-    [c mod n] and failing over round-robin when its connection dies.
-    Update values are unique per client ([(c+1) * 1_000_000 + k]) so
-    the checker's value-based matching works. [scan_fraction] defaults
-    to 0.3. Aborted ops carry client-side stamps — same clock, and an
-    earlier invocation stamp only relaxes the checker's constraints. *)
+(** {2 Client sessions} *)
+
+type log
+(** The operation records of every session, for {!merge_history}. *)
+
+val log : unit -> log
+val records : log -> op_rec list
+
+val session : log -> Conn.endpoint array -> Load.session
+(** One load-driver client over the nodes at [eps]. It holds one
+    connection, to the node of its last op: an op on another node
+    closes it and dials that node (a node that accepts no connection
+    rejects the op), and a failed round-trip drops it (the op is
+    aborted, with client-side stamps — same clock, and an earlier
+    invocation stamp only relaxes the checker's constraints).
+    Completed ops carry the node-side stamps. The records reach the log
+    when the session closes. *)
 
 val merge_history : op_rec list -> Proto.History.t
 (** Replay the records into a history in global timestamp order,
@@ -64,30 +67,14 @@ type recovery = { rec_node : int; rec_ready_after : float }
 (** Seconds from respawn to the first successful operation on the
     recovered node. *)
 
-type report = {
-  history : Proto.History.t;
-  ops_total : int;
-  ops_aborted : int;
-  duration : float;
-  ops_per_sec : float;
-  update_lat : Obs.Hdr.dist;  (** node-side service time, seconds *)
-  scan_lat : Obs.Hdr.dist;
-  killed : int list;
-  recoveries : recovery list;
-  exits : node_exit list;
-}
+val pp_status : Format.formatter -> exit_status -> unit
 
 type config = {
   algo : Rt.Service.algo;
   nodes : int;
   f : int;
-  clients : int;
-  secs : float;
-  kill : int;  (** SIGKILL this many nodes mid-run (<= f), then restart them *)
   dir : string;  (** run directory: sockets, WALs, per-node logs *)
   tcp_base : int option;  (** Some port: TCP endpoints instead of unix sockets *)
-  scan_fraction : float;
-  seed : int;
   chaos : Chaos.t option;
   worker_argv : string array;
       (** argv prefix that reaches [dist-node]'s flag parser — e.g.
@@ -95,10 +82,24 @@ type config = {
           appends the per-node flags. *)
 }
 
-val run : config -> report
-(** Spawn [nodes] worker processes, drive load, kill -9 [kill] of them
-    at half-time, respawn them with [--recover] at three-quarter time,
-    probe until the recovered node serves again, then SIGTERM everyone
-    and reap. Worker stdout/stderr land in [dir/node-I.log]. *)
+type t
 
-val pp_report : Format.formatter -> report -> unit
+val start : config -> t
+(** Spawn [nodes] worker processes. Worker stdout/stderr land in
+    [dir/node-I.log]. *)
+
+val deployment : t -> Load.deployment
+(** The process adapter {!Load.run} drives. A crash is SIGKILL and
+    reap. A restart respawns the worker with [--recover] and probes it
+    with SCANs until one completes (at most 30 s); the probe joins the
+    history. A node is up from its spawn until its kill, and again once
+    a probe has completed. *)
+
+val stop : t -> node_exit list
+(** SIGTERM every worker and reap it. Returns every exit, the killed
+    incarnations' first, oldest first. *)
+
+val history : t -> Proto.History.t
+(** {!merge_history} of every closed session's records and the probes. *)
+
+val recoveries : t -> recovery list

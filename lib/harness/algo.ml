@@ -1,10 +1,8 @@
-type consistency = Checker.Batch.level = Atomic | Sequential
-
 type t = {
   name : string;
   paper_row : string;
   make : Runner.maker;
-  consistency : consistency;
+  consistency : Obs.Monitor.mode;
 }
 
 let eq_aso =

@@ -4,13 +4,11 @@
     uniform {!Runner.maker} face, tagged with the consistency level its
     histories must satisfy (checked after every run in the tests). *)
 
-type consistency = Checker.Batch.level = Atomic | Sequential
-
 type t = {
   name : string;  (** as printed in tables, e.g. "eq-aso" *)
   paper_row : string;  (** the Table I row it reproduces *)
   make : Runner.maker;
-  consistency : consistency;
+  consistency : Obs.Monitor.mode;
 }
 
 val eq_aso : t

@@ -336,9 +336,3 @@ let max_latency = List.fold_left Float.max 0.
 let mean_latency = function
   | [] -> 0.
   | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
-
-let check_linearizable outcome =
-  Checker.Batch.check Checker.Batch.Atomic outcome.history
-
-let check_sequential outcome =
-  Checker.Batch.check Checker.Batch.Sequential outcome.history

@@ -136,11 +136,3 @@ val max_latency : float list -> float
 
 val mean_latency : float list -> float
 (** 0 on empty. *)
-
-val check_linearizable : outcome -> (unit, string) result
-(** [Checker.Batch.check Atomic]: (A0)–(A4), a validated linearization
-    and, on small histories, the Wing–Gong oracle. *)
-
-val check_sequential : outcome -> (unit, string) result
-(** [Checker.Batch.check Sequential]: (S1)–(S3) with (A0), a validated
-    sequentialization and, on small histories, the Wing–Gong oracle. *)

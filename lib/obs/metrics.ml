@@ -3,8 +3,11 @@
    observes histograms from every node's domain). On the single-threaded
    simulator the atomics are uncontended plain loads/stores, so the
    deterministic paths are unaffected. Registration (the hashtable) is
-   NOT domain-safe: deployments register every instrument at creation
-   time, before concurrent execution starts. *)
+   NOT domain-safe: register from one thread at a time. A snapshot never
+   reads the hashtable — it walks [order], which registration replaces
+   with one pointer write — so it may run while another thread
+   registers (the load driver registers its instruments when a run
+   starts, while the telemetry endpoint may be serving). *)
 
 type counter = { c_name : string; count : int Atomic.t }
 type gauge = { g_name : string; level : float Atomic.t }
@@ -24,7 +27,7 @@ type metric =
 
 type t = {
   tbl : (string, metric) Hashtbl.t;
-  mutable order : string list; (* registration order, newest first *)
+  mutable order : (string * metric) list; (* registration order, newest first *)
 }
 
 let create () = { tbl = Hashtbl.create 32; order = [] }
@@ -47,7 +50,7 @@ let register t name make describe =
   | None ->
       let v, m = make () in
       Hashtbl.replace t.tbl name m;
-      t.order <- name :: t.order;
+      t.order <- (name, m) :: t.order;
       v
 
 let counter t name =
@@ -111,9 +114,9 @@ type snapshot = (string * stat) list
 
 let snapshot t =
   List.rev_map
-    (fun name ->
+    (fun (name, m) ->
       ( name,
-        match Hashtbl.find t.tbl name with
+        match m with
         | C c -> Count (Atomic.get c.count)
         | G g -> Level (Atomic.get g.level)
         | H h -> Samples (List.rev (Atomic.get h.samples))

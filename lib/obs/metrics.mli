@@ -18,8 +18,8 @@
     {!add}, {!set}, {!observe}) and {!snapshot} reads are safe from any
     domain — instrument state lives in [Atomic] cells (the rt backend
     updates them from every node's domain). Registration itself is not:
-    register every instrument before concurrent execution starts, as
-    deployment constructors do. *)
+    register from one thread at a time. A {!snapshot} may run while
+    another thread registers. *)
 
 type t
 (** A registry. *)

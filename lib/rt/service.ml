@@ -46,7 +46,6 @@ type recovery = {
 type t = {
   net : int LC.Msg.t Net.t;
   n : int;
-  f : int;
   ops : ops;
   stores : int Persist.Store.t array;
   batch : bool;
@@ -69,12 +68,11 @@ type t = {
      crash path. *)
   batch_draining : bool Atomic.t array;
   (* Service-level flag: true from [restart_node] until the node's
-     rejoin completes. [pick_node] skips recovering nodes; a racy read
-     only costs a request that waits behind the recovery work. *)
+     rejoin completes. The load driver skips recovering nodes; a racy
+     read only costs a request that waits behind the recovery work. *)
   recovering : bool array;
   mutable recoveries : recovery list;
   mutable fused_away : int;
-  next_value : int Atomic.t;
   (* Per-node flight-recorder handles ([None] when the recorder is off);
      written only from the owning node's domain, except the retroactive
      replay span in [restart_node] (explicit-timestamp events emitted by
@@ -86,14 +84,6 @@ type t = {
      that makes the monitor's time-ordered stream sound (DESIGN.md
      section 6d). *)
   live : Live_monitor.t option;
-  (* Service-level instruments, live in the deployment's registry so the
-     telemetry endpoint exposes them next to the [net.*] counters. *)
-  c_updates_ok : Obs.Metrics.counter;
-  c_scans_ok : Obs.Metrics.counter;
-  c_rejected : Obs.Metrics.counter;
-  c_aborted : Obs.Metrics.counter;
-  h_update_lat : Obs.Metrics.log_histogram;
-  h_scan_lat : Obs.Metrics.log_histogram;
 }
 
 let new_reply () =
@@ -130,7 +120,7 @@ let unregister s node r =
    serialized and history invoke/respond events at a node never overlap
    — which is what the checker's well-formedness (sequential nodes,
    Section II-A) requires. Client-perceived latency, which does include
-   mailbox queueing, is measured separately by the clients. *)
+   mailbox queueing, is measured by the load driver. *)
 
 (* Flight-recorder emission points — all on the node's own domain (the
    work body), so the single-writer contract holds. Span ends fire on
@@ -306,8 +296,6 @@ let submit_batched_update s ~node v =
     (await_reply r :> [ `Done | `Aborted | `Rejected ])
   end
 
-let fresh_value s = Atomic.fetch_and_add s.next_value 1
-
 let update s ~node v =
   if s.batch then submit_batched_update s ~node v
   else fst (submit_direct s ~node (fun r -> run_update s ~node v r))
@@ -463,6 +451,10 @@ let create ?(batch = false) ?(recorder = true) ?(online = false)
      when given (the real crash-recovery path — survives the process),
      in-memory otherwise (models durable memory; survives [crash_node],
      which only tears down the domain). *)
+  Option.iter
+    (fun dir ->
+      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
+    wal_dir;
   let stores =
     Array.init n (fun i ->
         match wal_dir with
@@ -485,7 +477,6 @@ let create ?(batch = false) ?(recorder = true) ?(online = false)
   {
     net;
     n;
-    f;
     ops;
     stores;
     batch;
@@ -497,18 +488,11 @@ let create ?(batch = false) ?(recorder = true) ?(online = false)
     recovering = Array.make n false;
     recoveries = [];
     fused_away = 0;
-    next_value = Atomic.make 1;
     tnodes =
       (match Net.telem net with
       | Some tl -> Array.init n (fun i -> Some (Telem.node tl i))
       | None -> Array.make n None);
     live;
-    c_updates_ok = Obs.Metrics.counter m "svc.updates_ok";
-    c_scans_ok = Obs.Metrics.counter m "svc.scans_ok";
-    c_rejected = Obs.Metrics.counter m "svc.rejected";
-    c_aborted = Obs.Metrics.counter m "svc.aborted";
-    h_update_lat = Obs.Metrics.log_histogram m "svc.update_latency_s";
-    h_scan_lat = Obs.Metrics.log_histogram m "svc.scan_latency_s";
   }
 
 let start s =
@@ -525,190 +509,35 @@ let stop s =
 let history s = s.history
 let net s = s.net
 let live_monitor s = s.live
-let metrics s = Net.metrics s.net
 let recorder s = Net.recorder s.net
 let stats_snapshot s = Obs.Metrics.snapshot (Net.metrics s.net)
 
-(* {2 The closed-loop load service} *)
+let recoveries s = List.rev s.recoveries
 
-type report = {
-  algorithm : string;
-  backend : string;
-  rep_n : int;
-  rep_f : int;
-  clients : int;
-  batched : bool;
-  duration : float;
-  completed_updates : int;
-  completed_scans : int;
-  rejected : int;
-  aborted : int;
-  fused_updates : int;
-  ops_per_sec : float;
-  update_lat : Obs.Hdr.dist;  (** client-observed, seconds *)
-  scan_lat : Obs.Hdr.dist;
-  crashed_nodes : int list;
-  recoveries : recovery list;
-  messages_sent : int;
-  final_metrics : Obs.Metrics.snapshot;
-  history : History.t;
-  live_verdict : Live_monitor.verdict option;
-      (** the live monitor's violation, when one tripped mid-run *)
-  monitor_events_checked : int;
-  monitor_scans_verified : int;
-}
+let fused_updates s = s.fused_away
 
-let rec pick_node s home j =
-  if j >= s.n then None
-  else
-    let c = (home + j) mod s.n in
-    if Net.is_crashed s.net c || s.recovering.(c) then pick_node s home (j + 1)
-    else Some c
-
-(* Clients record straight into the deployment's registry: the counters
-   and log-histograms are atomic, so concurrent client threads need no
-   per-client state, and the live telemetry endpoint sees every
-   completion as it happens. *)
-let monitor_tripped s =
-  match s.live with
-  | Some lm -> Live_monitor.tripped lm <> None
-  | None -> false
-
-let client_loop s ~deadline ~scan_fraction rng home =
-  let live = ref true in
-  (* Halt intake the moment the live monitor trips: a violated object
-     must stop serving, and the early exit is what makes mid-run
-     detection observable (the run ends well before the deadline). *)
-  while !live && Net.now s.net < deadline && not (monitor_tripped s) do
-    match pick_node s home 0 with
-    | None -> live := false
-    | Some node ->
-        let t0 = Net.now s.net in
-        if Random.State.float rng 1.0 < scan_fraction then (
+let deployment s =
+  let session =
+    {
+      Load.update = (fun ~node v -> update s ~node v);
+      scan =
+        (fun ~node ->
           match scan s ~node with
-          | `Snap _ ->
-              Obs.Metrics.incr s.c_scans_ok;
-              Obs.Metrics.record s.h_scan_lat (Net.now s.net -. t0)
-          | `Rejected -> Obs.Metrics.incr s.c_rejected
-          | `Aborted -> Obs.Metrics.incr s.c_aborted)
-        else
-          match update s ~node (fresh_value s) with
-          | `Done ->
-              Obs.Metrics.incr s.c_updates_ok;
-              Obs.Metrics.record s.h_update_lat (Net.now s.net -. t0)
-          | `Rejected -> Obs.Metrics.incr s.c_rejected
-          | `Aborted -> Obs.Metrics.incr s.c_aborted
-  done
-
-let run ?(batch = false) ?(recorder = true) ?(online = false) ?monitor_throttle
-    ?parking ?mutation ?on_start ?(scan_fraction = 0.2) ?(seed = 42)
-    ?(crash = []) ?crash_after ?restart_after ?wal_dir ~algo ~n ~f ~clients
-    ~secs () =
-  if clients <= 0 then invalid_arg "Rt.Service.run: clients must be positive";
-  if secs <= 0. then invalid_arg "Rt.Service.run: secs must be positive";
-  let crash = List.sort_uniq compare crash in
-  if List.length crash > f then
-    invalid_arg "Rt.Service.run: cannot crash more than f nodes";
-  List.iter
-    (fun i ->
-      if i < 0 || i >= n then invalid_arg "Rt.Service.run: crash node out of range")
-    crash;
-  let crash_delay = Option.value crash_after ~default:(secs /. 2.) in
-  (match restart_after with
-  | Some r when r <= crash_delay ->
-      invalid_arg "Rt.Service.run: restart_after must be after the crash"
-  | _ -> ());
-  let s =
-    create ~batch ~recorder ~online ?monitor_throttle ?parking ?mutation
-      ?wal_dir ~algo ~n ~f ()
+          | `Snap _ -> `Done
+          | (`Rejected | `Aborted) as o -> o);
+      close = ignore;
+    }
   in
-  start s;
-  Option.iter (fun f -> f s) on_start;
-  let t_start = Net.now s.net in
-  let deadline = t_start +. secs in
-  let crasher =
-    match crash with
-    | [] -> None
-    | nodes ->
-        Some
-          (Thread.create
-             (fun () ->
-               Thread.delay crash_delay;
-               List.iter (fun i -> crash_node s i) nodes;
-               match restart_after with
-               | None -> ()
-               | Some r ->
-                   Thread.delay (r -. crash_delay);
-                   List.iter
-                     (fun i ->
-                       if Net.is_crashed s.net i then restart_node s i)
-                     nodes)
-             ())
-  in
-  let threads =
-    Array.init clients (fun i ->
-        let rng = Random.State.make [| seed; i |] in
-        Thread.create
-          (fun () -> client_loop s ~deadline ~scan_fraction rng (i mod n))
-          ())
-  in
-  Array.iter Thread.join threads;
-  Option.iter Thread.join crasher;
-  let duration = Net.now s.net -. t_start in
-  stop s;
-  let live_verdict = Option.bind s.live Live_monitor.tripped in
-  let snapshot = Obs.Metrics.snapshot (Net.metrics s.net) in
-  let completed_updates = Obs.Metrics.count s.c_updates_ok in
-  let completed_scans = Obs.Metrics.count s.c_scans_ok in
-  let total = completed_updates + completed_scans in
   {
-    algorithm = algo_name algo;
-    backend = "rt";
-    rep_n = n;
-    rep_f = f;
-    clients;
-    batched = batch;
-    duration;
-    completed_updates;
-    completed_scans;
-    rejected = Obs.Metrics.count s.c_rejected;
-    aborted = Obs.Metrics.count s.c_aborted;
-    fused_updates = s.fused_away;
-    ops_per_sec = (if duration > 0. then float_of_int total /. duration else 0.);
-    update_lat = Obs.Hdr.snapshot (Obs.Metrics.hdr s.h_update_lat);
-    scan_lat = Obs.Hdr.snapshot (Obs.Metrics.hdr s.h_scan_lat);
-    crashed_nodes = crash;
-    recoveries = List.rev s.recoveries;
-    messages_sent =
-      Option.value (Obs.Metrics.find_count snapshot "net.sent") ~default:0;
-    final_metrics = snapshot;
-    history = s.history;
-    live_verdict;
-    monitor_events_checked =
-      (match s.live with Some lm -> Live_monitor.events_checked lm | None -> 0);
-    monitor_scans_verified =
-      (match s.live with Some lm -> Live_monitor.scans_verified lm | None -> 0);
+    Load.n = s.n;
+    up = (fun i -> not (Net.is_crashed s.net i || s.recovering.(i)));
+    session = (fun _ -> session);
+    crash = crash_node s;
+    restart = restart_node s;
+    halted =
+      (fun () ->
+        match s.live with
+        | Some lm -> Live_monitor.tripped lm <> None
+        | None -> false);
+    metrics = Net.metrics s.net;
   }
-
-(* Bench feed: everything here is timing-dependent, hence volatile (the
-   CI drift gate must not compare it run-to-run beyond a sanity floor). *)
-let volatile_metrics r =
-  let mean f =
-    match r.recoveries with
-    | [] -> 0.
-    | l ->
-        List.fold_left (fun acc x -> acc +. f x) 0. l
-        /. float_of_int (List.length l)
-  in
-  [
-    ("ops_per_sec", r.ops_per_sec);
-    ("completed_updates", float_of_int r.completed_updates);
-    ("completed_scans", float_of_int r.completed_scans);
-    ("fused_updates", float_of_int r.fused_updates);
-    ("messages_sent", float_of_int r.messages_sent);
-    ("aborted", float_of_int r.aborted);
-    ("recoveries", float_of_int (List.length r.recoveries));
-    ("recovery_ready_s", mean (fun x -> x.rec_ready_after));
-    ("recovery_first_op_s", mean (fun x -> x.rec_first_op));
-    ("recovery_replayed", mean (fun x -> float_of_int x.rec_replayed));
-  ]

@@ -7,10 +7,9 @@
     a real-time {!History.t} at protocol execution boundaries (under one
     service lock, with the monotonic clock), which every completed run
     feeds through the batch A0–A4 checker. Client-perceived latency
-    (including mailbox queueing) is measured separately by the clients
-    and reported as p50/p99 material; it is {e not} what the history
-    records, because overlapping same-node client intervals would
-    violate history well-formedness.
+    (including mailbox queueing) is measured by {!Load.run}; it is
+    {e not} what the history records, because overlapping same-node
+    client intervals would violate history well-formedness.
 
     {b Batching} ([~batch:true]): per-node group commit. Queued updates
     are coalesced into a single protocol write of the last queued value;
@@ -22,9 +21,9 @@
     domain, and a CAS-claimed drain flag decides which submitter posts
     the drain work item — the service lock is not taken on this path.
 
-    {b Crashes}: {!run}'s [~crash] list poisons those nodes mid-run
-    (k ≤ f enforced); their in-flight requests resolve as [`Aborted] and
-    clients fail over to other nodes. A crashed node contributes at most
+    {b Crashes}: {!crash_node} poisons a node mid-run; its in-flight
+    requests resolve as [`Aborted] and clients fail over to other
+    nodes. A crashed node contributes at most
     one pending operation to the history, as the model prescribes.
 
     {b Crash-restart}: every node owns a durable store (a file-backed
@@ -35,8 +34,8 @@
     rejoins via a quorum state pull on a fresh domain, and serves again;
     the first served operation is a probe SCAN the service stamps into
     the checked history, so the A0–A4 battery exercises the recovered
-    node. {!run}'s [~restart_after] drives the whole cycle under live
-    client traffic. *)
+    node. A {!Load.faults} plan drives the whole cycle under live client
+    traffic through {!deployment}. *)
 
 type algo = Eq_aso | Sso_fast_scan
 
@@ -75,9 +74,9 @@ val create :
   unit ->
   t
 (** Build the deployment (network, protocol wiring, history); domains
-    are not running until {!start}. Requires [n > 2f]. With [~wal_dir],
-    node [i] writes its mints to [wal_dir/node-i.wal] (created or
-    appended); without it, each node gets an in-memory durable store, so
+    are not running until {!start}. Requires [n > 2f]. With [~wal_dir]
+    (created if missing), node [i] writes its mints to
+    [wal_dir/node-i.wal] (created or appended); without it, each node gets an in-memory durable store, so
     {!restart_node} works either way. [recorder] (default [true])
     attaches the per-node flight-recorder rings; [online] (default
     [false]) attaches a {!Live_monitor} (fed at every history stamp,
@@ -93,10 +92,6 @@ val start : t -> unit
 val stop : t -> unit
 (** Stop all node domains and join them. Call only when no requests are
     outstanding. *)
-
-val fresh_value : t -> int
-(** Globally unique update values (the checker identifies an UPDATE by
-    its value — the paper's footnote-2 assumption). *)
 
 val update : t -> node:int -> int -> [ `Done | `Rejected | `Aborted ]
 (** Blocking (closed-loop) UPDATE from any client thread. [`Rejected] if
@@ -128,94 +123,27 @@ val live_monitor : t -> Live_monitor.t option
 (** The live online monitor, when created with [~online:true] — the
     sampler line reads its lag and last-checked age from here. *)
 
-val metrics : t -> Obs.Metrics.t
-(** The deployment's registry: [net.*] counters plus the service-level
-    [svc.updates_ok], [svc.scans_ok], [svc.rejected], [svc.aborted]
-    counters and [svc.update_latency_s] / [svc.scan_latency_s]
-    log-histograms. Safe to snapshot from any thread while the
-    deployment runs — this is what the live telemetry endpoint serves. *)
-
 val recorder : t -> Obs.Recorder.t option
 (** The flight recorder (when enabled): drain/merge any time, including
     after {!stop}, for the forensics dump. *)
 
 val stats_snapshot : t -> Obs.Metrics.snapshot
-(** [Obs.Metrics.snapshot (metrics t)]. *)
+(** The deployment's registry: [net.*] counters, the live monitor's
+    instruments and, once {!Load.run} drives the deployment, the
+    driver's [svc.*] counters and latency histograms. Safe from any
+    thread while the deployment runs — this is what the live telemetry
+    endpoint serves. *)
 
-(** {2 Closed-loop load runs} *)
+val recoveries : t -> recovery list
+(** One entry per completed rejoin, oldest first. *)
 
-type report = {
-  algorithm : string;
-  backend : string;
-  rep_n : int;
-  rep_f : int;
-  clients : int;
-  batched : bool;
-  duration : float;  (** measured wall seconds *)
-  completed_updates : int;
-  completed_scans : int;
-  rejected : int;  (** requests refused up front — target already down *)
-  aborted : int;  (** requests in flight when their node crashed *)
-  fused_updates : int;  (** protocol writes saved by batching *)
-  ops_per_sec : float;
-  update_lat : Obs.Hdr.dist;
-      (** client-observed seconds, log-bucketed (~3.1% relative error) —
-          query with [Obs.Hdr.dist_quantile] *)
-  scan_lat : Obs.Hdr.dist;
-  crashed_nodes : int list;
-  recoveries : recovery list;  (** one entry per completed rejoin *)
-  messages_sent : int;
-  final_metrics : Obs.Metrics.snapshot;  (** registry at shutdown *)
-  history : History.t;
-  live_verdict : Live_monitor.verdict option;
-      (** [Some _] iff the live monitor tripped — the run was halted
-          mid-flight (client intake stops at the next poll) *)
-  monitor_events_checked : int;  (** 0 when the monitor is off *)
-  monitor_scans_verified : int;
-}
+val fused_updates : t -> int
+(** Protocol writes saved by batching. *)
 
-val run :
-  ?batch:bool ->
-  ?recorder:bool ->
-  ?online:bool ->
-  ?monitor_throttle:(unit -> unit) ->
-  ?parking:Node.parking ->
-  ?mutation:Aso_core.Lattice_core.mutation ->
-  ?on_start:(t -> unit) ->
-  ?scan_fraction:float ->
-  ?seed:int ->
-  ?crash:int list ->
-  ?crash_after:float ->
-  ?restart_after:float ->
-  ?wal_dir:string ->
-  algo:algo ->
-  n:int ->
-  f:int ->
-  clients:int ->
-  secs:float ->
-  unit ->
-  report
-(** Deploy, run [clients] closed-loop client threads for [secs] wall
-    seconds (default [scan_fraction] 0.2, [seed] 42), optionally crash
-    the [~crash] nodes at [~crash_after] (default halfway), stop the
-    deployment, and report. With [~restart_after] (must exceed the crash
-    time; raises [Invalid_argument] otherwise), the crashed nodes are
-    revived at that offset — log replay, rejoin, probe SCAN — while
-    client traffic continues, and the report's [recoveries] list carries
-    the measured recovery times. The returned history is finished and
-    ready for the batch checker.
-
-    With [~online:true] a {!Live_monitor} checks the history as it is
-    produced: a violation halts client intake mid-run (the run returns
-    early) and lands in the report's [live_verdict], complete with a
-    causal-cone slice from the network's vector-clock log.
-
-    [on_start] is called with the live deployment right after the node
-    domains start and before clients are spawned — the hook the serve
-    command uses to wire its sampler thread and telemetry endpoint to
-    {!metrics}/{!recorder} while the run is in flight. The handle stays
-    valid (for post-mortem drains) after [run] returns. *)
-
-val volatile_metrics : report -> (string * float) list
-(** The report's timing-dependent numbers, for the bench JSON's volatile
-    section ({e never} the drift-gated one). *)
+val deployment : t -> Load.deployment
+(** The adapter {!Load.run} drives: {!update}/{!scan} from any client
+    thread, {!crash_node}/{!restart_node} for the fault plan, a node is
+    up unless crashed or still recovering, and intake halts when the
+    live monitor trips. The [svc.*] instruments land in
+    {!stats_snapshot}'s registry.
+    Call {!start} before the run and {!stop} after it. *)

@@ -165,7 +165,7 @@ let test_scd_no_sync_still_linearizable () =
           (config ~seed:(Int64.of_int seed) ())
           ~workload ~adversary:Harness.Adversary.No_faults
       in
-      match Harness.Runner.check_linearizable outcome with
+      match Checker.Batch.check Obs.Monitor.Atomic outcome.history with
       | Ok () -> ()
       | Error e -> Alcotest.failf "no-sync scd-aso: %s" e)
     [ 1; 2; 3; 4; 5; 6 ];

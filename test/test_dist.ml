@@ -261,27 +261,30 @@ let retransmits cluster n =
   done;
   !total
 
-let run_cluster ?chaos ~name ~algo ~n ~clients ~secs () =
+(* One closed-loop window (30% scans) over an in-process cluster: the
+   driver's report, the merged history and the retransmit count. *)
+let run_cluster ?chaos ?wal ?faults ~name ~algo ~n ~clients ~secs () =
   let cluster =
-    Dist.Local.start ?chaos ~algo ~n ~f:1 ~dir:(fresh_dir name) ()
+    Dist.Local.start ?chaos ?wal ~algo ~n ~f:1 ~dir:(fresh_dir name) ()
   in
   Fun.protect
     ~finally:(fun () -> Dist.Local.stop cluster)
     (fun () ->
-      let recs =
-        Dist.Supervisor.drive_clients
-          ~eps:(Dist.Local.endpoints cluster)
-          ~clients ~secs ~seed:42 ()
+      let r =
+        Load.run ?faults
+          (Dist.Local.deployment cluster)
+          ~clients ~secs ~scan_fraction:0.3 ~seed:42
       in
-      (recs, retransmits cluster n))
+      (r, Dist.Local.history cluster, retransmits cluster n))
+
+let completed (r : Load.report) = r.completed_updates + r.completed_scans
 
 let test_e2e_eq_aso () =
-  let recs, _ =
+  let r, h, _ =
     run_cluster ~name:"eq" ~algo:Rt.Service.Eq_aso ~n:3 ~clients:4 ~secs:0.4 ()
   in
-  let completed = List.length (List.filter (fun r -> r.Dist.Supervisor.o_ok) recs) in
-  Alcotest.(check bool) "made progress" true (completed > 20);
-  match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n:3 (Dist.Supervisor.merge_history recs) with
+  Alcotest.(check bool) "made progress" true (completed r > 20);
+  match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n:3 h with
   | Ok () -> ()
   | Error v ->
       Alcotest.failf "socket run not linearizable: %a" Obs.Monitor.pp_violation
@@ -299,31 +302,57 @@ let test_e2e_chaos () =
       seed = 7;
     }
   in
-  let recs, retx =
+  let r, h, retx =
     run_cluster ~chaos ~name:"chaos" ~algo:Rt.Service.Eq_aso ~n:3 ~clients:3
       ~secs:1.2 ()
   in
-  let completed = List.length (List.filter (fun r -> r.Dist.Supervisor.o_ok) recs) in
-  Alcotest.(check bool) "progress under chaos" true (completed > 0);
+  Alcotest.(check bool) "progress under chaos" true (completed r > 0);
   Alcotest.(check bool) "chaos forced retransmissions" true (retx > 0);
-  match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n:3 (Dist.Supervisor.merge_history recs) with
+  match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n:3 h with
   | Ok () -> ()
   | Error v ->
       Alcotest.failf "chaos run not linearizable: %a" Obs.Monitor.pp_violation v
 
 let test_e2e_sso () =
-  let recs, _ =
+  let r, h, _ =
     run_cluster ~name:"sso" ~algo:Rt.Service.Sso_fast_scan ~n:3 ~clients:2
       ~secs:0.25 ()
   in
-  let completed = List.length (List.filter (fun r -> r.Dist.Supervisor.o_ok) recs) in
-  Alcotest.(check bool) "made progress" true (completed > 10);
-  match
-    Checker.Feed.check ~mode:Obs.Monitor.Sequential ~n:3 (Dist.Supervisor.merge_history recs)
-  with
+  Alcotest.(check bool) "made progress" true (completed r > 10);
+  match Checker.Feed.check ~mode:Obs.Monitor.Sequential ~n:3 h with
   | Ok () -> ()
   | Error v ->
       Alcotest.failf "sso socket run not sequentially consistent: %a"
+        Obs.Monitor.pp_violation v
+
+(* The in-process adapter's fault path: node 2 stops mid-run, its
+   client fails over, the node restarts from its WAL, and the client
+   goes back to it. The merged history must still linearize. *)
+let test_e2e_crash_restart () =
+  let r, h, _ =
+    run_cluster ~wal:true
+      ~faults:(Load.faults ~n:3 ~f:1 ~crash_at:0.2 ~restart_at:0.4 [ 2 ])
+      ~name:"restart" ~algo:Rt.Service.Eq_aso ~n:3 ~clients:3 ~secs:0.8 ()
+  in
+  Alcotest.(check (list int)) "node 2 restarted" [ 2 ] r.restarted;
+  (* Node 2's completed ops, in time: a gap of at least the 0.2 s down
+     window, with ops on both sides of it. *)
+  let at2 =
+    List.filter_map
+      (fun (op : History.op) -> if op.node = 2 then Some op.inv else None)
+      (History.completed h)
+    |> List.sort compare
+  in
+  let rec gap = function
+    | a :: (b :: _ as rest) -> b -. a >= 0.15 || gap rest
+    | _ -> false
+  in
+  Alcotest.(check bool) "node 2 served before and after its down window"
+    true (gap at2);
+  match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n:3 h with
+  | Ok () -> ()
+  | Error v ->
+      Alcotest.failf "crash-restart run not linearizable: %a"
         Obs.Monitor.pp_violation v
 
 (* ---- suites ---------------------------------------------------------- *)
@@ -347,5 +376,7 @@ let suites =
           test_e2e_eq_aso;
         Alcotest.test_case "eq-aso under socket chaos" `Quick test_e2e_chaos;
         Alcotest.test_case "sso over sockets sequential" `Quick test_e2e_sso;
+        Alcotest.test_case "eq-aso crash-restart in process" `Quick
+          test_e2e_crash_restart;
       ] );
   ]

@@ -14,12 +14,7 @@ let run_checked ?workload_seed ~make ~expect config ~workload ~adversary () =
   let outcome =
     Harness.Runner.run ?workload_seed ~make config ~workload ~adversary
   in
-  let check =
-    match expect with
-    | `Atomic -> Harness.Runner.check_linearizable
-    | `Sequential -> Harness.Runner.check_sequential
-  in
-  (match check outcome with
+  (match Checker.Batch.check expect outcome.history with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: %s" outcome.algorithm e);
   outcome
@@ -33,7 +28,7 @@ let config ?(n = 5) ?(f = 2) ?(seed = 1L) ?(delay = fixed) () =
 
 let test_single_update_scan () =
   let outcome =
-    run_checked ~make:eq_aso_make ~expect:`Atomic (config ())
+    run_checked ~make:eq_aso_make ~expect:Obs.Monitor.Atomic (config ())
       ~workload:
         (Harness.Workload.updates_at_zero ~n:5 ~updaters:[ 0 ] ~scanner:(Some 1))
       ~adversary:Harness.Adversary.No_faults ()
@@ -58,7 +53,7 @@ let test_scan_sees_completed_update () =
   workload.(0) <- [ { Harness.Workload.gap = 0.0; op = Harness.Workload.Update } ];
   workload.(1) <- [ { Harness.Workload.gap = 50.0; op = Harness.Workload.Scan } ];
   let outcome =
-    run_checked ~make:eq_aso_make ~expect:`Atomic (config ()) ~workload
+    run_checked ~make:eq_aso_make ~expect:Obs.Monitor.Atomic (config ()) ~workload
       ~adversary:Harness.Adversary.No_faults ()
   in
   let scan =
@@ -77,7 +72,7 @@ let test_random_failure_free () =
     in
     ignore
       (run_checked
-         ~make:eq_aso_make ~expect:`Atomic
+         ~make:eq_aso_make ~expect:Obs.Monitor.Atomic
          (config ~seed:(Int64.of_int seed) ())
          ~workload ~adversary:Harness.Adversary.No_faults ())
   done
@@ -90,7 +85,7 @@ let test_random_uniform_delays () =
         ~max_gap:2.0
     in
     ignore
-      (run_checked ~make:eq_aso_make ~expect:`Atomic
+      (run_checked ~make:eq_aso_make ~expect:Obs.Monitor.Atomic
          (config ~n:6 ~f:2 ~seed:(Int64.of_int seed)
             ~delay:(Harness.Runner.Uniform_d { lo = 0.05; hi = 1.0; d = 1.0 })
             ())
@@ -105,7 +100,7 @@ let test_random_crashes () =
         ~max_gap:4.0
     in
     let outcome =
-      run_checked ~make:eq_aso_make ~expect:`Atomic
+      run_checked ~make:eq_aso_make ~expect:Obs.Monitor.Atomic
         ~workload_seed:(Int64.of_int (seed * 7))
         (config ~n:7 ~f:3 ~seed:(Int64.of_int seed) ())
         ~workload
@@ -124,7 +119,7 @@ let test_crash_mid_broadcast_linearizable () =
   in
   let chain = { Harness.Adversary.updater = 0; relays = []; final = 2 } in
   let outcome =
-    run_checked ~make:eq_aso_make ~expect:`Atomic (config ())
+    run_checked ~make:eq_aso_make ~expect:Obs.Monitor.Atomic (config ())
       ~workload
       ~adversary:(Harness.Adversary.Chains [ chain ])
       ()
@@ -140,7 +135,7 @@ let test_failure_chain_scan_delayed_but_atomic () =
     Harness.Workload.updates_at_zero ~n ~updaters ~scanner:(Some scanner)
   in
   let outcome =
-    run_checked ~make:eq_aso_make ~expect:`Atomic (config ~n ~f ())
+    run_checked ~make:eq_aso_make ~expect:Obs.Monitor.Atomic (config ~n ~f ())
       ~workload
       ~adversary:(Harness.Adversary.Chains chains)
       ()
@@ -161,7 +156,7 @@ let test_concurrent_updates_same_segment_order () =
     ];
   workload.(3) <- [ { gap = 60.0; op = Harness.Workload.Scan } ];
   let outcome =
-    run_checked ~make:eq_aso_make ~expect:`Atomic (config ()) ~workload
+    run_checked ~make:eq_aso_make ~expect:Obs.Monitor.Atomic (config ()) ~workload
       ~adversary:Harness.Adversary.No_faults ()
   in
   let scan = List.find History.is_scan (History.completed outcome.history) in
@@ -178,14 +173,14 @@ let test_sso_failure_free () =
         ~max_gap:3.0
     in
     ignore
-      (run_checked ~make:sso_make ~expect:`Sequential
+      (run_checked ~make:sso_make ~expect:Obs.Monitor.Sequential
          (config ~seed:(Int64.of_int seed) ())
          ~workload ~adversary:Harness.Adversary.No_faults ())
   done
 
 let test_sso_scan_is_local () =
   let outcome =
-    run_checked ~make:sso_make ~expect:`Sequential (config ())
+    run_checked ~make:sso_make ~expect:Obs.Monitor.Sequential (config ())
       ~workload:
         (Harness.Workload.random (Sim.Rng.create 5L) ~n:5 ~ops_per_node:4
            ~scan_fraction:0.5 ~max_gap:2.0)
@@ -203,7 +198,7 @@ let test_sso_read_your_writes () =
       { gap = 0.0; op = Harness.Workload.Scan };
     ];
   let outcome =
-    run_checked ~make:sso_make ~expect:`Sequential (config ()) ~workload
+    run_checked ~make:sso_make ~expect:Obs.Monitor.Sequential (config ()) ~workload
       ~adversary:Harness.Adversary.No_faults ()
   in
   let scan = List.find History.is_scan (History.completed outcome.history) in
@@ -218,7 +213,7 @@ let test_sso_with_crashes () =
         ~max_gap:4.0
     in
     ignore
-      (run_checked ~make:sso_make ~expect:`Sequential
+      (run_checked ~make:sso_make ~expect:Obs.Monitor.Sequential
          ~workload_seed:(Int64.of_int (seed * 3))
          (config ~n:7 ~f:3 ~seed:(Int64.of_int seed) ())
          ~workload

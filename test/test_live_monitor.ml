@@ -20,17 +20,32 @@
    legitimately agree on a base missing a completed update: the A2
    violation the off-by-one intersection failure permits, manifested
    deterministically, with no in-flight operation ever stalled on a cut
-   link (the orchestrated ops run in [on_start], before client traffic
-   exists). *)
+   link (the orchestrated ops run before client traffic exists). *)
 
 let budget_secs = 8.0
 
-let run_mutant ?on_start m =
-  Rt.Service.run ~online:true ?on_start ~mutation:m ~algo:Rt.Service.Eq_aso
-    ~n:4 ~f:1 ~clients:4 ~scan_fraction:0.5 ~secs:budget_secs ()
+(* One closed-loop window over a started deployment; [before] runs on
+   the live deployment before the clients start. The deployment is
+   stopped (monitor drained) when this returns. *)
+let run_load ?(before = ignore) ?(scan_fraction = 0.2) s ~clients ~secs =
+  let d = Rt.Service.deployment s in
+  Rt.Service.start s;
+  before s;
+  let r = Load.run d ~clients ~secs ~scan_fraction ~seed:42 in
+  Rt.Service.stop s;
+  r
 
-let check_caught_live name (r : Rt.Service.report) =
-  match r.live_verdict with
+let monitor s = Option.get (Rt.Service.live_monitor s)
+
+let run_mutant ?before m =
+  let s =
+    Rt.Service.create ~online:true ~mutation:m ~algo:Rt.Service.Eq_aso ~n:4
+      ~f:1 ()
+  in
+  (run_load ?before ~scan_fraction:0.5 s ~clients:4 ~secs:budget_secs, s)
+
+let check_caught_live name ((r : Load.report), s) =
+  match Rt.Live_monitor.tripped (monitor s) with
   | None ->
       Alcotest.failf "%s: live monitor missed the mutant (%d ops ran)" name
         (r.completed_updates + r.completed_scans)
@@ -57,7 +72,7 @@ let check_caught_live name (r : Rt.Service.report) =
       Alcotest.(check bool)
         (name ^ ": monitor consumed events before tripping")
         true
-        (r.monitor_events_checked > 0)
+        (Rt.Live_monitor.events_checked (monitor s) > 0)
 
 let test_skip_write_tag_live () =
   check_caught_live "skip-write-tag"
@@ -70,7 +85,7 @@ let test_stale_renewal_live () =
 let test_quorum_off_by_one_live () =
   let r =
     run_mutant
-      ~on_start:(fun s ->
+      ~before:(fun s ->
         let net = Rt.Service.net s in
         (* Isolate nodes 2 and 3 from inbound traffic. *)
         List.iter
@@ -84,7 +99,8 @@ let test_quorum_off_by_one_live () =
            island; the correct quorum (3) would block here. Its value
            broadcast and the forward-once relays die on the cut links,
            and nothing ever retransmits them. *)
-        (match Rt.Service.update s ~node:0 (Rt.Service.fresh_value s) with
+        (* Value 0: the load driver mints 1, 2, 3, ... *)
+        (match Rt.Service.update s ~node:0 0 with
         | `Done -> ()
         | `Rejected | `Aborted ->
             Alcotest.fail "partitioned-island update did not complete");
@@ -112,10 +128,10 @@ let test_quorum_off_by_one_live () =
    with the batch checker that it is clean. *)
 
 let check_clean algo ~n ~clients () =
-  let r =
-    Rt.Service.run ~online:true ~algo ~n ~f:1 ~clients ~secs:0.4 ()
-  in
-  (match r.live_verdict with
+  let s = Rt.Service.create ~online:true ~algo ~n ~f:1 () in
+  let r = run_load s ~clients ~secs:0.4 in
+  let lm = monitor s in
+  (match Rt.Live_monitor.tripped lm with
   | None -> ()
   | Some v ->
       Alcotest.failf "false positive: %a" Rt.Live_monitor.pp_verdict v);
@@ -125,8 +141,9 @@ let check_clean algo ~n ~clients () =
      run. *)
   Alcotest.(check int) "monitor checked the complete history"
     (2 * (r.completed_updates + r.completed_scans))
-    r.monitor_events_checked;
-  Alcotest.(check bool) "scans verified" true (r.monitor_scans_verified > 0)
+    (Rt.Live_monitor.events_checked lm);
+  Alcotest.(check bool) "scans verified" true
+    (Rt.Live_monitor.scans_verified lm > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded lag: throttle the monitor domain so it provably falls behind
@@ -136,21 +153,24 @@ let check_clean algo ~n ~clients () =
    max — otherwise this test would not be testing anything). *)
 
 let test_lag_bound_slowed_monitor () =
-  let r =
-    Rt.Service.run ~online:true
+  let s =
+    Rt.Service.create ~online:true
       ~monitor_throttle:(fun () -> Unix.sleepf 0.0002)
-      ~algo:Rt.Service.Eq_aso ~n:3 ~f:1 ~clients:4 ~secs:0.25 ()
+      ~algo:Rt.Service.Eq_aso ~n:3 ~f:1 ()
   in
-  (match r.live_verdict with
+  let r = run_load s ~clients:4 ~secs:0.25 in
+  (match Rt.Live_monitor.tripped (monitor s) with
   | None -> ()
   | Some v ->
       Alcotest.failf "false positive under lag: %a" Rt.Live_monitor.pp_verdict
         v);
   Alcotest.(check int) "drain checked every event despite the lag"
     (2 * (r.completed_updates + r.completed_scans))
-    r.monitor_events_checked;
+    (Rt.Live_monitor.events_checked (monitor s));
   let lag_max =
-    match Obs.Metrics.find_dist r.final_metrics "aso.monitor.lag_dist" with
+    match
+      Obs.Metrics.find_dist (Rt.Service.stats_snapshot s) "aso.monitor.lag_dist"
+    with
     | Some d -> Option.value ~default:0.0 (Obs.Hdr.dist_max d)
     | None -> Alcotest.fail "aso.monitor.lag_dist not exported"
   in

@@ -25,6 +25,7 @@ let () =
          Test_causal.suites;
          Test_mc.suites;
          Test_rt.suites;
+         Test_load.suites;
          Test_live_monitor.suites;
          Test_verif.suites;
          Test_persist.suites;

@@ -323,8 +323,8 @@ let test_traced_run_contents () =
 (* The CI gate (ci.yml, "Bench regression gate") compares "metrics"
    strictly (>20% drift fails) and "volatile" only against a collapse
    floor (<20% of baseline fails). This mirrors that rule so we can
-   assert the contract the runtime-throughput rows rely on: wall-clock
-   numbers published through [Rt.Service.volatile_metrics] may drift
+   assert the contract the wall-clock rows rely on: numbers published
+   through [Load.volatile] may drift
    arbitrarily upward (and 5x downward) without tripping the gate,
    while the same drift on a gated metric fails. *)
 
@@ -351,35 +351,24 @@ let gate_passes ~base ~next =
 
 let gate_report ~ops_per_sec ~updates =
   {
-    Rt.Service.algorithm = "eq-aso";
-    backend = "rt";
-    rep_n = 4;
-    rep_f = 1;
+    Load.secs = 1.0;
     clients = 4;
-    batched = false;
     duration = 1.0;
     completed_updates = updates;
     completed_scans = updates / 4;
     rejected = 0;
     aborted = 0;
-    fused_updates = 0;
     ops_per_sec;
     update_lat = Obs.Hdr.empty_dist;
     scan_lat = Obs.Hdr.empty_dist;
-    crashed_nodes = [];
-    recoveries = [];
-    messages_sent = updates * 50;
-    final_metrics = [];
-    history = History.create ();
-    live_verdict = None;
-    monitor_events_checked = 0;
-    monitor_scans_verified = 0;
+    crashed = [];
+    restarted = [];
   }
 
 let test_drift_gate_ignores_volatile () =
   let row r =
     { g_metrics = [ ("history_ok", 1.0) ];
-      g_volatile = Rt.Service.volatile_metrics r }
+      g_volatile = Load.volatile r }
   in
   let base = row (gate_report ~ops_per_sec:1000.0 ~updates:250) in
   (* 10x faster host: every volatile number explodes, gate unmoved *)
@@ -404,15 +393,16 @@ let test_drift_gate_ignores_volatile () =
   Alcotest.(check bool) "history_ok flip fails" false
     (gate_passes ~base:(ok 1.0) ~next:(ok 0.0))
 
-let test_volatile_metrics_keys () =
-  (* bench/main.ml publishes exactly these under "volatile"; a timing
-     metric added outside this list would land in the gated section *)
+let test_volatile_keys () =
+  (* bench/main.ml publishes exactly these under "volatile" for every
+     rt and dist throughput row, plus the backend's traffic counter; a
+     timing metric added outside this list would land in the gated
+     section *)
   let r = gate_report ~ops_per_sec:1234.0 ~updates:100 in
   Alcotest.(check (list string)) "volatile keys"
-    [ "ops_per_sec"; "completed_updates"; "completed_scans";
-      "fused_updates"; "messages_sent"; "aborted"; "recoveries";
-      "recovery_ready_s"; "recovery_first_op_s"; "recovery_replayed" ]
-    (List.map fst (Rt.Service.volatile_metrics r))
+    [ "ops_per_sec"; "completed_updates"; "completed_scans"; "rejected";
+      "aborted" ]
+    (List.map fst (Load.volatile r))
 
 let suites =
   [
@@ -431,6 +421,6 @@ let suites =
         case "traced run has phases and metrics" test_traced_run_contents;
         case "drift gate ignores volatile section"
           test_drift_gate_ignores_volatile;
-        case "rt volatile metrics keys" test_volatile_metrics_keys;
+        case "rt volatile metrics keys" test_volatile_keys;
       ] );
   ]

@@ -212,7 +212,7 @@ let crash_restart_workload n =
         steps [ Harness.Workload.Update; Harness.Workload.Update ]
       else steps [ Harness.Workload.Update; Harness.Workload.Scan ])
 
-let run_crash_restart ?configure ~make ~check n =
+let run_crash_restart ?configure ~make ~mode n =
   let monitor = Obs.Monitor.create ~n () in
   let config =
     {
@@ -227,7 +227,7 @@ let run_crash_restart ?configure ~make ~check n =
       ~workload:(crash_restart_workload n)
       ~adversary:(Harness.Adversary.Crash_restart_at [ (3.5, 0, 12.0) ])
   in
-  (match check outcome with
+  (match Checker.Batch.check mode outcome.history with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("battery failed across restart: " ^ e));
   (* The runner's post-restart traffic ran at node 0: its history holds
@@ -248,14 +248,14 @@ let run_crash_restart ?configure ~make ~check n =
 let test_eq_aso_crash_restart () =
   let (_ : Harness.Runner.outcome) =
     run_crash_restart ~make:Harness.Algo.eq_aso.make
-      ~check:Harness.Runner.check_linearizable 5
+      ~mode:Harness.Algo.eq_aso.consistency 5
   in
   ()
 
 let test_sso_crash_restart () =
   let (_ : Harness.Runner.outcome) =
     run_crash_restart ~make:Harness.Algo.sso.make
-      ~check:Harness.Runner.check_sequential 5
+      ~mode:Harness.Algo.sso.consistency 5
   in
   ()
 
@@ -286,8 +286,7 @@ let test_eq_aso_crash_restart_lost_suffix () =
         | None -> Alcotest.fail "make never ran")
   in
   let (_ : Harness.Runner.outcome) =
-    run_crash_restart ~configure ~make
-      ~check:Harness.Runner.check_linearizable 5
+    run_crash_restart ~configure ~make ~mode:Obs.Monitor.Atomic 5
   in
   ()
 

@@ -108,7 +108,7 @@ let run_checked ~seed ~crashes () =
       { Harness.Runner.n; f; delay = fixed; seed = Int64.of_int seed }
       ~workload ~adversary
   in
-  match Harness.Runner.check_linearizable outcome with
+  match Checker.Batch.check Obs.Monitor.Atomic outcome.history with
   | Ok () -> ()
   | Error e -> Alcotest.failf "stacked-aso: %s" e
 

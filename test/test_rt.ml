@@ -141,7 +141,7 @@ let test_sim_vs_rt_same_workload () =
     Harness.Runner.run ~make:Harness.Algo.eq_aso.make config ~workload
       ~adversary:Harness.Adversary.No_faults
   in
-  (match Checker.Batch.check ~n:wl_n Checker.Batch.Atomic outcome.history with
+  (match Checker.Batch.check ~n:wl_n Obs.Monitor.Atomic outcome.history with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("sim history rejected: " ^ e));
   (* rt side: same per-node schedule, submitted by one client thread
@@ -149,8 +149,8 @@ let test_sim_vs_rt_same_workload () =
   let s = Rt.Service.create ~algo:Rt.Service.Eq_aso ~n:wl_n ~f:1 () in
   Rt.Service.start s;
   let client node () =
-    for _ = 1 to rounds do
-      (match Rt.Service.update s ~node (Rt.Service.fresh_value s) with
+    for round = 1 to rounds do
+      (match Rt.Service.update s ~node ((node * rounds) + round) with
       | `Done -> ()
       | `Rejected | `Aborted ->
           Alcotest.fail "update crashed in failure-free run");
@@ -171,7 +171,7 @@ let test_sim_vs_rt_same_workload () =
     (List.length (History.completed h));
   Alcotest.(check int) "rt: nothing pending" 0
     (List.length (History.pending h));
-  match Checker.Batch.check ~n:wl_n Checker.Batch.Atomic h with
+  match Checker.Batch.check ~n:wl_n Obs.Monitor.Atomic h with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("rt history rejected: " ^ e)
 
@@ -182,18 +182,24 @@ let test_sim_vs_rt_same_workload () =
    operation left by the dead node. *)
 
 let test_rt_crash_run_linearizes () =
+  let s = Rt.Service.create ~algo:Rt.Service.Eq_aso ~n:4 ~f:1 () in
+  let d = Rt.Service.deployment s in
+  Rt.Service.start s;
   let r =
-    Rt.Service.run ~algo:Rt.Service.Eq_aso ~n:4 ~f:1 ~clients:6 ~secs:0.3
-      ~crash:[ 0 ] ~crash_after:0.1 ()
+    Load.run
+      ~faults:(Load.faults ~n:4 ~f:1 ~crash_at:0.1 [ 0 ])
+      d ~clients:6 ~secs:0.3 ~scan_fraction:0.2 ~seed:42
   in
-  Alcotest.(check (list int)) "node 0 crashed" [ 0 ] r.crashed_nodes;
+  Rt.Service.stop s;
+  let h = Rt.Service.history s in
+  Alcotest.(check (list int)) "node 0 crashed" [ 0 ] r.crashed;
   Alcotest.(check bool)
     "work completed despite the crash" true
     (r.completed_updates + r.completed_scans > 0);
   Alcotest.(check bool)
     "at most one pending op at the crashed node" true
-    (List.length (History.pending r.history) <= 1);
-  match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n:4 r.history with
+    (List.length (History.pending h) <= 1);
+  match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n:4 h with
   | Ok () -> ()
   | Error v ->
       Alcotest.fail

@@ -200,7 +200,7 @@ let prop_eq_aso_random_everything =
                Harness.Adversary.Crash_k_random { k = 2; window = 12.0 }
              else Harness.Adversary.No_faults)
       in
-      Result.is_ok (Harness.Runner.check_linearizable outcome))
+      Result.is_ok (Checker.Batch.check Obs.Monitor.Atomic outcome.history))
 
 let test_campaign_clean () =
   let report =

@@ -420,7 +420,7 @@ let test_watchdog_quiet_on_healthy_run () =
            { groups = [ [ 0 ]; [ 1; 2; 3; 4 ] ]; from_ = 1.0; until = 6.0 })
   in
   Alcotest.(check (result unit string)) "linearizable" (Ok ())
-    (Harness.Runner.check_linearizable outcome);
+    (Checker.Batch.check Obs.Monitor.Atomic outcome.history);
   Alcotest.(check bool) "partition visibly delayed traffic" true
     (outcome.net.wire_cut > 0)
 
