@@ -573,8 +573,9 @@ let table_chaos () =
         List.map
           (fun (drop, dup, reorder, part_span) ->
             Harness.Scenario.chaos_cells
-              (Harness.Scenario.chaos ~algo ~n:6 ~k:1 ~drop ~dup ~reorder
-                 ~part_span ~ops_per_node:4 ~seed))
+              (Harness.Scenario.chaos ~algo ~n:6 ~k:1
+                 ~faults:{ drop; dup; reorder } ~part_span ~ops_per_node:4
+                 ~seed))
           [
             (0.0, 0.0, 0.0, 0.);
             (0.1, 0.1, 0.1, 0.);

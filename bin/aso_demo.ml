@@ -5,7 +5,6 @@
      aso_demo run --algo eq-aso --nodes 9 --crashes 3 --ops 6
      aso_demo fig1
      aso_demo fig2
-     aso_demo table1
      aso_demo sweep --algo eq-aso
      aso_demo serve eq-aso --nodes 4 --clients 8 --secs 2 *)
 
@@ -53,6 +52,34 @@ let scan_frac_arg =
   Arg.(
     value & opt float 0.5
     & info [ "scan-fraction" ] ~docv:"P" ~doc:"Probability an op is a SCAN.")
+
+(* The one link-fault vocabulary, for every subcommand that injects
+   faults: the sim's lossy substrate (causal, chaos, explore) and the
+   socket backend (dist-node, dist-serve). *)
+let rate_conv =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (Chan.rate_of_string s)),
+      fun ppf p -> Format.pp_print_string ppf (Chan.string_of_rate p) )
+
+let faults_term ?(default = Chan.no_faults) () =
+  let rate name p doc =
+    Arg.(value & opt rate_conv p & info [ name ] ~docv:"P" ~doc)
+  in
+  Term.(
+    const (fun drop dup reorder -> { Chan.drop; dup; reorder })
+    $ rate "drop" default.drop
+        "Per-packet loss probability, in [0, 1). On the simulator every \
+         positive rate is a per-packet coin flip (a choice point under \
+         explore); on dist-node it applies to each data frame sent."
+    $ rate "dup" default.dup "Per-packet duplication probability."
+    $ rate "reorder" default.reorder
+        "Per-packet reordering probability (dist holds the frame back \
+         for up to 5 ms).")
+
+(* Zero faults select the ideal network, any fault the lossy stack. *)
+let substrate_of faults =
+  if faults = Chan.no_faults then Sim.Network.Ideal
+  else Sim.Network.Lossy faults
 
 (* ---- run: generic workload ----------------------------------------- *)
 
@@ -207,37 +234,7 @@ let fig2_cmd =
   Cmd.v (Cmd.info "fig2" ~doc:"Replay the paper's Figure 2 worked example.")
     Term.(const fig2_impl $ const ())
 
-(* ---- table1 / sweep -------------------------------------------------- *)
-
-let table1_impl () =
-  let k = 6 in
-  let seed = 424242L in
-  let rows =
-    List.map
-      (fun (algo : Harness.Algo.t) ->
-        let worst = Harness.Scenario.chain_storm ~algo ~k ~rounds:1 ~seed in
-        let amort = Harness.Scenario.chain_storm ~algo ~k ~rounds:12 ~seed in
-        [
-          algo.name;
-          algo.paper_row;
-          Harness.Table.cell_f worst.worst_update;
-          Harness.Table.cell_f amort.mean_update;
-          Harness.Table.cell_f worst.worst_scan;
-          Harness.Table.cell_f amort.mean_scan;
-        ])
-      Harness.Algo.all
-  in
-  Harness.Table.print
-    ~title:(Printf.sprintf "Table I — failure-chain adversary, k=%d" k)
-    ~header:
-      [ "algorithm"; "paper row"; "upd worst"; "upd amortized"; "scan worst";
-        "scan amortized" ]
-    rows
-
-let table1_cmd =
-  Cmd.v
-    (Cmd.info "table1" ~doc:"Regenerate Table I (worst and amortized times).")
-    Term.(const table1_impl $ const ())
+(* ---- sweep: the one CSV export ------------------------------------- *)
 
 let sweep_impl (algo : Harness.Algo.t) csv =
   let header = [ "k_budget"; "k_actual"; "upd_worst_D"; "scan_worst_D"; "msgs" ] in
@@ -340,7 +337,7 @@ let mutation_conv =
     (List.map (fun m -> (Mc.Mutants.to_string m, m)) Mc.Mutants.all)
 
 let causal_impl (algo : Harness.Algo.t) n k ops seed out trace_out mutation
-    drop dup reorder =
+    faults =
   let f = Quorum.max_crash_faults n in
   if k > f then (
     Format.eprintf "error: k=%d exceeds f=%d for n=%d@." k f n;
@@ -355,11 +352,7 @@ let causal_impl (algo : Harness.Algo.t) n k ops seed out trace_out mutation
     if k = 0 then Harness.Adversary.No_faults
     else Harness.Adversary.Crash_k_random { k; window = 10.0 }
   in
-  let substrate =
-    if drop > 0. || dup > 0. || reorder > 0. then
-      Sim.Network.Lossy { Sim.Link.drop; dup; reorder }
-    else Sim.Network.Ideal
-  in
+  let substrate = substrate_of faults in
   let config =
     { Harness.Runner.n; f; delay = Harness.Runner.Fixed_d 1.0; seed = seed64 }
   in
@@ -464,22 +457,11 @@ let causal_cmd =
               ~doc:
                 "Arm a seeded eq-aso protocol bug so the monitor has \
                  something to catch.")
-      $ Arg.(
-          value & opt float 0.0
-          & info [ "drop" ] ~docv:"P"
-              ~doc:"Lossy substrate with this per-packet drop probability.")
-      $ Arg.(
-          value & opt float 0.0
-          & info [ "dup" ] ~docv:"P" ~doc:"Per-packet duplication probability.")
-      $ Arg.(
-          value & opt float 0.0
-          & info [ "reorder" ] ~docv:"P"
-              ~doc:"Per-packet reordering probability."))
+      $ faults_term ())
 
 (* ---- chaos: lossy substrate, partitions, chaos sweep ----------------- *)
 
-let chaos_impl (algo : Harness.Algo.t) n k ops seed all drop dup reorder
-    part_span =
+let chaos_impl (algo : Harness.Algo.t) n k ops seed all faults part_span =
   let seed64 = Int64.of_int seed in
   let algos = if all then Harness.Algo.all else [ algo ] in
   Format.printf
@@ -494,14 +476,14 @@ let chaos_impl (algo : Harness.Algo.t) n k ops seed all drop dup reorder
     List.map
       (fun algo ->
         Harness.Scenario.chaos_cells
-          (Harness.Scenario.chaos ~algo ~n ~k ~drop ~dup ~reorder ~part_span
+          (Harness.Scenario.chaos ~algo ~n ~k ~faults ~part_span
              ~ops_per_node:ops ~seed:seed64))
       algos
   in
   Harness.Table.print
     ~title:
-      (Printf.sprintf "Chaos runs (n=%d, drop=%.2f, partition %g D)" n drop
-         part_span)
+      (Printf.sprintf "Chaos runs (n=%d, drop=%.2f, partition %g D)" n
+         faults.drop part_span)
     ~header:Harness.Scenario.chaos_header rows
 
 let chaos_cmd =
@@ -518,16 +500,7 @@ let chaos_cmd =
       $ Arg.(
           value & flag
           & info [ "all" ] ~doc:"Run every algorithm, not just --algo.")
-      $ Arg.(
-          value & opt float 0.2
-          & info [ "drop" ] ~docv:"P" ~doc:"Per-packet drop probability.")
-      $ Arg.(
-          value & opt float 0.1
-          & info [ "dup" ] ~docv:"P" ~doc:"Per-packet duplication probability.")
-      $ Arg.(
-          value & opt float 0.1
-          & info [ "reorder" ] ~docv:"P"
-              ~doc:"Per-packet reordering probability.")
+      $ faults_term ~default:{ drop = 0.2; dup = 0.1; reorder = 0.1 } ()
       $ Arg.(
           value & opt float 4.0
           & info [ "partition" ] ~docv:"SPAN"
@@ -570,13 +543,8 @@ let fuzz_cmd =
    so a saved counterexample replays the exact system that produced
    it. *)
 let spec_of_args (algo : Harness.Algo.t) n ops seed scan_fraction max_gap
-    two_op crash_nodes crash_bound restart_nodes restart_bound mutation drop
-    dup reorder monitor =
-  let substrate =
-    if drop > 0. || dup > 0. || reorder > 0. then
-      Mc.Replay.Lossy { drop; dup; reorder }
-    else Mc.Replay.Ideal
-  in
+    two_op crash_nodes crash_bound restart_nodes restart_bound mutation faults
+    monitor =
   (* Choice 0 is [-1] ("never crash") so the default schedule is the
      failure-free run; choices 1..bound crash before that engine step. *)
   let crash_steps = Array.append [| -1 |] (Array.init crash_bound Fun.id) in
@@ -599,7 +567,7 @@ let spec_of_args (algo : Harness.Algo.t) n ops seed scan_fraction max_gap
       (match two_op with
       | None -> Mc.Replay.Random
       | Some gap -> Mc.Replay.Pair { updater = 0; scanner = 1; gap });
-    substrate;
+    substrate = substrate_of faults;
     crashes = List.map (fun node -> (node, crash_steps)) crash_nodes;
     restarts = List.map (fun node -> (node, restart_steps)) restart_nodes;
     mutation;
@@ -608,11 +576,10 @@ let spec_of_args (algo : Harness.Algo.t) n ops seed scan_fraction max_gap
 
 let explore_impl algo n ops seed scan_fraction max_gap two_op max_schedules
     depth random crash_nodes crash_bound restart_nodes restart_bound mutation
-    drop dup reorder monitor out =
+    faults monitor out =
   let spec =
     spec_of_args algo n ops seed scan_fraction max_gap two_op crash_nodes
-      crash_bound restart_nodes restart_bound mutation drop dup reorder
-      monitor
+      crash_bound restart_nodes restart_bound mutation faults monitor
   in
   match Mc.Replay.to_sys spec with
   | Error e ->
@@ -725,18 +692,7 @@ let explore_cmd =
               ~doc:
                 "Arm a seeded eq-aso protocol bug: quorum-off-by-one, \
                  skip-write-tag or stale-renewal.")
-      $ Arg.(
-          value & opt float 0.0
-          & info [ "drop" ] ~docv:"P"
-              ~doc:
-                "Lossy substrate with per-packet drops as choice points \
-                 (P only gates which links participate).")
-      $ Arg.(
-          value & opt float 0.0
-          & info [ "dup" ] ~docv:"P" ~doc:"Duplication choice points.")
-      $ Arg.(
-          value & opt float 0.0
-          & info [ "reorder" ] ~docv:"P" ~doc:"Reordering choice points.")
+      $ faults_term ()
       $ Arg.(
           value & flag
           & info [ "monitor" ]
@@ -1252,72 +1208,8 @@ let stats_cmd =
 
 (* ---- dist-node / dist-serve: multi-process socket backend ---------- *)
 
-(* The chaos knobs are shared verbatim between dist-node (what a worker
-   actually applies) and dist-serve (which forwards them to every worker
-   it spawns). *)
-let chaos_drop_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "chaos-drop" ] ~docv:"P"
-        ~doc:"Drop each data frame with probability P (sender side).")
-
-let chaos_dup_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "chaos-dup" ] ~docv:"P"
-        ~doc:"Write each data frame twice with probability P.")
-
-let chaos_delay_prob_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "chaos-delay-prob" ] ~docv:"P"
-        ~doc:"Hold each data frame back with probability P.")
-
-let chaos_delay_ms_arg =
-  Arg.(
-    value & opt string "0:5"
-    & info [ "chaos-delay-ms" ] ~docv:"A:B"
-        ~doc:
-          "Delay window in milliseconds (uniform in [A, B]) for frames \
-           selected by --chaos-delay-prob.")
-
-let chaos_seed_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "chaos-seed" ] ~docv:"SEED" ~doc:"Chaos PRNG seed.")
-
-let parse_chaos ~drop ~dup ~delay_prob ~delay_ms ~seed =
-  let delay_min, delay_max =
-    match String.index_opt delay_ms ':' with
-    | Some i -> (
-        let a = String.sub delay_ms 0 i in
-        let b =
-          String.sub delay_ms (i + 1) (String.length delay_ms - i - 1)
-        in
-        match (float_of_string_opt a, float_of_string_opt b) with
-        | Some a, Some b when 0. <= a && a <= b -> (a *. 1e-3, b *. 1e-3)
-        | _ ->
-            Format.eprintf "error: --chaos-delay-ms wants A:B milliseconds@.";
-            exit 1)
-    | None ->
-        Format.eprintf "error: --chaos-delay-ms wants A:B milliseconds@.";
-        exit 1
-  in
-  let c =
-    {
-      Dist.Chaos.drop;
-      dup;
-      delay_prob;
-      delay_min;
-      delay_max;
-      cut = None;
-      seed;
-    }
-  in
-  if Dist.Chaos.is_active c then Some c else None
-
-let dist_node_impl algo_name me peers f_opt wal recover telemetry chaos_drop
-    chaos_dup chaos_delay_prob chaos_delay_ms chaos_seed =
+let dist_node_impl algo_name me peers f_opt wal recover telemetry faults
+    seed =
   let algo = wall_algo algo_name in
   let eps =
     peers |> String.split_on_char ','
@@ -1334,13 +1226,9 @@ let dist_node_impl algo_name me peers f_opt wal recover telemetry chaos_drop
     Format.eprintf "error: --me %d out of range for %d peers@." me n;
     exit 1);
   let f = Option.value f_opt ~default:(wall_f n) in
-  let chaos =
-    parse_chaos ~drop:chaos_drop ~dup:chaos_dup ~delay_prob:chaos_delay_prob
-      ~delay_ms:chaos_delay_ms ~seed:chaos_seed
-  in
   let t =
-    Dist.Node_main.start ?telemetry
-      { Dist.Node_main.me; eps; f; algo; wal; recover; chaos }
+    Dist.Node_main.start ?telemetry ~seed
+      { Dist.Node_main.me; eps; f; algo; wal; recover; chaos = Some faults }
   in
   (* Graceful shutdown: SIGTERM/SIGINT post a Stop behind whatever is in
      the mailbox, so in-flight operations complete and the exit status
@@ -1415,12 +1303,10 @@ let dist_node_cmd =
               ~doc:
                 "Serve this node's metrics (Prometheus text exposition) \
                  over HTTP on HOST:PORT.")
-      $ chaos_drop_arg $ chaos_dup_arg $ chaos_delay_prob_arg
-      $ chaos_delay_ms_arg $ chaos_seed_arg)
+      $ faults_term () $ seed_arg)
 
 let dist_serve_impl algo_name nodes clients secs kill dir tcp_base
-    scan_fraction seed chaos_drop chaos_dup chaos_delay_prob chaos_delay_ms
-    chaos_seed =
+    scan_fraction seed link_faults =
   let algo = wall_algo algo_name in
   let f = wall_f nodes in
   (* Kill the highest node ids: client c's home is node c mod n, so
@@ -1430,22 +1316,14 @@ let dist_serve_impl algo_name nodes clients secs kill dir tcp_base
     fault_plan ~n:nodes ~f ~crash_at:(secs *. 0.5) ~restart_at:(secs *. 0.75)
       (List.init kill (fun j -> nodes - 1 - j))
   in
-  let chaos =
-    parse_chaos ~drop:chaos_drop ~dup:chaos_dup ~delay_prob:chaos_delay_prob
-      ~delay_ms:chaos_delay_ms ~seed:chaos_seed
-  in
   Format.printf "backend     : dist (%d worker processes over %s)@." nodes
     (match tcp_base with
     | Some base -> Printf.sprintf "tcp 127.0.0.1:%d+" base
     | None -> "unix sockets");
   Format.printf "algorithm   : %s (f = %d)@." (Rt.Service.algo_name algo) f;
-  (match chaos with
-  | Some c ->
-      Format.printf
-        "chaos       : drop %.2f  dup %.2f  delay p=%.2f [%g, %g] ms@."
-        c.Dist.Chaos.drop c.dup c.delay_prob (c.delay_min *. 1e3)
-        (c.delay_max *. 1e3)
-  | None -> ());
+  if link_faults <> Chan.no_faults then
+    Format.printf "link faults : drop %.2f  dup %.2f  reorder %.2f@."
+      link_faults.drop link_faults.dup link_faults.reorder;
   if kill > 0 then
     Format.printf
       "fault plan  : SIGKILL %d node(s) at half-time, respawn with \
@@ -1459,7 +1337,8 @@ let dist_serve_impl algo_name nodes clients secs kill dir tcp_base
         f;
         dir;
         tcp_base;
-        chaos;
+        link_faults;
+        seed;
         worker_argv = [| Sys.executable_name; "dist-node" |];
       }
   in
@@ -1549,8 +1428,7 @@ let dist_serve_cmd =
               ~doc:
                 "Use tcp 127.0.0.1 endpoints on PORT, PORT+1, ... \
                  instead of unix sockets.")
-      $ scan_frac_arg $ seed_arg $ chaos_drop_arg $ chaos_dup_arg
-      $ chaos_delay_prob_arg $ chaos_delay_ms_arg $ chaos_seed_arg)
+      $ scan_frac_arg $ seed_arg $ faults_term ())
 
 (* The ONE subcommand table: the group's command list and the no-args /
    --help enumeration are both derived from it, so a new subcommand
@@ -1561,7 +1439,6 @@ let subcommands =
     (run_cmd, "random workload + check");
     (fig1_cmd, "worked example");
     (fig2_cmd, "worked example");
-    (table1_cmd, "paper's comparison table");
     (sweep_cmd, "latency sweeps");
     (trace_cmd, "Perfetto export");
     (causal_cmd, "vector-clock causal monitor");

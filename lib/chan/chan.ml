@@ -108,3 +108,23 @@ let rx_buffered t = Hashtbl.length t.ooo
 let rx_reset t =
   t.expected <- 0;
   Hashtbl.reset t.ooo
+
+type faults = { drop : float; dup : float; reorder : float }
+
+let no_faults = { drop = 0.; dup = 0.; reorder = 0. }
+
+let rate_ok p = 0. <= p && p < 1.
+
+let validate f =
+  if rate_ok f.drop && rate_ok f.dup && rate_ok f.reorder then Ok f
+  else Error "fault probabilities must lie in [0, 1)"
+
+let rate_of_string s =
+  match float_of_string_opt (String.trim s) with
+  | None -> Error (Printf.sprintf "%S is not a number" s)
+  | Some p ->
+      Result.map (fun f -> f.drop) (validate { no_faults with drop = p })
+
+let string_of_rate p =
+  let s = Printf.sprintf "%.15g" p in
+  if float_of_string s = p then s else Printf.sprintf "%.17g" p

@@ -72,3 +72,29 @@ val rx_buffered : 'm rx -> int
 val rx_reset : 'm rx -> unit
 (** The peer is a fresh incarnation: expect a channel renumbered
     from 0. *)
+
+(** {2 Link faults}
+
+    The one fault vocabulary for the wire underneath a channel. Two
+    interpreters read it: [Sim.Link] turns each rate into a virtual-time
+    choice point per packet, and [Dist.Net] into a sender-side verdict
+    per data frame. *)
+
+type faults = {
+  drop : float;  (** probability a transmission is lost *)
+  dup : float;  (** probability a transmission goes out twice *)
+  reorder : float;
+      (** probability a transmission is held back so later ones can
+          overtake it *)
+}
+
+val no_faults : faults
+
+val validate : faults -> (faults, string) result
+(** [Ok] iff every rate lies in [[0, 1)] ([nan] does not). *)
+
+val rate_of_string : string -> (float, string) result
+(** Parse one rate and validate it. The inverse of {!string_of_rate}. *)
+
+val string_of_rate : float -> string
+(** The shortest decimal that reads back as the same float. *)

@@ -42,9 +42,7 @@ let instance ?(restart = no_persistence) ?(is_recovering = fun _ -> false)
     messages = (fun () -> Sim.Network.messages_sent net);
     partition = (fun groups -> Sim.Network.partition net groups);
     heal = (fun () -> Sim.Network.heal net);
-    set_link_faults =
-      (fun ~drop ~dup ~reorder ->
-        Sim.Network.set_link_faults net { Sim.Link.drop; dup; reorder });
+    set_link_faults = Sim.Network.set_link_faults net;
     net_stats = net_stats net;
     metrics = (fun () -> Obs.Metrics.snapshot (Sim.Network.metrics net));
     dump_net = (fun ppf -> Sim.Network.pp_state ppf net);

@@ -1,5 +1,6 @@
 type t = {
   cfg : int -> Node_main.config;
+  seed : int option;
   nodes : Node_main.t array;
   threads : Thread.t array;
   up : bool Atomic.t array;
@@ -8,7 +9,7 @@ type t = {
   metrics : Obs.Metrics.t;
 }
 
-let start ?chaos ?(wal = false) ~algo ~n ~f ~dir () =
+let start ?chaos ?seed ?(wal = false) ~algo ~n ~f ~dir () =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let eps =
     Array.init n (fun i ->
@@ -27,10 +28,11 @@ let start ?chaos ?(wal = false) ~algo ~n ~f ~dir () =
       chaos;
     }
   in
-  let nodes = Array.init n (fun i -> Node_main.start (cfg i)) in
+  let nodes = Array.init n (fun i -> Node_main.start ?seed (cfg i)) in
   let threads = Array.map (fun nd -> Thread.create Node_main.run nd) nodes in
   {
     cfg;
+    seed;
     nodes;
     threads;
     up = Array.init n (fun _ -> Atomic.make true);
@@ -53,7 +55,8 @@ let crash t i =
 let restart t i =
   if (t.cfg i).wal = None then
     invalid_arg "Dist.Local.restart: the cluster was started without WALs";
-  t.nodes.(i) <- Node_main.start { (t.cfg i) with recover = true };
+  t.nodes.(i) <-
+    Node_main.start ?seed:t.seed { (t.cfg i) with recover = true };
   t.threads.(i) <- Thread.create Node_main.run t.nodes.(i);
   Atomic.set t.up.(i) true
 

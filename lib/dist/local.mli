@@ -7,7 +7,8 @@
 type t
 
 val start :
-  ?chaos:Chaos.t ->
+  ?chaos:Chan.faults ->
+  ?seed:int ->
   ?wal:bool ->
   algo:Rt.Service.algo ->
   n:int ->
@@ -16,7 +17,9 @@ val start :
   unit ->
   t
 (** Unix-socket endpoints (and WALs, when [wal]) under [dir], which is
-    created if needed. Returns once every node is listening. *)
+    created if needed. Every node gets [chaos] and [seed] and rolls its
+    own fault dice from [(seed, id)]. Returns once every node is
+    listening. *)
 
 val net : t -> int -> Net.t
 (** Node [i]'s network stack (metrics live there). *)

@@ -5,8 +5,8 @@ let now_ns () = Int64.to_int (Monotonic_clock.now ())
 (* Per-peer outbound state: the dialer/writer thread owns the
    connection; [mu] guards everything else. [tx_gen] bumps when the
    peer comes back as a new process (sequence numbers restarted), so
-   stale acks and stale chaos-delayed frames from the previous
-   numbering can be recognized and dropped. *)
+   stale acks and stale held-back frames from the previous numbering
+   can be recognized and dropped. *)
 type peer = {
   dst : int;
   pmu : Mutex.t;
@@ -26,6 +26,15 @@ type inbound = {
   mutable iboot : int option;
 }
 
+type verdict = Pass | Drop | Duplicate | Hold of float
+
+(* The sender-side fault dice: one stream per node, shared by its
+   writer threads. *)
+type dice = { faults : Chan.faults; rng : Random.State.t; mu : Mutex.t }
+
+(* How long [reorder] holds a frame back: later frames overtake it. *)
+let reorder_window = 0.005
+
 type t = {
   me : int;
   n : int;
@@ -34,7 +43,7 @@ type t = {
   node : msg Rt.Node.t;
   peers : peer option array;
   inbound : inbound array;
-  chaos : Chaos.state option;
+  dice : dice option;
   t0 : int64;
   metrics : Obs.Metrics.t;
   c_sent : Obs.Metrics.counter;
@@ -44,9 +53,9 @@ type t = {
   c_retx : Obs.Metrics.counter;
   c_acks : Obs.Metrics.counter;
   c_reconnects : Obs.Metrics.counter;
-  c_chaos_drop : Obs.Metrics.counter;
-  c_chaos_dup : Obs.Metrics.counter;
-  c_chaos_delay : Obs.Metrics.counter;
+  c_lost : Obs.Metrics.counter;
+  c_duplicated : Obs.Metrics.counter;
+  c_reordered : Obs.Metrics.counter;
   stopping : bool Atomic.t;
   mutable listener : Unix.file_descr option;
   mutable threads : Thread.t list;
@@ -57,16 +66,19 @@ type t = {
   mutable delayed : (float * peer * int * Wire.frame) list;
 }
 
-let create ?chaos ~me ~eps () =
+let create ?(faults = Chan.no_faults) ?(seed = 1) ~me ~eps () =
   let n = Array.length eps in
   if me < 0 || me >= n then invalid_arg "Net.create: me out of range";
   (* A peer writing into our dead socket must not kill the process. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let metrics = Obs.Metrics.create () in
-  let chaos =
-    match chaos with
-    | Some c when Chaos.is_active c -> Some (Chaos.make c)
-    | _ -> None
+  let dice =
+    match Chan.validate faults with
+    | Error e -> invalid_arg ("Dist.Net: " ^ e)
+    | Ok f when f = Chan.no_faults -> None
+    | Ok f ->
+        let rng = Random.State.make [| seed; me |] in
+        Some { faults = f; rng; mu = Mutex.create () }
   in
   {
     me;
@@ -94,7 +106,7 @@ let create ?chaos ~me ~eps () =
     inbound =
       Array.init n (fun _ ->
           { imu = Mutex.create (); irx = Chan.rx (); iboot = None });
-    chaos;
+    dice;
     t0 = Monotonic_clock.now ();
     metrics;
     c_sent = Obs.Metrics.counter metrics "net.sent";
@@ -104,9 +116,9 @@ let create ?chaos ~me ~eps () =
     c_retx = Obs.Metrics.counter metrics "dist.retransmits";
     c_acks = Obs.Metrics.counter metrics "dist.acks_sent";
     c_reconnects = Obs.Metrics.counter metrics "dist.reconnects";
-    c_chaos_drop = Obs.Metrics.counter metrics "dist.chaos_dropped";
-    c_chaos_dup = Obs.Metrics.counter metrics "dist.chaos_dupped";
-    c_chaos_delay = Obs.Metrics.counter metrics "dist.chaos_delayed";
+    c_lost = Obs.Metrics.counter metrics "link.wire_lost";
+    c_duplicated = Obs.Metrics.counter metrics "link.duplicated";
+    c_reordered = Obs.Metrics.counter metrics "link.reordered";
     stopping = Atomic.make false;
     listener = None;
     threads = [];
@@ -124,6 +136,22 @@ let metrics t = t.metrics
 
 let now t =
   Int64.to_float (Int64.sub (Monotonic_clock.now ()) t.t0) *. 1e-9
+
+let judge t =
+  match t.dice with
+  | None -> Pass
+  | Some d ->
+      Mutex.lock d.mu;
+      let hit p = p > 0. && Random.State.float d.rng 1.0 < p in
+      let v =
+        if hit d.faults.drop then Drop
+        else if hit d.faults.dup then Duplicate
+        else if hit d.faults.reorder then
+          Hold (Random.State.float d.rng reorder_window)
+        else Pass
+      in
+      Mutex.unlock d.mu;
+      v
 
 let close_quietly fd =
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
@@ -173,9 +201,9 @@ let delay_frame t release p gen frame =
   t.delayed <- (release, p, gen, frame) :: t.delayed;
   Mutex.unlock t.dmu
 
-(* Release chaos-delayed frames back into their peer's queue once their
-   time comes. Polling at 5 ms is fine: delays are chaos-scale
-   (milliseconds), not protocol-scale. *)
+(* Release held-back frames into their peer's queue once their time
+   comes. Polling at 5 ms is fine: holds are at most [reorder_window],
+   far below the retransmission timeout. *)
 let delayer_loop t =
   while not (Atomic.get t.stopping) do
     let now_ = now t in
@@ -203,9 +231,10 @@ let write_data t p fd frame =
   ok
 
 (* Pop frames and put them on the wire until the connection dies or we
-   stop. Chaos applies to Data frames only — handshakes and acks always
-   go through, so faults exercise retransmission rather than jamming
-   connection establishment. A dropped frame simply stays unacked. *)
+   stop. Link faults apply to Data frames only — handshakes and acks
+   always go through, so faults exercise retransmission rather than
+   jamming connection establishment. A dropped frame simply stays
+   unacked. *)
 let writer_loop t p fd =
   let rec loop () =
     Mutex.lock p.pmu;
@@ -219,17 +248,17 @@ let writer_loop t p fd =
       let frame = Queue.pop p.outq in
       let gen = p.tx_gen in
       Mutex.unlock p.pmu;
-      (match (frame, t.chaos) with
-      | Wire.Data _, Some st -> (
-          match Chaos.judge st ~now:(now t) ~dst:p.dst with
-          | Chaos.Pass -> ignore (write_data t p fd frame)
-          | Chaos.Drop -> Obs.Metrics.incr t.c_chaos_drop
-          | Chaos.Duplicate ->
-              Obs.Metrics.incr t.c_chaos_dup;
+      (match frame with
+      | Wire.Data _ when t.dice <> None -> (
+          match judge t with
+          | Pass -> ignore (write_data t p fd frame)
+          | Drop -> Obs.Metrics.incr t.c_lost
+          | Duplicate ->
+              Obs.Metrics.incr t.c_duplicated;
               if write_data t p fd frame then
                 ignore (write_data t p fd frame)
-          | Chaos.Delay d ->
-              Obs.Metrics.incr t.c_chaos_delay;
+          | Hold d ->
+              Obs.Metrics.incr t.c_reordered;
               delay_frame t (now t +. d) p gen frame)
       | _ ->
           if not (Conn.write_frame fd frame) then mark_conn_dead p fd);
@@ -431,7 +460,7 @@ let start t =
   let spawn f = t.threads <- Thread.create f () :: t.threads in
   spawn (fun () -> accept_loop t listener);
   spawn (fun () -> retransmit_loop t);
-  if t.chaos <> None then spawn (fun () -> delayer_loop t);
+  if t.dice <> None then spawn (fun () -> delayer_loop t);
   Array.iter
     (function
       | None -> ()

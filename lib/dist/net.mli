@@ -19,15 +19,24 @@
     pump points, the execution contract every backend honours. Around
     it: an accept thread, one reader thread per live connection, one
     dialer/writer thread per peer, a retransmission timer, and (under
-    chaos) a delayer. All of them touch protocol state only by posting
-    mailbox items. *)
+    link faults) a delayer. All of them touch protocol state only by
+    posting mailbox items.
+
+    {e Link faults} ({!Chan.faults}) are applied on the sender side,
+    to [Data] frames only — never to the handshake or to acks, whose
+    loss the next retransmission covers anyway. [drop] skips the write
+    (the frame stays unacked), [dup] writes it twice, and [reorder]
+    holds it back for a uniform [\[0, 5 ms)] so later frames overtake
+    it. Counters: ["link.wire_lost"], ["link.duplicated"],
+    ["link.reordered"], the simulator's names. *)
 
 type msg = Wire.msg
 
 type t
 
 val create :
-  ?chaos:Chaos.t ->
+  ?faults:Chan.faults ->
+  ?seed:int ->
   me:int ->
   eps:Conn.endpoint array ->
   unit ->
@@ -35,12 +44,21 @@ val create :
 (** Build node [me] of the deployment described by [eps] (one endpoint
     per node, everyone agreeing on the array). Retransmission uses
     {!Chan}'s LAN timeouts (0.1 s, doubling to 2 s). Nothing listens
-    or dials until {!start}. *)
+    or dials until {!start}. The fault dice are seeded from
+    [(seed, me)] (default seed 1), so the nodes of one deployment draw
+    independent verdicts. @raise Invalid_argument on a rate outside
+    [[0, 1)]. *)
 
 val me : t -> int
 val size : t -> int
 val boot : t -> int
 val metrics : t -> Obs.Metrics.t
+
+type verdict = Pass | Drop | Duplicate | Hold of float  (** seconds *)
+
+val judge : t -> verdict
+(** Roll the dice for the next outgoing data frame. Thread-safe;
+    always [Pass] without faults. *)
 
 val backend : t -> msg Backend.net
 (** The engine surface ([backend_name = "dist"]). Only node [me]'s

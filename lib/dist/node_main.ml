@@ -5,7 +5,7 @@ type config = {
   algo : Rt.Service.algo;
   wal : string option;
   recover : bool;
-  chaos : Chaos.t option;
+  chaos : Chan.faults option;
 }
 
 (* Algorithm-agnostic operation surface over the local node — the same
@@ -50,10 +50,10 @@ let build_ops cfg backend =
         op_recover = (fun () -> Aso_core.Sso.recover a ~node:me);
       }
 
-let start ?telemetry cfg =
+let start ?telemetry ?seed cfg =
   if cfg.recover && cfg.wal = None then
     invalid_arg "Node_main.start: --recover needs a WAL";
-  let net = Net.create ?chaos:cfg.chaos ~me:cfg.me ~eps:cfg.eps () in
+  let net = Net.create ?faults:cfg.chaos ?seed ~me:cfg.me ~eps:cfg.eps () in
   (* create_on builds every node's state but only ours is driven; it
      installs our handler on the backend, which must precede Net.start
      (no traffic before the handler exists). *)

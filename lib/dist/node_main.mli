@@ -12,14 +12,15 @@ type config = {
   algo : Rt.Service.algo;
   wal : string option;  (** WAL path — enables persistence *)
   recover : bool;  (** replay the WAL and run the rejoin protocol first *)
-  chaos : Chaos.t option;
+  chaos : Chan.faults option;  (** link faults on this node's sends *)
 }
 
 type t
 
-val start : ?telemetry:string -> config -> t
+val start : ?telemetry:string -> ?seed:int -> config -> t
 (** Build the backend, instantiate the algorithm on it, install the
-    client handler, open sockets. With [?telemetry] (["HOST:PORT"]), a
+    client handler, open sockets. [seed] drives the link-fault dice
+    ({!Net.create}). With [?telemetry] (["HOST:PORT"]), a
     Prometheus exposition endpoint serves the node's metrics registry.
     The node is live once this returns, but operations only run once
     {!run} is looping. *)

@@ -169,7 +169,8 @@ type config = {
   f : int;
   dir : string;
   tcp_base : int option;
-  chaos : Chaos.t option;
+  link_faults : Chan.faults;
+  seed : int;
   worker_argv : string array;
 }
 
@@ -179,25 +180,6 @@ let endpoints cfg =
       | Some base -> Conn.Tcp_ep ("127.0.0.1", base + i)
       | None ->
           Conn.Unix_ep (Filename.concat cfg.dir (Printf.sprintf "node-%d.sock" i)))
-
-let chaos_flags = function
-  | None -> []
-  | Some (c : Chaos.t) ->
-      List.concat
-        [
-          (if c.drop > 0. then [ "--chaos-drop"; string_of_float c.drop ]
-           else []);
-          (if c.dup > 0. then [ "--chaos-dup"; string_of_float c.dup ] else []);
-          (if c.delay_prob > 0. then
-             [
-               "--chaos-delay-prob";
-               string_of_float c.delay_prob;
-               "--chaos-delay-ms";
-               Printf.sprintf "%g:%g" (c.delay_min *. 1e3) (c.delay_max *. 1e3);
-             ]
-           else []);
-          [ "--chaos-seed"; string_of_int c.seed ];
-        ]
 
 let spawn_node cfg eps ~recover i =
   let wal = Filename.concat cfg.dir (Printf.sprintf "node-%d.wal" i) in
@@ -221,7 +203,14 @@ let spawn_node cfg eps ~recover i =
             wal;
           ]
          @ (if recover then [ "--recover" ] else [])
-         @ chaos_flags cfg.chaos))
+         @ List.concat_map
+             (fun (flag, p) -> [ flag; Chan.string_of_rate p ])
+             [
+               ("--drop", cfg.link_faults.drop);
+               ("--dup", cfg.link_faults.dup);
+               ("--reorder", cfg.link_faults.reorder);
+             ]
+         @ [ "--seed"; string_of_int cfg.seed ]))
   in
   let out =
     Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644

@@ -75,7 +75,8 @@ type config = {
   f : int;
   dir : string;  (** run directory: sockets, WALs, per-node logs *)
   tcp_base : int option;  (** Some port: TCP endpoints instead of unix sockets *)
-  chaos : Chaos.t option;
+  link_faults : Chan.faults;  (** on every worker's sends *)
+  seed : int;  (** seeds the workers' fault dice, each with its own id *)
   worker_argv : string array;
       (** argv prefix that reaches [dist-node]'s flag parser — e.g.
           [[| Sys.executable_name; "dist-node" |]]; the supervisor

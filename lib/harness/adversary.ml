@@ -6,7 +6,7 @@ type t =
   | Crash_restart_at of (float * int * float) list
   | Crash_k_random of { k : int; window : float }
   | Chains of chain list
-  | Lossy of { drop : float; dup : float; reorder : float }
+  | Lossy of Chan.faults
   | Partition of { groups : int list list; from_ : float; until : float }
   | Compose of t list
 
@@ -63,10 +63,10 @@ let rec apply t ~rng ~engine instance =
         end
       done
   | Chains chains -> List.iter (arm_chain instance) chains
-  | Lossy { drop; dup; reorder } ->
+  | Lossy faults ->
       (* Immediate: the link is faulty from t = 0. Requires the lossy
          substrate (Instance.set_link_faults raises on Ideal). *)
-      instance.Instance.set_link_faults ~drop ~dup ~reorder
+      instance.Instance.set_link_faults faults
   | Partition { groups; from_; until } ->
       if until < from_ then invalid_arg "Adversary: partition heals before it starts";
       Sim.Engine.schedule engine ~delay:from_ (fun () ->

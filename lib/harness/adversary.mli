@@ -26,13 +26,13 @@ type t =
   | Crash_restart_at of (float * int * float) list
       (** [(crash_time, node, restart_time)]: crash the node, then
           revive it ([Instance.restart] — log replay + rejoin) at the
-          later time. Requires a restart-capable instance (EQ-ASO / SSO
-          with persistence) on the {!Sim.Network.Ideal} substrate;
-          raises [Invalid_argument] if [restart_time <= crash_time]. *)
+          later time, on either substrate. Requires a restart-capable
+          instance (EQ-ASO / SSO with persistence); raises
+          [Invalid_argument] if [restart_time <= crash_time]. *)
   | Crash_k_random of { k : int; window : float }
       (** [k] distinct random nodes at random times in [\[0, window)] *)
   | Chains of chain list
-  | Lossy of { drop : float; dup : float; reorder : float }
+  | Lossy of Chan.faults
       (** i.i.d. link faults from [t = 0]; requires running on the
           lossy substrate ([Runner.run ~substrate:(Lossy ...)]), raises
           [Invalid_argument] on the ideal network *)

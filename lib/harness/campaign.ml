@@ -98,7 +98,9 @@ let one_chaos_run (algo : Algo.t) rng run_index =
       run_index algo.Algo.name n k drop part_span verdict
   in
   match
-    Scenario.chaos ~algo ~n ~k ~drop ~dup:0.1 ~reorder:0.1 ~part_span
+    Scenario.chaos ~algo ~n ~k
+      ~faults:{ drop; dup = 0.1; reorder = 0.1 }
+      ~part_span
       ~ops_per_node:(2 + Sim.Rng.int rng 3)
       ~seed
   with

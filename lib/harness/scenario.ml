@@ -142,9 +142,7 @@ let random_crashes ~algo ~n ~k ~ops_per_node ~seed =
 
 type chaos_row = {
   c_algo : string;
-  drop : float;
-  dup : float;
-  reorder : float;
+  faults : Chan.faults;
   part_span : float;  (** partition duration in D; 0 = no partition *)
   c_k : int;
   c_ops : int;
@@ -159,7 +157,7 @@ type chaos_row = {
 let two_halves n =
   [ List.init (n / 2) Fun.id; List.init (n - (n / 2)) (fun i -> i + (n / 2)) ]
 
-let chaos ~algo ~n ~k ~drop ~dup ~reorder ~part_span ~ops_per_node ~seed =
+let chaos ~algo ~n ~k ~faults ~part_span ~ops_per_node ~seed =
   let f = (n - 1) / 2 in
   if k > f then invalid_arg "Scenario.chaos: k > f";
   let rng = Sim.Rng.create seed in
@@ -167,7 +165,7 @@ let chaos ~algo ~n ~k ~drop ~dup ~reorder ~part_span ~ops_per_node ~seed =
     Workload.random rng ~n ~ops_per_node ~scan_fraction:0.5 ~max_gap:4.0
   in
   let parts =
-    [ Adversary.Lossy { drop; dup; reorder } ]
+    [ Adversary.Lossy faults ]
     @ (if part_span > 0. then
          [
            Adversary.Partition
@@ -186,9 +184,7 @@ let chaos ~algo ~n ~k ~drop ~dup ~reorder ~part_span ~ops_per_node ~seed =
   in
   {
     c_algo = algo.Algo.name;
-    drop;
-    dup;
-    reorder;
+    faults;
     part_span;
     c_k = List.length outcome.crashed;
     c_ops = List.length (History.completed outcome.history);
@@ -207,9 +203,9 @@ let chaos_header =
 let chaos_cells r =
   [
     r.c_algo;
-    Printf.sprintf "%.2f" r.drop;
-    Printf.sprintf "%.2f" r.dup;
-    Printf.sprintf "%.2f" r.reorder;
+    Printf.sprintf "%.2f" r.faults.drop;
+    Printf.sprintf "%.2f" r.faults.dup;
+    Printf.sprintf "%.2f" r.faults.reorder;
     Table.cell_f r.part_span;
     string_of_int r.c_k;
     string_of_int r.c_ops;

@@ -65,9 +65,7 @@ val header : string list
 
 type chaos_row = {
   c_algo : string;
-  drop : float;
-  dup : float;
-  reorder : float;
+  faults : Chan.faults;
   part_span : float;  (** partition duration in D; 0 = none *)
   c_k : int;  (** crashes in the execution *)
   c_ops : int;  (** completed operations *)
@@ -83,19 +81,17 @@ val chaos :
   algo:Algo.t ->
   n:int ->
   k:int ->
-  drop:float ->
-  dup:float ->
-  reorder:float ->
+  faults:Chan.faults ->
   part_span:float ->
   ops_per_node:int ->
   seed:int64 ->
   chaos_row
-(** Random workload on the lossy substrate with drop/duplication/
-    reordering from [t = 0], an optional node-split partition over
-    [\[2 D, 2 D + part_span\]] that then heals, and [k] random crashes —
-    all composed. Runs under {!Runner.default_watchdog}, so a liveness
-    hang raises {!Runner.Stuck} with diagnostics instead of spinning;
-    the history is verified at the algorithm's consistency level as in
+(** Random workload on the lossy substrate with [faults] from [t = 0],
+    an optional node-split partition over [\[2 D, 2 D + part_span\]]
+    that then heals, and [k] random crashes — all composed. Runs under
+    {!Runner.default_watchdog}, so a liveness hang raises
+    {!Runner.Stuck} with diagnostics instead of spinning; the history is
+    verified at the algorithm's consistency level as in
     {!run_and_check}. Raises [Invalid_argument] if [k > (n-1)/2]. *)
 
 val chaos_cells : chaos_row -> string list

@@ -3,9 +3,7 @@
    in a line-based text format with no dependencies, so a counterexample
    artifact from CI can be replayed on any checkout. *)
 
-type substrate_spec =
-  | Ideal
-  | Lossy of { drop : float; dup : float; reorder : float }
+type substrate_spec = Sim.Network.substrate = Ideal | Lossy of Chan.faults
 
 type workload_spec =
   | Random
@@ -88,8 +86,9 @@ let save file spec =
   (match spec.substrate with
   | Ideal -> line "substrate ideal"
   | Lossy { drop; dup; reorder } ->
-      line "substrate lossy %s %s %s" (float_str drop) (float_str dup)
-        (float_str reorder));
+      line "substrate lossy %s"
+        (String.concat " "
+           (List.map Chan.string_of_rate [ drop; dup; reorder ])));
   (match spec.mutation with
   | None -> ()
   | Some m -> line "mutation %s" (Mutants.to_string m));
@@ -191,18 +190,11 @@ let parse_line spec line =
       | "substrate" -> (
           match String.split_on_char ' ' rest with
           | [ "ideal" ] -> Ok { spec with substrate = Ideal }
-          | [ "lossy"; d; u; r ] ->
-              Ok
-                {
-                  spec with
-                  substrate =
-                    Lossy
-                      {
-                        drop = float_of_string d;
-                        dup = float_of_string u;
-                        reorder = float_of_string r;
-                      };
-                }
+          | [ "lossy"; d; u; r ] -> (
+              match List.map Chan.rate_of_string [ d; u; r ] with
+              | [ Ok drop; Ok dup; Ok reorder ] ->
+                  Ok { spec with substrate = Lossy { drop; dup; reorder } }
+              | _ -> Error (Printf.sprintf "bad substrate line: %S" line))
           | _ -> Error (Printf.sprintf "bad substrate line: %S" line))
       | "mutation" -> (
           match Mutants.of_string rest with
@@ -289,16 +281,9 @@ let to_sys spec =
           seed = spec.seed;
         }
       in
-      let substrate, adversary =
-        match spec.substrate with
-        | Ideal -> (Sim.Network.Ideal, Harness.Adversary.No_faults)
-        | Lossy { drop; dup; reorder } ->
-            ( Sim.Network.Lossy { Sim.Link.drop; dup; reorder },
-              Harness.Adversary.No_faults )
-      in
       Ok
         (Explore.sys_of_algo ~crashes:spec.crashes ~restarts:spec.restarts
-           ~substrate ~adversary
+           ~substrate:spec.substrate
            ?mutation:spec.mutation ~monitor:spec.monitor ~config ~workload
            algo)
 

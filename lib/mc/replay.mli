@@ -11,14 +11,14 @@
     algo eq-aso
     n 3
     ...
-    substrate lossy 0.29999999999999999 0 0
+    substrate lossy 0.3 0 0
     crash 1 3,-1
     choices 0,0,1
     v} *)
 
-type substrate_spec =
+type substrate_spec = Sim.Network.substrate =
   | Ideal
-  | Lossy of { drop : float; dup : float; reorder : float }
+  | Lossy of Chan.faults  (** saved as [substrate lossy D U R] *)
 
 type workload_spec =
   | Random  (** {!Harness.Workload.random} seeded from [seed] *)

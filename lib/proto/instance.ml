@@ -31,7 +31,7 @@ type 'v t = {
   messages : unit -> int;
   partition : int list list -> unit;
   heal : unit -> unit;
-  set_link_faults : drop:float -> dup:float -> reorder:float -> unit;
+  set_link_faults : Chan.faults -> unit;
   net_stats : unit -> net_stats;
   metrics : unit -> Obs.Metrics.snapshot;
   dump_net : Format.formatter -> unit;

@@ -65,7 +65,7 @@ type 'v t = {
           adversaries). Raises [Invalid_argument] on the ideal
           substrate, where there is no link layer to cut. *)
   heal : unit -> unit;  (** Remove the partition. *)
-  set_link_faults : drop:float -> dup:float -> reorder:float -> unit;
+  set_link_faults : Chan.faults -> unit;
       (** Set the link-layer loss/duplication/reordering rates. Raises
           [Invalid_argument] on the ideal substrate. *)
   net_stats : unit -> net_stats;

@@ -1,11 +1,11 @@
-type faults = { drop : float; dup : float; reorder : float }
+type faults = Chan.faults
 
-let no_faults = { drop = 0.; dup = 0.; reorder = 0. }
+let no_faults = Chan.no_faults
 
-let check_faults { drop; dup; reorder } =
-  let ok p = 0. <= p && p < 1. in
-  if not (ok drop && ok dup && ok reorder) then
-    invalid_arg "Sim.Link: fault probabilities must lie in [0, 1)"
+let check_faults f =
+  match Chan.validate f with
+  | Ok _ -> ()
+  | Error e -> invalid_arg ("Sim.Link: " ^ e)
 
 type 'p event =
   | Wire_sent of { src : int; dst : int; at : float; packet : 'p }

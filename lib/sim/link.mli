@@ -14,15 +14,11 @@
     and no RNG draws, so the event schedule is identical. Loopback
     ([src = dst]) is immune to faults and partitions. *)
 
-type faults = {
-  drop : float;  (** per-transmission loss probability *)
-  dup : float;  (** probability a packet is transmitted twice *)
-  reorder : float;
-      (** probability a packet skips the FIFO clamp and takes a fresh
-          delay plus jitter in [\[0, D)], allowing overtakes *)
-}
-(** All probabilities in [[0, 1)]; i.i.d. per transmission, drawn from a
-    stream split off the engine RNG at creation. *)
+type faults = Chan.faults
+(** Each rate is i.i.d. per transmission, drawn from a stream split off
+    the engine RNG at creation: [drop] loses the packet; [dup] transmits
+    it twice; [reorder] skips the FIFO clamp and takes a fresh delay
+    plus jitter in [\[0, D)], allowing overtakes. *)
 
 val no_faults : faults
 

@@ -197,21 +197,23 @@ let crash t i =
 
 let on_restart t f = Queue.push f t.restart_hooks
 
-(* Restart = the same node id comes back up with empty volatile state;
-   only the ideal substrate supports it. [Transport.kill] discarded the
-   per-channel sequence state on both sides, so reviving a node over the
-   lossy stack would need the transport to run a reboot handshake
-   ([Chan.tx_reconnect]), which it does not yet drive — restarts against
-   it are a configuration bug, like [partition] against the ideal one. *)
+(* Restart = the same node id comes back up with empty volatile state.
+   On the lossy stack the transport starts a new incarnation, and the
+   stamps of messages the dead one sent or was sent will never be
+   delivered, so they go too. *)
 let restart t i =
   if t.crashed.(i) then begin
     (match t.backend with
     | Direct _ -> ()
-    | Stack _ ->
-        invalid_arg
-          "Sim.Network.restart: the lossy substrate cannot revive a node \
-           (its transport channel state was discarded at crash time); use \
-           the Ideal substrate for crash-restart runs");
+    | Stack tr ->
+        Transport.restart tr i;
+        Option.iter
+          (fun q ->
+            for j = 0 to t.n - 1 do
+              Queue.clear q.(i).(j);
+              Queue.clear q.(j).(i)
+            done)
+          t.stamps);
     t.crashed.(i) <- false;
     t.pending_bcast_crash.(i) <- None;
     (match t.causal with

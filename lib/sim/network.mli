@@ -106,11 +106,11 @@ val restart : _ t -> int -> unit
     whatever volatile state its handler closure still holds — the
     {e protocol} layer is responsible for resetting that state and
     recovering from its durable log before serving (see
-    [Proto.Instance.restart]). No-op when [i] is live.
-    @raise Invalid_argument on the {!Lossy} substrate: the transport
-    discarded [i]'s channel state at crash time, so revival would need a
-    connection-epoch handshake it does not implement. Crash-restart runs
-    use the {!Ideal} substrate. *)
+    [Proto.Instance.restart]). No-op when [i] is live. On the {!Lossy}
+    substrate the node comes back as a new transport incarnation
+    ({!Transport.restart}): whatever the dead incarnation left on the
+    wire is discarded, and channels in both directions restart from
+    sequence number 0. *)
 
 val on_restart : 'm t -> (int -> unit) -> unit
 (** Register a callback invoked (after state update) each time a node

@@ -1,4 +1,6 @@
-type 'm packet = Data of { seq : int; payload : 'm } | Ack of { upto : int }
+type 'm packet =
+  | Data of { epoch : int; seq : int; payload : 'm }
+  | Ack of { epoch : int; upto : int }
 
 type 'm t = {
   engine : Engine.t;
@@ -6,6 +8,10 @@ type 'm t = {
   link : 'm packet Link.t;
   handlers : (src:int -> 'm -> unit) array;
   dead : bool array;
+  (* Bumped by [restart]. A channel's epoch is the sum of its two ends'
+     incarnations: incarnations only grow, so the sum changes exactly
+     when either end has been restarted since the packet left. *)
+  incarnation : int array;
   tx : 'm Chan.tx array array; (* tx.(src).(dst) *)
   rx : 'm Chan.rx array array; (* rx.(dst).(src) *)
   (* Bumping a channel's generation cancels its outstanding timer: the
@@ -16,6 +22,8 @@ type 'm t = {
   retransmits : Obs.Metrics.counter;
   acks_sent : Obs.Metrics.counter;
 }
+
+let epoch t ~src ~dst = t.incarnation.(src) + t.incarnation.(dst)
 
 let fresh_tx link =
   let d = Link.delay_bound link in
@@ -47,7 +55,8 @@ let rec arm_timer t ~src ~dst =
                     ~args:
                       [ ("dst", Obs.Trace.Int dst); ("seq", Obs.Trace.Int seq) ]
                     "retransmit";
-                Link.send t.link ~src ~dst (Data { seq; payload }))
+                Link.send t.link ~src ~dst
+                  (Data { epoch = epoch t ~src ~dst; seq; payload }))
               frames;
             arm_timer t ~src ~dst)
 
@@ -66,7 +75,8 @@ let handle_data t ~me ~src ~seq payload =
      original ack may have been the packet that was lost. *)
   if not t.dead.(src) then begin
     Obs.Metrics.incr t.acks_sent;
-    Link.send t.link ~src:me ~dst:src (Ack { upto = Chan.rx_expected rx })
+    Link.send t.link ~src:me ~dst:src
+      (Ack { epoch = epoch t ~src:me ~dst:src; upto = Chan.rx_expected rx })
   end
 
 let handle_ack t ~me ~src ~upto =
@@ -87,6 +97,7 @@ let create ?faults ?metrics engine ~n ~delay =
       link;
       handlers = Array.make n (fun ~src:_ _ -> ());
       dead = Array.make n false;
+      incarnation = Array.make n 0;
       tx = Array.init n (fun _ -> Array.init n (fun _ -> fresh_tx link));
       rx = Array.init n (fun _ -> Array.init n (fun _ -> Chan.rx ()));
       timer_gen = Array.make_matrix n n 0;
@@ -97,11 +108,17 @@ let create ?faults ?metrics engine ~n ~delay =
     }
   in
   for i = 0 to n - 1 do
+    (* A packet whose channel epoch moved on was sent to or by an
+       incarnation that has since died: its numbering means nothing to
+       the fresh channel state, so it is discarded. *)
     Link.set_handler link i (fun ~src packet ->
         if not t.dead.(i) then
           match packet with
-          | Data { seq; payload } -> handle_data t ~me:i ~src ~seq payload
-          | Ack { upto } -> handle_ack t ~me:i ~src ~upto)
+          | Data { epoch = e; seq; payload } ->
+              if e = epoch t ~src ~dst:i then
+                handle_data t ~me:i ~src ~seq payload
+          | Ack { epoch = e; upto } ->
+              if e = epoch t ~src ~dst:i then handle_ack t ~me:i ~src ~upto)
   done;
   t
 
@@ -122,19 +139,35 @@ let send t ~src ~dst m =
     let idle = Chan.tx_unacked tx = 0 in
     let seq = Chan.tx_send tx ~now:(Engine.now t.engine) m in
     Obs.Metrics.incr t.data_sent;
-    Link.send t.link ~src ~dst (Data { seq; payload = m });
+    Link.send t.link ~src ~dst
+      (Data { epoch = epoch t ~src ~dst; seq; payload = m });
     if idle then arm_timer t ~src ~dst
   end
 
-(* The dead flag alone stops every timer touching [i]; dropping the
-   channel state frees it and keeps [pp_state] to live traffic. *)
+(* The dead flag stops every timer touching [i] while it is down, and
+   the generation bump keeps those timers dead after a restart; dropping
+   the channel state frees it and keeps [pp_state] to live traffic. *)
 let kill t i =
   if not t.dead.(i) then begin
     t.dead.(i) <- true;
     for j = 0 to t.n - 1 do
       t.tx.(i).(j) <- fresh_tx t.link;
       t.tx.(j).(i) <- fresh_tx t.link;
+      t.timer_gen.(i).(j) <- t.timer_gen.(i).(j) + 1;
+      t.timer_gen.(j).(i) <- t.timer_gen.(j).(i) + 1;
       Chan.rx_reset t.rx.(i).(j)
+    done
+  end
+
+(* The reboot path [Dist.Net] runs on a fresh [Hello] boot id: every
+   peer's receiver from [i] expects a channel renumbered from 0, and the
+   new incarnation fences off whatever the dead one left on the wire. *)
+let restart t i =
+  if t.dead.(i) then begin
+    t.dead.(i) <- false;
+    t.incarnation.(i) <- t.incarnation.(i) + 1;
+    for j = 0 to t.n - 1 do
+      Chan.rx_reset t.rx.(j).(i)
     done
   end
 

@@ -17,11 +17,17 @@
     event queue can drain. Consequently, over a {e faulty} link, a
     message whose sender crashes before it is acknowledged may be lost —
     exactly the weakening the reliable-channel assumption papers over,
-    and why the chaos campaign checks safety under crash + loss. *)
+    and why the chaos campaign checks safety under crash + loss.
+    {!restart} brings the node back as a new incarnation with fresh
+    channels in both directions. *)
 
-type 'm packet = Data of { seq : int; payload : 'm } | Ack of { upto : int }
+type 'm packet =
+  | Data of { epoch : int; seq : int; payload : 'm }
+  | Ack of { epoch : int; upto : int }
 (** Wire format. [Ack upto] is cumulative: every [Data] with [seq < upto]
-    was received in order. *)
+    was received in order. [epoch] is the channel's incarnation number
+    at send time (it grows whenever either end restarts); a packet
+    arriving under another epoch is discarded. *)
 
 type 'm t
 
@@ -53,6 +59,13 @@ val send : 'm t -> src:int -> dst:int -> 'm -> unit
 val kill : _ t -> int -> unit
 (** Crash node [i]: drop its send/receive state, cancel every
     retransmission timer touching it (both directions). Idempotent. *)
+
+val restart : _ t -> int -> unit
+(** Revive killed node [i] as a new incarnation: every peer's receiver
+    from [i] is reset, and packets still in flight to or from the dead
+    incarnation are discarded on arrival. Sends after the restart are
+    delivered exactly once and in order, as on any channel. No-op when
+    [i] is live. *)
 
 val retransmits : _ t -> int
 val acks_sent : _ t -> int

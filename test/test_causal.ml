@@ -114,7 +114,8 @@ let test_hb_ideal () =
 let test_hb_lossy () =
   let r, _ =
     recorded_run
-      ~substrate:(Sim.Network.Lossy { Sim.Link.drop = 0.2; dup = 0.1; reorder = 0.1 })
+      ~substrate:
+        (Sim.Network.Lossy { Chan.drop = 0.2; dup = 0.1; reorder = 0.1 })
       7L
   in
   check_hb_vs_delivery r

@@ -218,6 +218,30 @@ let chan_matches_model =
           (Chan.rx_buffered rx);
       true)
 
+(* ---- link-fault rates ------------------------------------------------ *)
+
+(* The one rate parser every CLI flag, the dist worker argv and the
+   replay file go through: [0, 1) only, and it reads back what the
+   printer writes. *)
+let test_rate_parser () =
+  List.iter
+    (fun s ->
+      match Chan.rate_of_string s with
+      | Ok p -> Alcotest.failf "accepted %S as %g" s p
+      | Error _ -> ())
+    [ "-0.1"; "1.0"; "nan"; "1.5"; "x" ];
+  List.iter
+    (fun (s, p) ->
+      Alcotest.(check (result (float 0.) string)) s (Ok p)
+        (Chan.rate_of_string s))
+    [ ("0", 0.); ("0.99", 0.99) ];
+  List.iter
+    (fun p ->
+      Alcotest.(check (result (float 0.) string))
+        (Chan.string_of_rate p) (Ok p)
+        (Chan.rate_of_string (Chan.string_of_rate p)))
+    [ 0.; 0.3; 0.1 +. 0.2; 0.99 ]
+
 let suites =
   [
     (* Named for the dist backend that first grew these machines: the
@@ -229,5 +253,6 @@ let suites =
         Alcotest.test_case "tx retransmit backoff" `Quick test_tx_backoff;
         Alcotest.test_case "tx reconnect resync" `Quick test_tx_reconnect;
         QCheck_alcotest.to_alcotest chan_matches_model;
+        Alcotest.test_case "link-fault rate parser" `Quick test_rate_parser;
       ] );
   ]

@@ -263,9 +263,9 @@ let retransmits cluster n =
 
 (* One closed-loop window (30% scans) over an in-process cluster: the
    driver's report, the merged history and the retransmit count. *)
-let run_cluster ?chaos ?wal ?faults ~name ~algo ~n ~clients ~secs () =
+let run_cluster ?chaos ?seed ?wal ?faults ~name ~algo ~n ~clients ~secs () =
   let cluster =
-    Dist.Local.start ?chaos ?wal ~algo ~n ~f:1 ~dir:(fresh_dir name) ()
+    Dist.Local.start ?chaos ?seed ?wal ~algo ~n ~f:1 ~dir:(fresh_dir name) ()
   in
   Fun.protect
     ~finally:(fun () -> Dist.Local.stop cluster)
@@ -291,20 +291,10 @@ let test_e2e_eq_aso () =
         v
 
 let test_e2e_chaos () =
-  let chaos =
-    {
-      Dist.Chaos.none with
-      drop = 0.12;
-      dup = 0.05;
-      delay_prob = 0.3;
-      delay_min = 0.0;
-      delay_max = 0.002;
-      seed = 7;
-    }
-  in
+  let chaos = { Chan.drop = 0.12; dup = 0.05; reorder = 0.3 } in
   let r, h, retx =
-    run_cluster ~chaos ~name:"chaos" ~algo:Rt.Service.Eq_aso ~n:3 ~clients:3
-      ~secs:1.2 ()
+    run_cluster ~chaos ~seed:7 ~name:"chaos" ~algo:Rt.Service.Eq_aso ~n:3
+      ~clients:3 ~secs:1.2 ()
   in
   Alcotest.(check bool) "progress under chaos" true (completed r > 0);
   Alcotest.(check bool) "chaos forced retransmissions" true (retx > 0);
@@ -355,6 +345,25 @@ let test_e2e_crash_restart () =
       Alcotest.failf "crash-restart run not linearizable: %a"
         Obs.Monitor.pp_violation v
 
+(* Each node rolls its own fault dice from (seed, id): with one record
+   and one seed for the whole deployment, node 0's and node 1's verdict
+   streams differ, and rebuilding a node reproduces its stream. *)
+let test_fault_dice_per_node () =
+  let eps =
+    Array.init 2 (fun i -> Dist.Conn.Unix_ep (Printf.sprintf "dice-%d.sock" i))
+  in
+  let faults = { Chan.drop = 0.3; dup = 0.2; reorder = 0.3 } in
+  let verdicts ?faults me =
+    let net = Dist.Net.create ?faults ~seed:7 ~me ~eps () in
+    List.init 64 (fun _ -> Dist.Net.judge net)
+  in
+  Alcotest.(check bool) "nodes draw different verdicts" true
+    (verdicts ~faults 0 <> verdicts ~faults 1);
+  Alcotest.(check bool) "a node reproduces its verdicts" true
+    (verdicts ~faults 1 = verdicts ~faults 1);
+  Alcotest.(check bool) "no faults, no dice" true
+    (List.for_all (fun v -> v = Dist.Net.Pass) (verdicts 0))
+
 (* ---- suites ---------------------------------------------------------- *)
 
 let suites =
@@ -375,6 +384,8 @@ let suites =
         Alcotest.test_case "eq-aso over sockets linearizable" `Quick
           test_e2e_eq_aso;
         Alcotest.test_case "eq-aso under socket chaos" `Quick test_e2e_chaos;
+        Alcotest.test_case "fault dice independent per node" `Quick
+          test_fault_dice_per_node;
         Alcotest.test_case "sso over sockets sequential" `Quick test_e2e_sso;
         Alcotest.test_case "eq-aso crash-restart in process" `Quick
           test_e2e_crash_restart;

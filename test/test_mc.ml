@@ -10,7 +10,7 @@ let fixed_config n f = { Harness.Runner.n; f; delay = Fixed_d 1.0; seed = 42L }
 let eq_aso = Harness.Algo.find "eq-aso"
 
 let lossy drop =
-  Sim.Network.Lossy { Sim.Link.drop; dup = 0.0; reorder = 0.0 }
+  Sim.Network.Lossy { Chan.drop; dup = 0.0; reorder = 0.0 }
 
 (* The three validated detection configs (see EXPERIMENTS.md): each
    mutant paired with the smallest scenario + strategy that exposes

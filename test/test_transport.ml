@@ -28,7 +28,7 @@ let test_link_drop_accounting () =
   let engine = Sim.Engine.create ~seed:2L () in
   let link =
     Sim.Link.create
-      ~faults:{ Sim.Link.drop = 0.5; dup = 0.; reorder = 0. }
+      ~faults:{ Chan.drop = 0.5; dup = 0.; reorder = 0. }
       engine ~n:2 ~delay:fixed
   in
   let delivered = ref 0 in
@@ -49,7 +49,7 @@ let test_link_duplication () =
   let engine = Sim.Engine.create ~seed:3L () in
   let link =
     Sim.Link.create
-      ~faults:{ Sim.Link.drop = 0.; dup = 0.9; reorder = 0. }
+      ~faults:{ Chan.drop = 0.; dup = 0.9; reorder = 0. }
       engine ~n:2 ~delay:fixed
   in
   let delivered = ref 0 in
@@ -68,7 +68,7 @@ let test_link_reordering () =
   let engine = Sim.Engine.create ~seed:4L () in
   let link =
     Sim.Link.create
-      ~faults:{ Sim.Link.drop = 0.; dup = 0.; reorder = 0.9 }
+      ~faults:{ Chan.drop = 0.; dup = 0.; reorder = 0.9 }
       engine ~n:2 ~delay:fixed
   in
   let got = ref [] in
@@ -119,7 +119,7 @@ let test_link_rejects_bad_faults () =
     (fun () ->
       ignore
         (Sim.Link.create
-           ~faults:{ Sim.Link.drop = 1.5; dup = 0.; reorder = 0. }
+           ~faults:{ Chan.drop = 1.5; dup = 0.; reorder = 0. }
            engine ~n:2 ~delay:fixed))
 
 (* ---- transport layer ------------------------------------------------- *)
@@ -145,7 +145,7 @@ let test_transport_reliable_under_faults () =
   let engine = Sim.Engine.create ~seed:8L () in
   let tr =
     Sim.Transport.create
-      ~faults:{ Sim.Link.drop = 0.4; dup = 0.3; reorder = 0.3 }
+      ~faults:{ Chan.drop = 0.4; dup = 0.3; reorder = 0.3 }
       engine ~n:3 ~delay:fixed
   in
   let n = 3 in
@@ -182,7 +182,7 @@ let test_transport_kill_cancels_retransmission () =
   let engine = Sim.Engine.create ~seed:9L () in
   let tr =
     Sim.Transport.create
-      ~faults:{ Sim.Link.drop = 0.95; dup = 0.; reorder = 0. }
+      ~faults:{ Chan.drop = 0.95; dup = 0.; reorder = 0. }
       engine ~n:2 ~delay:fixed
   in
   Sim.Transport.set_handler tr 1 (fun ~src:_ _ -> ());
@@ -202,6 +202,45 @@ let test_transport_kill_cancels_retransmission () =
   Sim.Engine.run_until_quiescent engine;
   Alcotest.(check bool) "dead node sent nothing afterwards" true
     (!last_tx_from_0 <= kill_time)
+
+let test_transport_restart_fences_dead_incarnation () =
+  (* Frames in both directions are on the wire (unacked, with
+     duplicates and reorders) when node 1 dies; it restarts before any
+     of them lands. The new incarnation and its peer must see exactly
+     the post-restart streams: nothing of the dead incarnation, each
+     new message once, in order. *)
+  let engine = Sim.Engine.create ~seed:10L () in
+  let tr =
+    Sim.Transport.create
+      ~faults:{ Chan.drop = 0.3; dup = 0.3; reorder = 0.3 }
+      engine ~n:2 ~delay:fixed
+  in
+  let got = Array.make 2 [] in
+  for i = 0 to 1 do
+    Sim.Transport.set_handler tr i (fun ~src:_ m -> got.(i) <- m :: got.(i))
+  done;
+  let stream src base =
+    List.iter
+      (fun k -> Sim.Transport.send tr ~src ~dst:(1 - src) (base + k))
+      (List.init 10 Fun.id)
+  in
+  stream 0 0;
+  stream 1 100;
+  Sim.Engine.run ~until:0.5 engine;
+  Sim.Transport.kill tr 1;
+  Sim.Engine.run ~until:0.7 engine;
+  Sim.Transport.restart tr 1;
+  stream 0 1000;
+  stream 1 1100;
+  Sim.Engine.run_until_quiescent engine;
+  Alcotest.(check bool) "the wire was faulty" true
+    (Sim.Transport.retransmits tr > 0);
+  Alcotest.(check (list int)) "restarted node: post-restart stream only"
+    (List.init 10 (fun k -> 1000 + k))
+    (List.rev got.(1));
+  Alcotest.(check (list int)) "peer: the new incarnation's stream only"
+    (List.init 10 (fun k -> 1100 + k))
+    (List.rev got.(0))
 
 (* qcheck: for a random fault mix (plus a healing mid-run partition),
    the transport delivers, per channel, a stream identical to what the
@@ -266,7 +305,7 @@ let transport_matches_ideal_qcheck =
             let engine = Sim.Engine.create ~seed:(Int64.of_int seed) () in
             let tr =
               Sim.Transport.create
-                ~faults:{ Sim.Link.drop; dup; reorder }
+                ~faults:{ Chan.drop; dup; reorder }
                 engine ~n ~delay:fixed
             in
             for i = 0 to n - 1 do
@@ -287,21 +326,22 @@ let transport_matches_ideal_qcheck =
 
 (* ---- substrate equivalence & crash composition ----------------------- *)
 
-let run_eq_aso ~substrate =
+let run_eq_aso ?causal ?(adversary = Harness.Adversary.No_faults) ~substrate
+    () =
   let config =
     { Harness.Runner.n = 5; f = 2; delay = Harness.Runner.Fixed_d 1.0;
       seed = 11L }
   in
   let workload = Harness.Workload.closed_loop ~n:5 ~rounds:2 in
-  Harness.Runner.run ~substrate ~make:Harness.Algo.eq_aso.make config ~workload
-    ~adversary:Harness.Adversary.No_faults
+  Harness.Runner.run ?causal ~substrate ~make:Harness.Algo.eq_aso.make config
+    ~workload ~adversary
 
 let test_zero_fault_substrates_equivalent () =
   (* A fault-free link draws no RNG and keeps the ideal FIFO clamp, so
      an unmodified algorithm must see the identical event schedule:
      same latencies, same logical message count, same makespan. *)
-  let ideal = run_eq_aso ~substrate:Sim.Network.Ideal in
-  let lossy = run_eq_aso ~substrate:(Sim.Network.Lossy Sim.Link.no_faults) in
+  let ideal = run_eq_aso ~substrate:Sim.Network.Ideal () in
+  let lossy = run_eq_aso ~substrate:(Sim.Network.Lossy Sim.Link.no_faults) () in
   Alcotest.(check (list (float 0.)))
     "update latencies identical"
     (Harness.Runner.update_latencies ideal)
@@ -311,7 +351,34 @@ let test_zero_fault_substrates_equivalent () =
     (Harness.Runner.scan_latencies ideal)
     (Harness.Runner.scan_latencies lossy);
   Alcotest.(check int) "same logical messages" ideal.messages lossy.messages;
-  Alcotest.(check int) "zero retransmissions" 0 lossy.net.retransmits
+  Alcotest.(check int) "zero retransmissions" 0 lossy.net.retransmits;
+  (* A crash-restart, the restart more than D after the crash, so no
+     message is in flight across both. The restart sits off the integer
+     grid of send times: a message sent to the dead node that landed at
+     the very instant of the restart would reach the new incarnation on
+     the ideal network, while the transport drops it at the door. Then
+     the two stacks agree on every delivery — sender, time, message
+     kind and the causal stamp it carried. *)
+  let deliveries substrate =
+    let causal = Obs.Vclock.recorder ~n:5 () in
+    let (_ : Harness.Runner.outcome) =
+      run_eq_aso ~causal ~substrate
+        ~adversary:(Harness.Adversary.Crash_restart_at [ (2.5, 0, 5.5) ])
+        ()
+    in
+    List.filter_map
+      (fun (e : Obs.Vclock.event) ->
+        match e.kind with
+        | Obs.Vclock.Deliver { src } ->
+            Some (e.node, src, e.at, e.label, Obs.Vclock.to_array e.vc)
+        | _ -> None)
+      (Obs.Vclock.events causal)
+  in
+  let ideal = deliveries Sim.Network.Ideal in
+  Alcotest.(check bool) "restarted node received again" true
+    (List.exists (fun (node, _, at, _, _) -> node = 0 && at > 5.5) ideal);
+  Alcotest.(check bool) "same deliveries across a crash-restart" true
+    (ideal = deliveries (Sim.Network.Lossy Sim.Link.no_faults))
 
 let test_crash_during_broadcast_over_lossy () =
   (* Definition 11 over the lossy stack: the armed broadcast reaches at
@@ -321,7 +388,7 @@ let test_crash_during_broadcast_over_lossy () =
   let engine = Sim.Engine.create ~seed:12L () in
   let net =
     Sim.Network.create
-      ~substrate:(Sim.Network.Lossy { Sim.Link.drop = 0.3; dup = 0.; reorder = 0. })
+      ~substrate:(Sim.Network.Lossy { Chan.drop = 0.3; dup = 0.; reorder = 0. })
       engine ~n:4 ~delay:fixed
   in
   let seen = Array.make 4 [] in
@@ -363,7 +430,7 @@ let test_ideal_network_rejects_chaos_controls () =
   expect_invalid "heal" (fun () -> Sim.Network.heal net);
   expect_invalid "set_link_faults" (fun () ->
       Sim.Network.set_link_faults net
-        { Sim.Link.drop = 0.1; dup = 0.; reorder = 0. })
+        { Chan.drop = 0.1; dup = 0.; reorder = 0. })
 
 (* ---- liveness watchdog ----------------------------------------------- *)
 
@@ -432,7 +499,8 @@ let test_all_algorithms_survive_chaos () =
       (* Scenario.chaos verifies the history at the algorithm's declared
          consistency level and raises on any violation or hang. *)
       let row =
-        Harness.Scenario.chaos ~algo ~n:6 ~k:1 ~drop:0.3 ~dup:0.1 ~reorder:0.1
+        Harness.Scenario.chaos ~algo ~n:6 ~k:1
+          ~faults:{ drop = 0.3; dup = 0.1; reorder = 0.1 }
           ~part_span:4.0 ~ops_per_node:3 ~seed:4242L
       in
       Alcotest.(check bool)
@@ -468,6 +536,8 @@ let suites =
           test_transport_reliable_under_faults;
         Alcotest.test_case "kill cancels retransmission" `Quick
           test_transport_kill_cancels_retransmission;
+        Alcotest.test_case "restart fences off the dead incarnation" `Quick
+          test_transport_restart_fences_dead_incarnation;
         qcase transport_matches_ideal_qcheck;
       ] );
     ( "substrate",
