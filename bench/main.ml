@@ -740,11 +740,11 @@ let pass_fail ok = if ok then "pass" else "FAIL"
 (* The verdict lands in a pass/FAIL table cell; the why goes to
    stderr. *)
 let history_ok ~backend algo ~n history =
-  match Checker.Batch.verdict ~n (Rt.Service.mode algo) history with
+  match Checker.Batch.verdict ~n (Aso_core.Handle.mode algo) history with
   | Ok _ -> true
   | Error e ->
       Printf.eprintf "%s checker (%s): %s\n%!" backend
-        (Rt.Service.algo_name algo) e;
+        (Aso_core.Handle.algo_name algo) e;
       false
 
 (* One closed-loop window over a fresh deployment: 4 clients, the bench
@@ -780,9 +780,9 @@ type load_row = {
   ok : bool;
 }
 
-let rt_row ?parking algo =
+let rt_row algo =
   let n = 4 in
-  let svc = Rt.Service.create ?parking ~algo ~n ~f:1 () in
+  let svc = Rt.Service.create ~algo ~n ~f:1 () in
   let report = rt_load svc ~secs:0.3 in
   let sent =
     Obs.Metrics.find_count (Rt.Service.stats_snapshot svc) "net.sent"
@@ -801,7 +801,7 @@ let dist_row algo =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "aso-bench-dist-%s" (Rt.Service.algo_name algo))
+      (Printf.sprintf "aso-bench-dist-%s" (Aso_core.Handle.algo_name algo))
   in
   let cluster = Dist.Local.start ~algo ~n ~f:1 ~dir () in
   let report =
@@ -833,7 +833,7 @@ let throughput ~title rows =
       List.map
         (fun { algo; n; report = r; extra = key, v; ok } ->
           ( [
-              Rt.Service.algo_name algo;
+              Aso_core.Handle.algo_name algo;
               string_of_int r.Load.completed_updates;
               string_of_int r.completed_scans;
               string_of_int r.aborted;
@@ -844,7 +844,7 @@ let throughput ~title rows =
               pass_fail ok;
             ],
             jrow
-              (Rt.Service.algo_name algo)
+              (Aso_core.Handle.algo_name algo)
               ~volatile:
                 (List.map
                    (fun (k, v) -> (k, jnum v))
@@ -895,7 +895,7 @@ let dist_throughput () =
 
 let online_monitor () =
   let row algo =
-    let name = Rt.Service.algo_name algo in
+    let name = Aso_core.Handle.algo_name algo in
     let off = rt_load (Rt.Service.create ~algo ~n:4 ~f:1 ()) ~secs:0.3 in
     let svc = Rt.Service.create ~online:true ~algo ~n:4 ~f:1 () in
     let on_ = rt_load svc ~secs:0.3 in
@@ -981,8 +981,8 @@ let rt_recovery_run algo =
     let faults = Load.faults ~n ~f ~crash_at:0.1 ~restart_at:0.25 [ 0 ] in
     ignore (rt_load ~faults svc ~secs:0.4 : Load.report);
     ( Rt.Service.recoveries svc,
-      Checker.Batch.verdict ~n (Rt.Service.mode algo) (Rt.Service.history svc)
-    )
+      Checker.Batch.verdict ~n (Aso_core.Handle.mode algo)
+        (Rt.Service.history svc) )
   in
   let rec go k =
     let recoveries, v = attempt () in
@@ -995,7 +995,7 @@ let rt_recovery_run algo =
     let retry = failure <> None && k < rt_recovery_attempts in
     Option.iter
       (Printf.eprintf "recovery (%s): attempt %d of %d failed, %s: %s\n%!"
-         (Rt.Service.algo_name algo) k rt_recovery_attempts
+         (Aso_core.Handle.algo_name algo) k rt_recovery_attempts
          (if retry then "retrying" else "giving up"))
       failure;
     if retry then go (k + 1) else (recoveries, Result.is_ok v)
@@ -1041,7 +1041,7 @@ let algo_of_rt = function
 
 let recovery () =
   let row algo =
-    let name = Rt.Service.algo_name algo in
+    let name = Aso_core.Handle.algo_name algo in
     let recoveries, ok = rt_recovery_run algo in
     let catchup = sim_catchup_rounds (algo_of_rt algo) in
     let cells, volatile =
@@ -1112,14 +1112,14 @@ let recorder_overhead () =
     let on_, emitted = rt_overhead_run algo ~recorder:true in
     let ratio = on_.ops_per_sec /. Float.max off.ops_per_sec 1e-9 in
     ( [
-        Rt.Service.algo_name algo;
+        Aso_core.Handle.algo_name algo;
         Printf.sprintf "%.0f" off.ops_per_sec;
         Printf.sprintf "%.0f" on_.ops_per_sec;
         Printf.sprintf "%.2f" ratio;
         string_of_int emitted;
       ],
       jrow
-        (Rt.Service.algo_name algo)
+        (Aso_core.Handle.algo_name algo)
         ~volatile:
           [
             ("ops_per_s_recorder_off", jnum off.ops_per_sec);
@@ -1140,8 +1140,7 @@ let recorder_overhead () =
 (* ------------------------------------------------------------------ *)
 (* Lock-free hot path: raw throughput of the two queues under the
    runtime (the Vyukov MPSC mailbox and the Michael-Scott MPMC batch
-   queue), and the serve path under both park implementations (the old
-   mutex/condvar mailbox vs the eventcount). *)
+   queue), and the serve path over the eventcount-parked mailbox. *)
 
 let wall () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
@@ -1195,8 +1194,6 @@ let mpmc_ops_per_s () =
   List.iter Domain.join cs;
   float_of_int (2 * total) /. Float.max (wall () -. t0) 1e-9
 
-let parking_name = function `Mutex -> "mutex-park" | `Eventcount -> "eventcount"
-
 let lockfree () =
   let queue id label ops =
     ( [ label; Printf.sprintf "%.2e" ops; "-"; "-"; "-" ],
@@ -1207,9 +1204,9 @@ let lockfree () =
     | None -> J_null
     | Some v -> jnum (1. /. Float.max v 1e-9)
   in
-  let serve parking =
-    let id = "serve/" ^ parking_name parking in
-    let { n; report = r; ok; _ } = rt_row ~parking Rt.Service.Eq_aso in
+  let serve () =
+    let id = "serve/eventcount" in
+    let { n; report = r; ok; _ } = rt_row Rt.Service.Eq_aso in
     ( [
         id;
         Printf.sprintf "%.0f" r.ops_per_sec;
@@ -1233,14 +1230,11 @@ let lockfree () =
   in
   let mpsc = queue "mpsc-queue" "mpsc mailbox (3 prod)" (mpsc_ops_per_s ()) in
   let mpmc = queue "mpmc-queue" "mpmc batch (2p/2c)" (mpmc_ops_per_s ()) in
-  let mutex = serve `Mutex in
-  let eventcount = serve `Eventcount in
   {
     title =
-      "Lock-free hot path — queue ops/s and serve path by park \
-       implementation (wall-clock)";
+      "Lock-free hot path — queue ops/s and the serve path (wall-clock)";
     header = [ "structure"; "ops/s"; "upd p50 ms"; "upd p99 ms"; "checker" ];
-    rows = [ mpsc; mpmc; mutex; eventcount ];
+    rows = [ mpsc; mpmc; serve () ];
   }
 
 (* ------------------------------------------------------------------ *)

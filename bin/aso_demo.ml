@@ -780,7 +780,7 @@ let replay_cmd =
 (* ---- helpers shared by the wall-clock backends (rt, dist) ---------- *)
 
 let wall_algo name =
-  match Rt.Service.algo_of_name name with
+  match Aso_core.Handle.algo_of_name name with
   | Some a -> a
   | None ->
       Format.eprintf
@@ -809,7 +809,7 @@ let fault_plan ~n ~f ?restart_at ~crash_at victims =
    finished history. *)
 let print_verdict algo ~n history =
   let total_ops = List.length (History.ops history) in
-  match Checker.Batch.verdict ~n (Rt.Service.mode algo) history with
+  match Checker.Batch.verdict ~n (Aso_core.Handle.mode algo) history with
   | Ok label ->
       Format.printf "history     : %s, %d ops@." label total_ops;
       true
@@ -944,7 +944,7 @@ let serve_impl algo_name n clients secs batch scan_fraction seed crash
   in
   Format.printf "backend     : rt (%d node domains, %d client threads)@." n
     clients;
-  Format.printf "algorithm   : %s@." (Rt.Service.algo_name algo);
+  Format.printf "algorithm   : %s@." (Aso_core.Handle.algo_name algo);
   Format.printf "%a@." Load.pp_report report;
   Format.printf "pending     : %d@." (List.length (History.pending history));
   if batch then
@@ -1320,7 +1320,8 @@ let dist_serve_impl algo_name nodes clients secs kill dir tcp_base
     (match tcp_base with
     | Some base -> Printf.sprintf "tcp 127.0.0.1:%d+" base
     | None -> "unix sockets");
-  Format.printf "algorithm   : %s (f = %d)@." (Rt.Service.algo_name algo) f;
+  Format.printf "algorithm   : %s (f = %d)@."
+    (Aso_core.Handle.algo_name algo) f;
   if link_faults <> Chan.no_faults then
     Format.printf "link faults : drop %.2f  dup %.2f  reorder %.2f@."
       link_faults.drop link_faults.dup link_faults.reorder;

@@ -56,15 +56,9 @@ type 'v t = {
   c_rounds_retried : Obs.Metrics.counter;
 }
 
-let span t ~pid ?(cat = "phase") name f =
-  if not (Obs.Trace.enabled t.obs) then f ()
-  else begin
-    let now () = Sim.Engine.now (Sim.Network.engine t.net) in
-    Obs.Trace.span_begin t.obs ~ts:(now ()) ~pid ~cat name;
-    Fun.protect
-      ~finally:(fun () -> Obs.Trace.span_end t.obs ~ts:(now ()) ~pid ~cat name)
-      f
-  end
+let span t ~pid =
+  Obs.Trace.span t.obs ~pid ~now:(fun () ->
+      Sim.Engine.now (Sim.Network.engine t.net))
 
 let round_kernel t nd r =
   match Hashtbl.find_opt nd.rounds r with

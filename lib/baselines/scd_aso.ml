@@ -20,17 +20,9 @@ type 'v t = {
   c_syncs : Obs.Metrics.counter;
 }
 
-let span t ~pid ?(cat = "phase") name f =
-  if not (Obs.Trace.enabled t.obs) then f ()
-  else begin
-    let now () =
-      Sim.Engine.now (Sim.Network.engine (Scd_broadcast.net t.scd))
-    in
-    Obs.Trace.span_begin t.obs ~ts:(now ()) ~pid ~cat name;
-    Fun.protect
-      ~finally:(fun () -> Obs.Trace.span_end t.obs ~ts:(now ()) ~pid ~cat name)
-      f
-  end
+let span t ~pid =
+  Obs.Trace.span t.obs ~pid ~now:(fun () ->
+      Sim.Engine.now (Sim.Network.engine (Scd_broadcast.net t.scd)))
 
 let create ?(sync_on_update = true) engine ~n ~f ~delay =
   let nodes = Array.init n (fun _ -> { reg = Reg_store.create ~n; seq = 0; nonce = 0 }) in

@@ -51,15 +51,7 @@ type 'v t = {
 
 let now t = Sim.Engine.now (Sim.Network.engine t.net)
 
-let span t nd ?(cat = "phase") ?args name f =
-  if not (Obs.Trace.enabled t.obs) then f ()
-  else begin
-    Obs.Trace.span_begin t.obs ~ts:(now t) ~pid:nd.id ~cat ?args name;
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Trace.span_end t.obs ~ts:(now t) ~pid:nd.id ~cat name)
-      f
-  end
+let span t nd = Obs.Trace.span t.obs ~now:(fun () -> now t) ~pid:nd.id
 
 module K = Aso_core.Eq_kernel
 

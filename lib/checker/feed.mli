@@ -11,7 +11,9 @@ val events : History.t -> Obs.Monitor.event list
 (** The history as a time-ordered monitor event stream: one [Invoke]
     per operation at its invocation time, one [Respond_*] (or [Abort])
     per operation that responded (or was aborted by a restart); other
-    pending operations never respond. Events at equal times are ordered
+    pending operations never respond. Each op is lowered by
+    {!History.events}, so these are the events a live observer of the
+    history received, sorted. Events at equal times are ordered
     by op id, an operation's invoke before its response: a zero-duration
     operation still invokes before it responds, and a node that invokes
     at the instant its previous op responded (a larger id) follows that

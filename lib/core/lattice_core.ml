@@ -110,18 +110,9 @@ let now t = t.b.Backend.now ()
 let trace t = t.obs
 
 (* Protocol-phase span around a blocking section, on the node's track.
-   [Fun.protect] keeps the span stack balanced if the fiber dies by
-   exception; a crashed node's fiber simply never resumes, leaving an
-   open span — which is exactly what its track should show. *)
-let span t nd ?(cat = "phase") ?args name f =
-  if not (Obs.Trace.enabled t.obs) then f ()
-  else begin
-    Obs.Trace.span_begin t.obs ~ts:(now t) ~pid:nd.id ~cat ?args name;
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Trace.span_end t.obs ~ts:(now t) ~pid:nd.id ~cat name)
-      f
-  end
+   A crashed node's fiber simply never resumes, leaving an open span —
+   which is exactly what its track should show. *)
+let span t nd = Obs.Trace.span t.obs ~now:(fun () -> now t) ~pid:nd.id
 
 (* Handlers run atomically (single engine step on sim, single mailbox
    item on rt) and end with one signal, matching the "all event handlers

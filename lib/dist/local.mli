@@ -10,7 +10,7 @@ val start :
   ?chaos:Chan.faults ->
   ?seed:int ->
   ?wal:bool ->
-  algo:Rt.Service.algo ->
+  algo:Aso_core.Handle.algo ->
   n:int ->
   f:int ->
   dir:string ->

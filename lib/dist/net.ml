@@ -87,7 +87,7 @@ let create ?(faults = Chan.no_faults) ?(seed = 1) ~me ~eps () =
        Monotonic nanoseconds xor pid, kept positive. *)
     boot = now_ns () lxor (Unix.getpid () lsl 24) land max_int;
     eps = Array.copy eps;
-    node = Rt.Node.create ~parking:`Mutex me;
+    node = Rt.Node.create me;
     peers =
       Array.init n (fun dst ->
           if dst = me then None

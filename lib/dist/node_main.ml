@@ -2,53 +2,13 @@ type config = {
   me : int;
   eps : Conn.endpoint array;
   f : int;
-  algo : Rt.Service.algo;
+  algo : Aso_core.Handle.algo;
   wal : string option;
   recover : bool;
   chaos : Chan.faults option;
 }
 
-(* Algorithm-agnostic operation surface over the local node — the same
-   shape Rt.Service uses internally. *)
-type ops = {
-  op_update : int -> unit;
-  op_scan : unit -> int option array;
-  op_begin_recovery : unit -> unit;
-  op_recover : unit -> unit;
-}
-
 type t = { net : Net.t; expo : Rt.Expo_server.t option }
-
-let build_ops cfg backend =
-  let me = cfg.me in
-  let attach_store core =
-    match cfg.wal with
-    | None -> ()
-    | Some path ->
-        Aso_core.Lattice_core.set_store
-          (Aso_core.Lattice_core.node core me)
-          (Persist.Store.file path)
-  in
-  match cfg.algo with
-  | Rt.Service.Eq_aso ->
-      let a = Aso_core.Eq_aso.create_on backend ~f:cfg.f in
-      attach_store (Aso_core.Eq_aso.core a);
-      {
-        op_update = (fun v -> Aso_core.Eq_aso.update a ~node:me v);
-        op_scan = (fun () -> Aso_core.Eq_aso.scan a ~node:me);
-        op_begin_recovery =
-          (fun () -> Aso_core.Eq_aso.begin_recovery a ~node:me);
-        op_recover = (fun () -> Aso_core.Eq_aso.recover a ~node:me);
-      }
-  | Rt.Service.Sso_fast_scan ->
-      let a = Aso_core.Sso.create_on backend ~f:cfg.f in
-      attach_store (Aso_core.Sso.core a);
-      {
-        op_update = (fun v -> Aso_core.Sso.update a ~node:me v);
-        op_scan = (fun () -> Aso_core.Sso.scan a ~node:me);
-        op_begin_recovery = (fun () -> Aso_core.Sso.begin_recovery a ~node:me);
-        op_recover = (fun () -> Aso_core.Sso.recover a ~node:me);
-      }
 
 let start ?telemetry ?seed cfg =
   if cfg.recover && cfg.wal = None then
@@ -57,7 +17,12 @@ let start ?telemetry ?seed cfg =
   (* create_on builds every node's state but only ours is driven; it
      installs our handler on the backend, which must precede Net.start
      (no traffic before the handler exists). *)
-  let ops = build_ops cfg (Net.backend net) in
+  let me = cfg.me in
+  let ops =
+    Aso_core.Handle.create cfg.algo (Net.backend net) ~f:cfg.f
+      ~store:(fun i ->
+        if i = me then Option.map Persist.Store.file cfg.wal else None)
+  in
   Net.set_client_handler net (fun frame ~reply ->
       match frame with
       | Wire.Req { rid; op } ->
@@ -72,9 +37,9 @@ let start ?telemetry ?seed cfg =
                 let result =
                   match op with
                   | Wire.Op_update v ->
-                      ops.op_update v;
+                      ops.update ~node:me v;
                       Wire.R_update_done
-                  | Wire.Op_scan -> Wire.R_scan (ops.op_scan ())
+                  | Wire.Op_scan -> Wire.R_scan (ops.scan ~node:me)
                 in
                 let t_resp = Net.now_ns () in
                 reply (Wire.Resp { rid; t_inv; t_resp; result })
@@ -90,8 +55,8 @@ let start ?telemetry ?seed cfg =
      deferred behind it by the run loop. *)
   if cfg.recover then
     Net.post_work net (fun () ->
-        ops.op_begin_recovery ();
-        ops.op_recover ());
+        ops.begin_recovery ~node:me;
+        ops.recover ~node:me);
   Net.start net;
   let expo =
     match telemetry with

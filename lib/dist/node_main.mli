@@ -9,7 +9,7 @@ type config = {
   me : int;
   eps : Conn.endpoint array;
   f : int;
-  algo : Rt.Service.algo;
+  algo : Aso_core.Handle.algo;
   wal : string option;  (** WAL path — enables persistence *)
   recover : bool;  (** replay the WAL and run the rejoin protocol first *)
   chaos : Chan.faults option;  (** link faults on this node's sends *)

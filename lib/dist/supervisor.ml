@@ -164,7 +164,7 @@ type node_exit = { x_node : int; x_status : exit_status; x_restarted : bool }
 type recovery = { rec_node : int; rec_ready_after : float }
 
 type config = {
-  algo : Rt.Service.algo;
+  algo : Aso_core.Handle.algo;
   nodes : int;
   f : int;
   dir : string;
@@ -192,7 +192,7 @@ let spawn_node cfg eps ~recover i =
     Array.append cfg.worker_argv
       (Array.of_list
          ([
-            Rt.Service.algo_name cfg.algo;
+            Aso_core.Handle.algo_name cfg.algo;
             "--me";
             string_of_int i;
             "--peers";

@@ -70,7 +70,7 @@ type recovery = { rec_node : int; rec_ready_after : float }
 val pp_status : Format.formatter -> exit_status -> unit
 
 type config = {
-  algo : Rt.Service.algo;
+  algo : Aso_core.Handle.algo;
   nodes : int;
   f : int;
   dir : string;  (** run directory: sockets, WALs, per-node logs *)

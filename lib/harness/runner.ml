@@ -27,8 +27,9 @@ type caught = {
 
 exception Monitor_violation of caught
 
-(* Monitor plumbing handed to the client fibers; the no-op instance
-   keeps unmonitored runs on the exact code path they had before. *)
+(* Monitor plumbing handed to the client fibers for the events that are
+   not history records; the no-op instance keeps unmonitored runs on the
+   exact code path they had before. *)
 type feeder = {
   feed : Obs.Monitor.event -> unit;
   rounds_count : unit -> int; (* -1 = histogram absent *)
@@ -72,16 +73,9 @@ let client_fiber engine (instance : int Instance.t) history next_value
                 History.begin_update history ~now:(Sim.Engine.now engine)
                   ~node ~value
               in
-              feeder.feed
-                (Obs.Monitor.Invoke
-                   { id = rec_op.id; node; at = rec_op.inv;
-                     op = Obs.Monitor.Update value });
               let before = feeder.rounds_count () in
               instance.update node value;
               History.finish_update history ~now:(Sim.Engine.now engine) rec_op;
-              feeder.feed
-                (Obs.Monitor.Respond_update
-                   { id = rec_op.id; at = Sim.Engine.now engine });
               (* [observing_rounds] appends this op's lattice-op count as
                  the histogram's newest sample at completion; no other
                  step runs between the protocol call returning and here,
@@ -95,16 +89,9 @@ let client_fiber engine (instance : int Instance.t) history next_value
               let rec_op =
                 History.begin_scan history ~now:(Sim.Engine.now engine) ~node
               in
-              feeder.feed
-                (Obs.Monitor.Invoke
-                   { id = rec_op.id; node; at = rec_op.inv;
-                     op = Obs.Monitor.Scan });
               let snap = instance.scan node in
               History.finish_scan history ~now:(Sim.Engine.now engine) rec_op
-                ~snap;
-              feeder.feed
-                (Obs.Monitor.Respond_scan
-                   { id = rec_op.id; at = Sim.Engine.now engine; snap }));
+                ~snap);
           walk rest
         end
   in
@@ -189,29 +176,16 @@ let run ?workload_seed ?(substrate = Sim.Network.Ideal) ?watchdog ?trace
      exist, but no event has run yet — the right moment to install a
      controllable scheduler and step-indexed crash injections. *)
   Option.iter (fun f -> f engine instance) configure;
-  let history = History.create () in
   let next_value = ref 1 in
   let feeder =
     match monitor with
     | None -> no_feeder
     | Some m ->
-        let catch v =
+        let catch (v : Obs.Monitor.violation) =
           let slice =
             match causal_rec with
             | None -> []
-            | Some r ->
-                let vc =
-                  let node = v.Obs.Monitor.node in
-                  if node >= 0 && node < config.n then Obs.Vclock.clock r node
-                  else
-                    (* No single timeline to blame: slice at the join of
-                       all clocks (= the whole message history so far). *)
-                    List.fold_left
-                      (fun acc i -> Obs.Vclock.join acc (Obs.Vclock.clock r i))
-                      (Obs.Vclock.clock r 0)
-                      (List.init (config.n - 1) (fun i -> i + 1))
-                in
-                Obs.Vclock.slice r ~vc
+            | Some r -> Obs.Vclock.cone r ~node:v.node
           in
           let stats : Instance.net_stats = instance.net_stats () in
           raise
@@ -239,6 +213,10 @@ let run ?workload_seed ?(substrate = Sim.Network.Ideal) ?watchdog ?trace
               | Some s -> List.nth s (List.length s - 1));
         }
   in
+  (* The history emits every Invoke/Respond/Abort itself; the feeder
+     adds only what is not a history record: crashes, restarts and
+     round counts. *)
+  let history = History.create ~observe:feeder.feed () in
   (match monitor with
   | None -> ()
   | Some _ ->
@@ -253,13 +231,7 @@ let run ?workload_seed ?(substrate = Sim.Network.Ideal) ?watchdog ?trace
      reaches the revived node. *)
   instance.on_restart (fun node ->
       let now = Sim.Engine.now engine in
-      List.iter
-        (fun (op : History.op) ->
-          if op.node = node then begin
-            History.abort history ~now op;
-            feeder.feed (Obs.Monitor.Abort { id = op.id; at = now })
-          end)
-        (History.pending history);
+      History.abort_node history ~now ~node;
       feeder.feed (Obs.Monitor.Restart { node; at = now });
       if restart_ops <> [] then
         Sim.Fiber.spawn engine

@@ -105,8 +105,9 @@ val run :
     engine before construction: every network send/deliver is stamped
     with vector clocks for ShiViz export and causal-cone queries.
 
-    [monitor] attaches an online {!Obs.Monitor}: operation invocations,
-    responses, crashes and per-update round samples are streamed into
+    [monitor] attaches an online {!Obs.Monitor}: the history's own
+    invoke/respond/abort stream ({!History.create}[ ~observe]) plus
+    crashes, restarts and per-update round samples are streamed into
     it as they happen, and the run aborts with {!Monitor_violation} at
     the first failed check — carrying the causal provenance slice from
     the recorder (a private one is created when [monitor] is given

@@ -45,6 +45,13 @@ let span_begin t ~ts ~pid ?(cat = "phase") ?(args = []) name =
 let span_end t ~ts ~pid ?(cat = "phase") ?(args = []) name =
   emit t { ts; pid; kind = End; name; cat; args }
 
+let span t ~now ~pid ?(cat = "phase") ?args name f =
+  if not t.enabled then f ()
+  else begin
+    span_begin t ~ts:(now ()) ~pid ~cat ?args name;
+    Fun.protect ~finally:(fun () -> span_end t ~ts:(now ()) ~pid ~cat name) f
+  end
+
 let instant t ~ts ~pid ?(cat = "event") ?(args = []) name =
   emit t { ts; pid; kind = Instant; name; cat; args }
 

@@ -67,6 +67,14 @@ val span_end :
 (** Close the innermost open span on [pid]'s track ([name] and [cat]
     should match the begin; end-side [args] are merged by viewers). *)
 
+val span :
+  t -> now:(unit -> float) -> pid:int -> ?cat:string ->
+  ?args:(string * value) list -> string -> (unit -> 'a) -> 'a
+(** [span t ~now ~pid name f] runs [f] inside a span on [pid]'s track,
+    begun and ended at [now ()]; [args] ride on the begin. The end is
+    emitted even when [f] raises, so the track stays balanced. On a
+    disabled trace it is [f ()]: [now] is never called. *)
+
 val instant :
   t -> ts:float -> pid:int -> ?cat:string -> ?args:(string * value) list ->
   string -> unit

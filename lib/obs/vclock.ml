@@ -288,6 +288,21 @@ let slice r ~vc =
          | _ -> false)
        (gather r))
 
+let cone r ~node =
+  let vc =
+    if node >= 0 && node < r.n then clock r node
+    else begin
+      (* No single timeline to blame: the join of all clocks, the whole
+         causal past of the system so far. *)
+      let acc = make r.n in
+      for i = 0 to r.n - 1 do
+        merge_into ~src:(clock r i) ~dst:acc
+      done;
+      acc
+    end
+  in
+  slice r ~vc
+
 let pp_kind ppf = function
   | Send { dst } -> Format.fprintf ppf "send->n%d" dst
   | Deliver { src } -> Format.fprintf ppf "deliver<-n%d" src

@@ -136,6 +136,13 @@ val slice : recorder -> vc:t -> event list
     shrink/replay. [Local] and [Drop] events are elided: they carry no
     inter-node causality. *)
 
+val cone : recorder -> node:int -> event list
+(** The provenance of a monitor violation attached to [node]: {!slice}
+    at [node]'s clock, or, when [node] is out of range (a violation
+    with no single timeline, e.g. [node = -1]), at the join of every
+    node's clock. Both online monitors (the sim runner's and rt's live
+    one) build their violation slices with this. *)
+
 val pp_event : Format.formatter -> event -> unit
 
 val to_shiviz : recorder -> string

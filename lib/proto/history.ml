@@ -14,9 +14,34 @@ type op = {
   mutable aborted : float option;
 }
 
-type t = { ops : op Vec.t }
+type t = { ops : op Vec.t; observe : Obs.Monitor.event -> unit }
 
-let create () = { ops = Vec.create () }
+let create ?(observe = ignore) () = { ops = Vec.create (); observe }
+
+let invoke_event op =
+  Obs.Monitor.Invoke
+    {
+      id = op.id;
+      node = op.node;
+      at = op.inv;
+      op =
+        (match op.kind with
+        | Update v -> Obs.Monitor.Update v
+        | Scan _ -> Obs.Monitor.Scan);
+    }
+
+(* The event that closes [op]: its response, or its abort; [None] while
+   it is pending. *)
+let close_event op =
+  match (op.resp, op.kind) with
+  | Some at, Update _ -> Some (Obs.Monitor.Respond_update { id = op.id; at })
+  | Some at, Scan (Some snap) ->
+      Some (Obs.Monitor.Respond_scan { id = op.id; at; snap })
+  | Some _, Scan None -> assert false
+  | None, _ ->
+      Option.map (fun at -> Obs.Monitor.Abort { id = op.id; at }) op.aborted
+
+let events op = invoke_event op :: Option.to_list (close_event op)
 
 let begin_op t ~now ~node kind =
   let op =
@@ -24,27 +49,40 @@ let begin_op t ~now ~node kind =
       aborted = None }
   in
   Vec.push t.ops op;
+  t.observe (invoke_event op);
   op
 
 let begin_update t ~now ~node ~value = begin_op t ~now ~node (Update value)
 let begin_scan t ~now ~node = begin_op t ~now ~node (Scan None)
 
-let finish_update _t ~now op =
-  assert (op.resp = None);
-  op.resp <- Some now
+(* A finish that arrives after a restart aborted the op is dropped: the
+   op stays aborted, with no response, and emits nothing (restart is not
+   resurrection). *)
+let finish t ~now op ~kind =
+  if op.aborted = None then begin
+    assert (op.resp = None);
+    op.kind <- kind;
+    op.resp <- Some now;
+    Option.iter t.observe (close_event op)
+  end
 
-let finish_scan _t ~now op ~snap =
-  assert (op.resp = None);
-  op.kind <- Scan (Some snap);
-  op.resp <- Some now
+let finish_update t ~now op = finish t ~now op ~kind:op.kind
+let finish_scan t ~now op ~snap = finish t ~now op ~kind:(Scan (Some snap))
 
-let abort _t ~now op = if op.resp = None then op.aborted <- Some now
+let abort t ~now op =
+  if op.resp = None && op.aborted = None then begin
+    op.aborted <- Some now;
+    Option.iter t.observe (close_event op)
+  end
 
 let ops t = Vec.to_list t.ops
 let completed t = List.filter (fun op -> op.resp <> None) (ops t)
 
 let pending t =
   List.filter (fun op -> op.resp = None && op.aborted = None) (ops t)
+
+let abort_node t ~now ~node =
+  List.iter (fun op -> if op.node = node then abort t ~now op) (pending t)
 
 let aborted t = List.filter (fun op -> op.aborted <> None) (ops t)
 

@@ -6,16 +6,9 @@ let create engine ~n ~f ~delay =
   { abd = Abd.create engine ~n ~f ~delay; n; f;
     obs = Sim.Engine.trace engine }
 
-let span t ~pid name f =
-  if not (Obs.Trace.enabled t.obs) then f ()
-  else begin
-    let now () = Sim.Engine.now (Sim.Network.engine (Abd.net t.abd)) in
-    Obs.Trace.span_begin t.obs ~ts:(now ()) ~pid ~cat:"op" name;
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Trace.span_end t.obs ~ts:(now ()) ~pid ~cat:"op" name)
-      f
-  end
+let span t ~pid =
+  Obs.Trace.span t.obs ~pid ~cat:"op" ~now:(fun () ->
+      Sim.Engine.now (Sim.Network.engine (Abd.net t.abd)))
 
 (* Afek et al.'s scan: repeated collects; a clean double collect returns
    directly, a writer seen moving twice is borrowed from. Identical

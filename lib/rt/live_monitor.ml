@@ -1,25 +1,27 @@
 (* Live online monitoring for the rt backend: a dedicated monitor domain
-   consumes completed operations from a lock-free feed populated by
-   [Service] at invoke/respond/abort time and drives the streaming
-   [Obs.Monitor] (A0-A4 for eq-aso, the S-pass for sso) against the live
-   history, with bounded lag.
+   consumes the history's invoke/respond/abort stream from a lock-free
+   feed — [Service] makes [push] its [History] observer — and drives
+   the streaming [Obs.Monitor] (A0-A4 for eq-aso, the S-pass for sso)
+   against the live history, with bounded lag.
 
    Feed memory model (see DESIGN.md section 6d). [Service] stamps every
    history event under its single service lock, reading the monotonic
-   clock INSIDE the critical section, and pushes the matching monitor
-   event into the feed before releasing the lock. Pushes are therefore
-   totally ordered and their order agrees with the timestamp order, so
-   the monitor — the queue's single consumer — replays exactly the
-   time-ordered event stream the streaming checker's well-formedness
-   pass requires. No reorder buffer, no false positives from
-   cross-domain scheduling: the monitor lags the service by however many
-   events sit in the queue ([lag]), but it never sees them out of order.
+   clock INSIDE the critical section, and the history pushes the
+   matching monitor event into the feed before the lock is released.
+   Pushes are therefore totally ordered and their order agrees with the
+   timestamp order, so the monitor — the queue's single consumer —
+   replays exactly the time-ordered event stream the streaming
+   checker's well-formedness pass requires. No reorder buffer, no false
+   positives from cross-domain scheduling: the monitor lags the service
+   by however many events sit in the queue ([lag]), but it never sees
+   them out of order.
 
    On violation the monitor trips: it captures the verdict (the
    violation plus a causal-cone slice at the violating node's current
-   vector clock, when causal stamping is on), stops consuming, and
-   [Service.client_loop] — which polls [tripped] — halts intake so the
-   serve run fails mid-flight rather than at the final batch check. *)
+   vector clock, when causal stamping is on), stops consuming, and the
+   deployment's [halted] — which [Load.run]'s clients poll — reports it,
+   so intake stops and the serve run fails mid-flight rather than at
+   the final batch check. *)
 
 type verdict = {
   violation : Obs.Monitor.violation;
@@ -30,51 +32,12 @@ type verdict = {
   at : float; (* service clock when the monitor tripped *)
 }
 
-(* The feed itself: an unbounded single-producer/single-consumer linked
-   queue (producers are already serialised by the service lock, the
-   monitor domain is the only consumer — stdlib [Queue] is not safe
-   across domains). A sentinel-headed list whose [next] pointers are
-   atomic: the producer publishes by storing into the tail's [next],
-   the consumer advances [head]; each end is owned by exactly one
-   domain, so the only synchronisation is that one atomic store/load
-   pair per event. *)
-module Feed : sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val push : 'a t -> 'a -> unit
-  val pop_opt : 'a t -> 'a option
-end = struct
-  type 'a cell = { value : 'a option; next : 'a cell option Atomic.t }
-
-  type 'a t = {
-    mutable head : 'a cell; (* consumer-owned: the sentinel *)
-    mutable tail : 'a cell; (* producer-owned: last appended cell *)
-  }
-
-  let cell value = { value; next = Atomic.make None }
-
-  let create () =
-    let s = cell None in
-    { head = s; tail = s }
-
-  let push t v =
-    let c = cell (Some v) in
-    Atomic.set t.tail.next (Some c);
-    t.tail <- c
-
-  let pop_opt t =
-    match Atomic.get t.head.next with
-    | None -> None
-    | Some c ->
-        t.head <- c;
-        c.value
-end
-
 type t = {
-  feed : Obs.Monitor.event Feed.t;
+  (* [Queue] is multi-producer, but the service lock serializes the
+     pushes: the queue's FIFO merge of its producers is then the lock
+     order. *)
+  feed : Obs.Monitor.event Queue.t;
   mon : Obs.Monitor.t;
-  n : int;
   causal : Obs.Vclock.recorder option;
   now : unit -> float;
   throttle : (unit -> unit) option;
@@ -94,9 +57,8 @@ type t = {
 let create ?(mode = Obs.Monitor.Atomic) ?causal ?throttle ~metrics ~now ~n ()
     =
   {
-    feed = Feed.create ();
+    feed = Queue.create ();
     mon = Obs.Monitor.create ~mode ~n ();
-    n;
     causal;
     now;
     throttle;
@@ -124,13 +86,12 @@ let scans_verified t = Obs.Metrics.count t.c_scans
    monitor domain stalled" indicator on the console sampler line. *)
 let last_checked_age t = t.now () -. Atomic.get t.last_checked_at
 
-(* Producer side: called by [Service] under its service lock (which is
-   what makes the feed time-ordered, and what makes the SPSC queue's
-   single-producer contract hold — see the header comment). Cheap: one
-   cell append and one atomic increment. *)
+(* Producer side: the history's observer, called under the service
+   lock (which is what makes the feed time-ordered — see the header
+   comment). *)
 let push t ev =
   if Atomic.get t.tripped = None then begin
-    Feed.push t.feed ev;
+    Queue.push t.feed ev;
     Atomic.incr t.pushed
   end
 
@@ -138,22 +99,7 @@ let trip t (v : Obs.Monitor.violation) =
   let slice =
     match t.causal with
     | None -> []
-    | Some vr ->
-        (* The cone at the violating node's clock is the happened-before
-           message chain into the violating op. A wf violation can carry
-           node = -1; fall back to the join of all clocks (the full
-           causal past of the system at trip time). *)
-        let vc =
-          if v.node >= 0 && v.node < t.n then Obs.Vclock.clock vr v.node
-          else begin
-            let acc = Obs.Vclock.make t.n in
-            for i = 0 to t.n - 1 do
-              Obs.Vclock.merge_into ~src:(Obs.Vclock.clock vr i) ~dst:acc
-            done;
-            acc
-          end
-        in
-        Obs.Vclock.slice vr ~vc
+    | Some vr -> Obs.Vclock.cone vr ~node:v.node
   in
   Atomic.set t.tripped
     (Some { violation = v; slice; lag_events = lag t; at = t.now () })
@@ -167,7 +113,7 @@ let spin_budget = 256
 let rec loop t spins =
   if Atomic.get t.tripped <> None then ()
   else
-    match Feed.pop_opt t.feed with
+    match Queue.pop_opt t.feed with
     | Some ev ->
         (match t.throttle with Some f -> f () | None -> ());
         let t0 = t.now () in
@@ -205,7 +151,14 @@ let start t =
 (* Shutdown drains: [stopping] only takes effect on an empty feed, so
    every event pushed before [stop] is checked (unless the monitor
    tripped first) — the serve path needs the full history verified even
-   when the run ends before the monitor caught up. *)
+   when the run ends before the monitor caught up. [Queue.pop_opt] can
+   report empty while a push is half done (tail swapped, link not yet
+   published), which would end the drain one event early; that cannot
+   happen here because every pusher has been joined by then:
+   [Service.stop] joins the node domains before it calls [stop], and
+   the only other pusher, [Service.restart_node], stamps on its
+   caller's thread and has returned. Every push has completed, so every
+   element is linked. *)
 let stop t =
   Atomic.set t.stopping true;
   (match t.domain with

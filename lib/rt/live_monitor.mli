@@ -1,8 +1,9 @@
 (** Live online monitoring for the rt backend.
 
-    A dedicated monitor domain consumes completed operations from a
-    lock-free MPSC feed ({!Queue}) populated by {!Service} at
-    invoke/respond/abort time, and drives the streaming {!Obs.Monitor}
+    A dedicated monitor domain consumes the history's
+    invoke/respond/abort stream from a lock-free MPSC feed ({!Queue}) —
+    {!Service} makes {!push} the observer of its {!History.t} — and
+    drives the streaming {!Obs.Monitor}
     — A0–A4 for eq-aso, the sequential S-pass for sso — against the
     live history with bounded lag. The feed is time-ordered by
     construction: every producer pushes while holding the service lock,
@@ -14,8 +15,9 @@
     On violation the monitor {e trips}: it records a {!verdict} — the
     violation plus, when the network runs with causal stamping
     ({!Net.create}[ ~causal:true]), the happened-before causal-cone
-    slice at the violating node's vector clock — and stops consuming.
-    {!Service} polls {!tripped} from its client loops and halts intake,
+    slice at the violating node's vector clock ({!Obs.Vclock.cone}) —
+    and stops consuming. {!Service.deployment}'s [halted] reports
+    {!tripped}, which {!Load.run}'s clients poll to halt intake,
     failing the serve run mid-flight instead of at the final batch
     check.
 
@@ -57,19 +59,21 @@ val start : t -> unit
 (** Spawn the monitor domain. @raise Invalid_argument if running. *)
 
 val push : t -> Obs.Monitor.event -> unit
-(** Producer side. {b Ordering contract}: callers must serialize pushes
-    and read each event's timestamp under the same lock (the service
-    lock), so feed order agrees with timestamp order. Events pushed
-    after the monitor tripped are discarded. *)
+(** Producer side: the history's observer. {b Ordering contract}:
+    callers must serialize pushes and read each event's timestamp under
+    the same lock (the service lock), so feed order agrees with
+    timestamp order. Events pushed after the monitor tripped are
+    discarded. *)
 
 val stop : t -> verdict option
 (** Drain the feed (every event already pushed is still checked, unless
     a violation trips the monitor first), join the domain, and return
-    the final verdict. *)
+    the final verdict. Call after every pusher has returned. *)
 
 val tripped : t -> verdict option
 (** Non-blocking; safe from any domain. [Some _] once a violation
-    fired — {!Service}'s client loops poll this to halt intake. *)
+    fired — {!Service.deployment}'s [halted] reads this, so
+    {!Load.run} halts intake. *)
 
 val lag : t -> int
 (** Events pushed but not yet checked. *)

@@ -19,13 +19,13 @@ type 'm t = {
   cut : bool array;
 }
 
-let create ?(recorder = true) ?(causal = false) ?parking ~n () =
+let create ?(recorder = true) ?(causal = false) ~n () =
   if n <= 0 then invalid_arg "Rt.Net.create: n must be positive";
   let metrics = Obs.Metrics.create () in
   let t0 = Monotonic_clock.now () in
   let now () = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9 in
   let telem = if recorder then Some (Telem.create ~n ~now ()) else None in
-  let nodes = Array.init n (Node.create ?parking) in
+  let nodes = Array.init n Node.create in
   let tnodes =
     match telem with
     | Some tl -> Array.init n (fun i -> Some (Telem.node tl i))

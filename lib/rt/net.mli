@@ -17,9 +17,7 @@
 
 type 'm t
 
-val create :
-  ?recorder:bool -> ?causal:bool -> ?parking:Node.parking -> n:int -> unit ->
-  'm t
+val create : ?recorder:bool -> ?causal:bool -> n:int -> unit -> 'm t
 (** Allocate nodes and register the network counters ([net.sent] etc. —
     the simulator's names). Domains are not yet running: install
     handlers (via {!backend} and the protocol constructor), then
@@ -32,9 +30,7 @@ val create :
     observer on the receiving domain merges the stamp — mirroring the
     sim wiring, so rt violations get the same causal-cone slices. Flow
     events ([net.msg] start/end pairs) land on the sender's and
-    receiver's flight-recorder rings when both are enabled. [parking]
-    selects the mailbox park implementation (default [`Eventcount]; see
-    {!Node.parking}). *)
+    receiver's flight-recorder rings when both are enabled. *)
 
 val size : _ t -> int
 val metrics : _ t -> Obs.Metrics.t

@@ -11,30 +11,13 @@ type 'm item =
   | Work of (unit -> unit)
   | Stop
 
-type parking = [ `Mutex | `Eventcount ]
-
-(* Two park implementations. [PEvent] (default) is the lock-free
-   eventcount: producers pay one atomic read on post; the consumer
-   spins briefly, then registers and sleeps on the eventcount's
-   terminal condvar. [PMutex] is the original mutex+condition park,
-   kept alive so the bench table can report before/after on the same
-   binary. *)
-type park_impl =
-  | PMutex of {
-      lock : Mutex.t;
-      nonempty : Condition.t;
-      (* True while the node domain sleeps in [next]; producers only
-         pay for the lock/signal when someone is actually parked. Set
-         under [lock] (so a parked flag implies the consumer holds or
-         is inside the wait), read without it. *)
-      parked : bool Atomic.t;
-    }
-  | PEvent of Park.t
-
 type 'm t = {
   id : int;
   mbox : 'm item Queue.t;
-  park : park_impl;
+  (* Lock-free eventcount: producers pay one atomic read on post; the
+     consumer spins briefly, then registers and sleeps on the
+     eventcount's terminal condvar. *)
+  park : Park.t;
   poisoned : bool Atomic.t;
   mutable handler : src:int -> 'm -> unit;
   (* Delivery observer: runs on this node's domain just before the
@@ -61,20 +44,11 @@ type 'm t = {
    touched; idle, 64 relaxes cost ~100ns before the real sleep. *)
 let spin_budget = 64
 
-let create ?(parking = `Eventcount) id =
+let create id =
   {
     id;
     mbox = Queue.create ();
-    park =
-      (match parking with
-      | `Mutex ->
-          PMutex
-            {
-              lock = Mutex.create ();
-              nonempty = Condition.create ();
-              parked = Atomic.make false;
-            }
-      | `Eventcount -> PEvent (Park.create ()));
+    park = Park.create ();
     poisoned = Atomic.make false;
     handler = (fun ~src:_ _ -> ());
     on_deliver = (fun ~src:_ _ -> ());
@@ -103,28 +77,13 @@ let post t item =
        registering finds the item — no lost wakeup; see [Park] for the
        eventcount argument and [Queue] for why the signal must come
        after [push] returns. *)
-    (match t.park with
-    | PMutex p ->
-        if Atomic.get p.parked then begin
-          Mutex.lock p.lock;
-          Condition.broadcast p.nonempty;
-          Mutex.unlock p.lock
-        end
-    | PEvent ec -> Park.signal ec);
+    Park.signal t.park;
     true
   end
 
-let wake t =
-  match t.park with
-  | PMutex p ->
-      Mutex.lock p.lock;
-      Condition.broadcast p.nonempty;
-      Mutex.unlock p.lock
-  | PEvent ec -> Park.wake_all ec
-
 let crash t =
   Atomic.set t.poisoned true;
-  wake t
+  Park.wake_all t.park
 
 (* Blocking receive, node domain only. Fast path is a plain lock-free
    pop. The eventcount slow path spins briefly, then runs the
@@ -146,55 +105,36 @@ let next t =
   | None ->
       let t_park = match t.telem with Some nd -> Telem.now nd | None -> 0. in
       let item =
-        match t.park with
-        | PMutex p ->
-            Mutex.lock p.lock;
-            Atomic.set p.parked true;
-            Fun.protect
-              ~finally:(fun () ->
-                Atomic.set p.parked false;
-                Mutex.unlock p.lock)
-              (fun () ->
-                let rec wait () =
-                  match Queue.pop_opt t.mbox with
-                  | Some item -> item
-                  | None ->
-                      if Atomic.get t.poisoned then raise Crashed;
-                      Condition.wait p.nonempty p.lock;
-                      wait ()
-                in
-                wait ())
-        | PEvent ec ->
-            let rec slow spins =
-              if Atomic.get t.poisoned then raise Crashed;
-              match Queue.pop_opt t.mbox with
-              | Some item -> item
-              | None ->
-                  if spins > 0 then begin
-                    Domain.cpu_relax ();
-                    slow (spins - 1)
-                  end
-                  else begin
-                    let ticket = Park.prepare ec in
-                    if Atomic.get t.poisoned then begin
-                      Park.cancel ec;
-                      raise Crashed
-                    end;
-                    (* Mandatory re-check between registering and
-                       sleeping: a push that raced our registration
-                       either is visible here or saw our waiter count
-                       and will bump the sequence. *)
-                    match Queue.pop_opt t.mbox with
-                    | Some item ->
-                        Park.cancel ec;
-                        item
-                    | None ->
-                        Park.wait ec ticket;
-                        Park.finish ec;
-                        slow spin_budget
-                  end
-            in
-            slow spin_budget
+        let rec slow spins =
+          if Atomic.get t.poisoned then raise Crashed;
+          match Queue.pop_opt t.mbox with
+          | Some item -> item
+          | None ->
+              if spins > 0 then begin
+                Domain.cpu_relax ();
+                slow (spins - 1)
+              end
+              else begin
+                let ticket = Park.prepare t.park in
+                if Atomic.get t.poisoned then begin
+                  Park.cancel t.park;
+                  raise Crashed
+                end;
+                (* Mandatory re-check between registering and
+                   sleeping: a push that raced our registration
+                   either is visible here or saw our waiter count
+                   and will bump the sequence. *)
+                match Queue.pop_opt t.mbox with
+                | Some item ->
+                    Park.cancel t.park;
+                    item
+                | None ->
+                    Park.wait t.park ticket;
+                    Park.finish t.park;
+                    slow spin_budget
+              end
+        in
+        slow spin_budget
       in
       (match t.telem with
       | Some nd ->
@@ -260,8 +200,5 @@ let restart t =
   drain ();
   t.deferred_rev <- [];
   t.stop <- false;
-  (match t.park with
-  | PMutex p -> Atomic.set p.parked false
-  | PEvent _ -> ());
   Atomic.set t.poisoned false;
   start t

@@ -33,15 +33,11 @@ type 'm item =
 
 type 'm t
 
-type parking = [ `Mutex | `Eventcount ]
-(** How the node domain sleeps on an empty mailbox. [`Eventcount]
-    (default): spin briefly, then register on a {!Park} eventcount —
-    producers pay one atomic read per post while the node is awake.
-    [`Mutex]: the original mutex+condition park, kept for before/after
-    benchmarking. Semantics are identical (same wakeup guarantees, same
-    crash behaviour); only the cost model differs. *)
+val create : int -> 'm t
+(** A node whose domain sleeps on an empty mailbox by spinning briefly,
+    then registering on a {!Park} eventcount: producers pay one atomic
+    read per post while the node is awake. *)
 
-val create : ?parking:parking -> int -> 'm t
 val id : _ t -> int
 
 val set_handler : 'm t -> (src:int -> 'm -> unit) -> unit

@@ -1,6 +1,6 @@
-(* Eventcount parking: the lock-free replacement for the mailbox's
-   mutex+condition park. Producers on the fast path pay a single atomic
-   read ([waiters = 0] almost always under load); the mutex+condvar
+(* Eventcount parking: the mailbox's lock-free park. Producers on the
+   fast path pay a single atomic read ([waiters = 0] almost always
+   under load); the mutex+condvar
    survive only as the *terminal* sleep primitive, entered by a consumer
    that has already spun and registered.
 

@@ -1,25 +1,6 @@
 module LC = Aso_core.Lattice_core
 
-type algo = Eq_aso | Sso_fast_scan
-
-let algo_name = function Eq_aso -> "eq-aso" | Sso_fast_scan -> "sso-fast-scan"
-
-let algo_of_name s =
-  match String.map (function '_' -> '-' | c -> c) (String.lowercase_ascii s) with
-  | "eq-aso" -> Some Eq_aso
-  | "sso-fast-scan" -> Some Sso_fast_scan
-  | _ -> None
-
-let mode = function
-  | Eq_aso -> Obs.Monitor.Atomic
-  | Sso_fast_scan -> Obs.Monitor.Sequential
-
-type ops = {
-  op_update : node:int -> int -> unit;
-  op_scan : node:int -> int option array;
-  op_begin_recovery : node:int -> unit;
-  op_recover : node:int -> unit;
-}
+type algo = Aso_core.Handle.algo = Eq_aso | Sso_fast_scan
 
 (* A client's handle on one submitted request. [state] transitions
    Pending -> Done | Aborted exactly once ([resolve] is idempotent), so
@@ -46,7 +27,7 @@ type recovery = {
 type t = {
   net : int LC.Msg.t Net.t;
   n : int;
-  ops : ops;
+  ops : Aso_core.Handle.t;
   stores : int Persist.Store.t array;
   batch : bool;
   (* One service lock guards the history and the in-flight registries.
@@ -78,11 +59,11 @@ type t = {
      replay span in [restart_node] (explicit-timestamp events emitted by
      the fresh incarnation). *)
   tnodes : Telem.node option array;
-  (* Live online monitor ([None] unless created with [~online:true]).
-     Producers push feed events under [s.lock], with the event timestamp
-     read inside the same critical section — that is the total order
-     that makes the monitor's time-ordered stream sound (DESIGN.md
-     section 6d). *)
+  (* Live online monitor ([None] unless created with [~online:true]),
+     the history's observer: every boundary is stamped through [stamp],
+     under [s.lock], so the push happens in the critical section that
+     read the event's timestamp. That total order is what makes the
+     monitor's time-ordered stream sound (DESIGN.md section 6d). *)
   live : Live_monitor.t option;
 }
 
@@ -127,43 +108,25 @@ let unregister s node r =
    both the success and the crash-unwind path. *)
 let tele s node f = match s.tnodes.(node) with Some nd -> f nd | None -> ()
 
-(* Feed pushes for the live monitor. Callers hold [s.lock] and pass the
-   same timestamp they stamped into the history, so feed order agrees
-   with timestamp order (the push itself happens inside the critical
-   section). *)
-let feed s ev = match s.live with Some lm -> Live_monitor.push lm ev | None -> ()
-
-let feed_invoke s ~at (op : History.op) =
-  feed s
-    (Obs.Monitor.Invoke
-       {
-         id = op.id;
-         node = op.node;
-         at;
-         op =
-           (match op.kind with
-           | History.Update v -> Obs.Monitor.Update v
-           | History.Scan _ -> Obs.Monitor.Scan);
-       })
+(* Every history boundary goes through here: the clock is read, the
+   history (and with it the live monitor's feed) is updated, all under
+   [s.lock], so feed order agrees with timestamp order. *)
+let stamp s f =
+  Mutex.lock s.lock;
+  let r = f (Net.now s.net) in
+  Mutex.unlock s.lock;
+  r
 
 let run_update s ~node v r () =
   tele s node Telem.update_begin;
-  Mutex.lock s.lock;
-  let at = Net.now s.net in
-  let op = History.begin_update s.history ~now:at ~node ~value:v in
-  feed_invoke s ~at op;
-  Mutex.unlock s.lock;
-  match s.ops.op_update ~node v with
+  let op =
+    stamp s (fun now -> History.begin_update s.history ~now ~node ~value:v)
+  in
+  match s.ops.update ~node v with
   | () ->
-      Mutex.lock s.lock;
-      let at = Net.now s.net in
-      History.finish_update s.history ~now:at op;
-      (* Suppressed if a restart aborted the op first: the monitor saw
-         the Abort, and a respond after it would be a false "wf". *)
-      if op.aborted = None then
-        feed s (Obs.Monitor.Respond_update { id = op.id; at });
-      unregister s node r;
-      Mutex.unlock s.lock;
+      stamp s (fun now ->
+          History.finish_update s.history ~now op;
+          unregister s node r);
       tele s node Telem.update_end;
       resolve r `Done
   | exception Node.Crashed ->
@@ -176,20 +139,12 @@ let run_update s ~node v r () =
 
 let run_scan s ~node r () =
   tele s node Telem.scan_begin;
-  Mutex.lock s.lock;
-  let at = Net.now s.net in
-  let op = History.begin_scan s.history ~now:at ~node in
-  feed_invoke s ~at op;
-  Mutex.unlock s.lock;
-  match s.ops.op_scan ~node with
+  let op = stamp s (fun now -> History.begin_scan s.history ~now ~node) in
+  match s.ops.scan ~node with
   | snap ->
-      Mutex.lock s.lock;
-      let at = Net.now s.net in
-      History.finish_scan s.history ~now:at op ~snap;
-      if op.aborted = None then
-        feed s (Obs.Monitor.Respond_scan { id = op.id; at; snap });
-      unregister s node r;
-      Mutex.unlock s.lock;
+      stamp s (fun now ->
+          History.finish_scan s.history ~now op ~snap;
+          unregister s node r);
       r.snap <- Some snap;
       tele s node Telem.scan_end;
       resolve r `Done
@@ -227,23 +182,17 @@ let rec drain_batch s node () =
   | items -> (
       (* [take] pops oldest-first, so the fused value is the last. *)
       let v = fst (List.nth items (List.length items - 1)) in
-      Mutex.lock s.lock;
-      s.fused_away <- s.fused_away + List.length items - 1;
-      let at = Net.now s.net in
-      let op = History.begin_update s.history ~now:at ~node ~value:v in
-      feed_invoke s ~at op;
-      Mutex.unlock s.lock;
+      let op =
+        stamp s (fun now ->
+            s.fused_away <- s.fused_away + List.length items - 1;
+            History.begin_update s.history ~now ~node ~value:v)
+      in
       tele s node (fun nd ->
           Telem.fuse nd ~n:(List.length items);
           Telem.update_begin nd);
-      match s.ops.op_update ~node v with
+      match s.ops.update ~node v with
       | () ->
-          Mutex.lock s.lock;
-          let at = Net.now s.net in
-          History.finish_update s.history ~now:at op;
-          if op.aborted = None then
-            feed s (Obs.Monitor.Respond_update { id = op.id; at });
-          Mutex.unlock s.lock;
+          stamp s (fun now -> History.finish_update s.history ~now op);
           tele s node Telem.update_end;
           List.iter (fun (_, r) -> resolve r `Done) items;
           drain_batch s node ()
@@ -342,23 +291,15 @@ let restart_node s i =
   if not (Net.is_crashed s.net i) then
     invalid_arg "Rt.Service.restart_node: node is not crashed";
   let t_restart = Net.now s.net in
-  Mutex.lock s.lock;
-  s.recovering.(i) <- true;
   (* Restart is not resurrection: whatever the old incarnation left
      pending in the history is aborted now — the new incarnation's
-     operations are fresh invocations by the same node id. The abort
-     timestamp is re-read inside the lock: [t_restart] was taken before
-     acquisition, and a concurrent op stamped in between would make the
-     feed run backwards. *)
-  let t_abort = Net.now s.net in
-  List.iter
-    (fun (op : History.op) ->
-      if op.node = i then begin
-        History.abort s.history ~now:t_abort op;
-        feed s (Obs.Monitor.Abort { id = op.id; at = t_abort })
-      end)
-    (History.pending s.history);
-  Mutex.unlock s.lock;
+     operations are fresh invocations by the same node id. The abort is
+     stamped with its own reading of the clock: [t_restart] was taken
+     outside the lock, and a concurrent op stamped in between would
+     make the feed run backwards. *)
+  stamp s (fun now ->
+      s.recovering.(i) <- true;
+      History.abort_node s.history ~now ~node:i);
   (* Stragglers that pushed between the crash sweep and now have
      already self-aborted their replies; drop their queue entries and
      re-arm the drain flag before the node serves again. *)
@@ -370,7 +311,7 @@ let restart_node s i =
      node), then run the blocking rejoin as the first work item of the
      fresh domain. *)
   let t_replay0 = Net.now s.net in
-  s.ops.op_begin_recovery ~node:i;
+  s.ops.begin_recovery ~node:i;
   let t_replay1 = Net.now s.net in
   Net.restart s.net i;
   let posted =
@@ -382,71 +323,36 @@ let restart_node s i =
         tele s i (fun nd ->
             Telem.replay nd ~t0:t_replay0 ~t1:t_replay1;
             Telem.rejoin_begin nd);
-        s.ops.op_recover ~node:i;
+        s.ops.recover ~node:i;
         tele s i Telem.rejoin_end;
         let ready = Net.now s.net -. t_restart in
         (* Probe SCAN: the recovered node's first served operation,
            stamped into the checked history like any client request. *)
-        Mutex.lock s.lock;
-        let at = Net.now s.net in
-        let op = History.begin_scan s.history ~now:at ~node:i in
-        feed_invoke s ~at op;
-        Mutex.unlock s.lock;
-        let snap = s.ops.op_scan ~node:i in
-        Mutex.lock s.lock;
-        let at = Net.now s.net in
-        History.finish_scan s.history ~now:at op ~snap;
-        if op.aborted = None then
-          feed s (Obs.Monitor.Respond_scan { id = op.id; at; snap });
-        s.recovering.(i) <- false;
-        s.recoveries <-
-          {
-            rec_node = i;
-            rec_replayed = replayed;
-            rec_ready_after = ready;
-            rec_first_op = Net.now s.net -. t_restart;
-          }
-          :: s.recoveries;
-        Mutex.unlock s.lock)
+        let op =
+          stamp s (fun now -> History.begin_scan s.history ~now ~node:i)
+        in
+        let snap = s.ops.scan ~node:i in
+        stamp s (fun now ->
+            History.finish_scan s.history ~now op ~snap;
+            s.recovering.(i) <- false;
+            s.recoveries <-
+              {
+                rec_node = i;
+                rec_replayed = replayed;
+                rec_ready_after = ready;
+                rec_first_op = now -. t_restart;
+              }
+              :: s.recoveries))
   in
   if not posted then
     (* Crashed again between restart and the post; leave it down. *)
     ()
 
-let attach_stores core stores =
-  Array.iteri
-    (fun i store -> LC.set_store (LC.node core i) store)
-    stores
-
-let ops_of algo b ~f ~stores ~mutation =
-  match algo with
-  | Eq_aso ->
-      let t = Aso_core.Eq_aso.create_on b ~f in
-      attach_stores (Aso_core.Eq_aso.core t) stores;
-      LC.set_mutation (Aso_core.Eq_aso.core t) mutation;
-      {
-        op_update = (fun ~node v -> Aso_core.Eq_aso.update t ~node v);
-        op_scan = (fun ~node -> Aso_core.Eq_aso.scan t ~node);
-        op_begin_recovery =
-          (fun ~node -> Aso_core.Eq_aso.begin_recovery t ~node);
-        op_recover = (fun ~node -> Aso_core.Eq_aso.recover t ~node);
-      }
-  | Sso_fast_scan ->
-      let t = Aso_core.Sso.create_on b ~f in
-      attach_stores (Aso_core.Sso.core t) stores;
-      LC.set_mutation (Aso_core.Sso.core t) mutation;
-      {
-        op_update = (fun ~node v -> Aso_core.Sso.update t ~node v);
-        op_scan = (fun ~node -> Aso_core.Sso.scan t ~node);
-        op_begin_recovery = (fun ~node -> Aso_core.Sso.begin_recovery t ~node);
-        op_recover = (fun ~node -> Aso_core.Sso.recover t ~node);
-      }
-
 let create ?(batch = false) ?(recorder = true) ?(online = false)
-    ?monitor_throttle ?parking ?mutation ?wal_dir ~algo ~n ~f () =
+    ?monitor_throttle ?mutation ?wal_dir ~algo ~n ~f () =
   (* Causal stamping rides with the online monitor: the verdict's slice
      is built from the network's vector-clock log. *)
-  let net = Net.create ~recorder ~causal:online ?parking ~n () in
+  let net = Net.create ~recorder ~causal:online ~n () in
   (* Every node gets a durable store: file-backed WALs under [wal_dir]
      when given (the real crash-recovery path — survives the process),
      in-memory otherwise (models durable memory; survives [crash_node],
@@ -463,13 +369,16 @@ let create ?(batch = false) ?(recorder = true) ?(online = false)
               (Filename.concat dir (Printf.sprintf "node-%d.wal" i))
         | None -> Persist.Store.mem_store (Persist.Store.mem ()))
   in
-  let ops = ops_of algo (Net.backend net) ~f ~stores ~mutation in
-  let m = Net.metrics net in
+  let ops =
+    Aso_core.Handle.create ?mutation algo (Net.backend net) ~f
+      ~store:(fun i -> Some stores.(i))
+  in
   let live =
     if online then
       Some
-        (Live_monitor.create ~mode:(mode algo) ?causal:(Net.causal net)
-           ?throttle:monitor_throttle ~metrics:m
+        (Live_monitor.create ~mode:(Aso_core.Handle.mode algo)
+           ?causal:(Net.causal net) ?throttle:monitor_throttle
+           ~metrics:(Net.metrics net)
            ~now:(fun () -> Net.now net)
            ~n ())
     else None
@@ -481,7 +390,7 @@ let create ?(batch = false) ?(recorder = true) ?(online = false)
     stores;
     batch;
     lock = Mutex.create ();
-    history = History.create ();
+    history = History.create ?observe:(Option.map Live_monitor.push live) ();
     in_flight = Array.make n [];
     batch_q = Array.init n (fun _ -> Mpmc.create ());
     batch_draining = Array.init n (fun _ -> Atomic.make false);

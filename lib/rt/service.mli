@@ -37,15 +37,8 @@
     node. A {!Load.faults} plan drives the whole cycle under live client
     traffic through {!deployment}. *)
 
-type algo = Eq_aso | Sso_fast_scan
-
-val algo_name : algo -> string
-val algo_of_name : string -> algo option
-(** Accepts dashes or underscores, case-insensitive. *)
-
-val mode : algo -> Obs.Monitor.mode
-(** The conditions the algorithm's histories must satisfy: [Atomic]
-    (A0–A4) for EQ-ASO, [Sequential] (S1–S3) for SSO. *)
+type algo = Aso_core.Handle.algo = Eq_aso | Sso_fast_scan
+(** Name, parser and checker mode: {!Aso_core.Handle}. *)
 
 type t
 
@@ -65,7 +58,6 @@ val create :
   ?recorder:bool ->
   ?online:bool ->
   ?monitor_throttle:(unit -> unit) ->
-  ?parking:Node.parking ->
   ?mutation:Aso_core.Lattice_core.mutation ->
   ?wal_dir:string ->
   algo:algo ->
@@ -79,9 +71,10 @@ val create :
     [wal_dir/node-i.wal] (created or appended); without it, each node gets an in-memory durable store, so
     {!restart_node} works either way. [recorder] (default [true])
     attaches the per-node flight-recorder rings; [online] (default
-    [false]) attaches a {!Live_monitor} (fed at every history stamp,
-    started/joined by {!start}/{!stop}) {e and} enables the network's
-    causal stamping, so a live violation carries a causal-cone slice;
+    [false]) attaches a {!Live_monitor} as the history's observer (it
+    receives every invoke/respond/abort the history records, under the
+    service lock; started/joined by {!start}/{!stop}) {e and} enables
+    the network's causal stamping, so a live violation carries a causal-cone slice;
     [monitor_throttle] is the monitor-slowing test hook forwarded to
     {!Live_monitor.create}; [mutation] arms a seeded protocol bug
     ({!Aso_core.Lattice_core.mutation}) so the checker/forensics

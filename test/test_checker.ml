@@ -371,6 +371,88 @@ let test_render_order () =
         (String.length s > 0 && String.contains s '>')
   | Error e -> Alcotest.fail e
 
+(* --- The history as the monitor's event source --------------------- *)
+
+let pp_event ppf (ev : Obs.Monitor.event) =
+  match ev with
+  | Invoke { id; node; at; op } ->
+      Format.fprintf ppf "invoke #%d n%d %s @%g" id node
+        (match op with Update v -> Printf.sprintf "U(%d)" v | Scan -> "S")
+        at
+  | Respond_update { id; at } -> Format.fprintf ppf "respond_u #%d @%g" id at
+  | Respond_scan { id; at; _ } -> Format.fprintf ppf "respond_s #%d @%g" id at
+  | Abort { id; at } -> Format.fprintf ppf "abort #%d @%g" id at
+  | Crash _ | Restart _ | Rounds _ -> Format.fprintf ppf "other"
+
+let events_t = Alcotest.(list (testable pp_event ( = )))
+
+(* A finish that arrives after a restart aborted the op (a dying
+   incarnation that completes its protocol call late) leaves the op
+   aborted: no response recorded, lowered as Invoke + Abort. *)
+let test_finish_after_abort () =
+  let h = History.create () in
+  let u = History.begin_update h ~now:0.0 ~node:0 ~value:1 in
+  let sc = History.begin_scan h ~now:0.5 ~node:1 in
+  History.abort h ~now:1.0 u;
+  History.abort h ~now:1.0 sc;
+  History.finish_update h ~now:2.0 u;
+  History.finish_scan h ~now:2.0 sc ~snap:[| Some 1; None |];
+  Alcotest.(check (option (float 0.))) "update: no response" None u.resp;
+  Alcotest.(check (option (float 0.))) "update stays aborted" (Some 1.0)
+    u.aborted;
+  Alcotest.(check (option (float 0.))) "scan: no response" None sc.resp;
+  Alcotest.(check bool) "scan keeps no snapshot" true
+    (sc.kind = History.Scan None);
+  Alcotest.(check int) "nothing completed" 0 (List.length (History.completed h));
+  check_ok "still checks" (Ok ()) (atomic ~n:2 h);
+  Alcotest.check events_t "lowered as Invoke + Abort"
+    Obs.Monitor.
+      [
+        Invoke { id = 0; node = 0; at = 0.0; op = Update 1 };
+        Invoke { id = 1; node = 1; at = 0.5; op = Scan };
+        Abort { id = 0; at = 1.0 };
+        Abort { id = 1; at = 1.0 };
+      ]
+    (Checker.Feed.events h)
+
+(* Without ties in time, the stream the history hands its observer is
+   exactly [Feed.events] of the finished history: random schedules of
+   three sequential nodes, each step at a fresh instant, with aborts
+   (by node, as a restart does), finishes that arrive after an abort,
+   and ops left pending at the end. *)
+let observer_matches_feed =
+  QCheck.Test.make ~name:"observer stream = Feed.events (no ties)"
+    ~count:200 QCheck.int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let seen = ref [] in
+      let h = History.create ~observe:(fun ev -> seen := ev :: !seen) () in
+      let n = 3 in
+      let open_ops = Array.make n None in
+      let value = ref 0 in
+      for step = 1 to 60 do
+        let now = float_of_int step in
+        let node = Random.State.int rng n in
+        match open_ops.(node) with
+        | None ->
+            open_ops.(node) <-
+              Some
+                (if Random.State.bool rng then begin
+                   incr value;
+                   History.begin_update h ~now ~node ~value:!value
+                 end
+                 else History.begin_scan h ~now ~node)
+        | Some op -> (
+            match Random.State.int rng 4 with
+            | 0 -> History.abort_node h ~now ~node
+            | _ ->
+                (match op.kind with
+                | History.Update _ -> History.finish_update h ~now op
+                | History.Scan _ ->
+                    History.finish_scan h ~now op ~snap:(Array.make n None));
+                open_ops.(node) <- None)
+      done;
+      List.rev !seen = Checker.Feed.events h)
+
 let case name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -396,5 +478,7 @@ let suites =
         case "timeline render" test_timeline_render;
         case "timeline empty" test_timeline_empty;
         case "render order" test_render_order;
+        case "finish after abort stays aborted" test_finish_after_abort;
+        QCheck_alcotest.to_alcotest observer_matches_feed;
       ] );
   ]

@@ -27,11 +27,12 @@ let budget_secs = 8.0
 (* One closed-loop window over a started deployment; [before] runs on
    the live deployment before the clients start. The deployment is
    stopped (monitor drained) when this returns. *)
-let run_load ?(before = ignore) ?(scan_fraction = 0.2) s ~clients ~secs =
+let run_load ?(before = ignore) ?(scan_fraction = 0.2) ?faults s ~clients
+    ~secs =
   let d = Rt.Service.deployment s in
   Rt.Service.start s;
   before s;
-  let r = Load.run d ~clients ~secs ~scan_fraction ~seed:42 in
+  let r = Load.run ?faults d ~clients ~secs ~scan_fraction ~seed:42 in
   Rt.Service.stop s;
   r
 
@@ -145,6 +146,35 @@ let check_clean algo ~n ~clients () =
   Alcotest.(check bool) "scans verified" true
     (Rt.Live_monitor.scans_verified lm > 0)
 
+(* Crash-restart with the monitor on: the restart's aborts and the
+   recovered node's probe scan reach the monitor through the history,
+   like every other boundary, so the monitor checks exactly the events
+   [Feed.events] lowers from the final history, and none of them trips
+   it. EQ-ASO only: on SSO the monitor's Sequential mode counts an
+   aborted update that no scan returned as taken effect and can report
+   a false (S2) — the open checker gap that ROADMAP item 1 tracks. *)
+let test_crash_restart_online () =
+  let s =
+    Rt.Service.create ~online:true ~algo:Rt.Service.Eq_aso ~n:4 ~f:1 ()
+  in
+  let r =
+    run_load
+      ~faults:(Load.faults ~n:4 ~f:1 ~crash_at:0.1 ~restart_at:0.2 [ 0 ])
+      s ~clients:4 ~secs:0.5
+  in
+  let lm = monitor s in
+  (match Rt.Live_monitor.tripped lm with
+  | None -> ()
+  | Some v ->
+      Alcotest.failf "false positive across a restart: %a"
+        Rt.Live_monitor.pp_verdict v);
+  Alcotest.(check (list int)) "node 0 restarted" [ 0 ] r.restarted;
+  Alcotest.(check int) "the probe scan ran" 1
+    (List.length (Rt.Service.recoveries s));
+  Alcotest.(check int) "monitor checked the history's whole stream"
+    (List.length (Checker.Feed.events (Rt.Service.history s)))
+    (Rt.Live_monitor.events_checked lm)
+
 (* ------------------------------------------------------------------ *)
 (* Bounded lag: throttle the monitor domain so it provably falls behind
    the service, then verify (a) no false positive appears under lag,
@@ -227,6 +257,8 @@ let suites =
           (check_clean Rt.Service.Sso_fast_scan ~n:4 ~clients:3);
         case "slowed monitor: lag bounded, full drain, no false positive"
           test_lag_bound_slowed_monitor;
+        case "eq-aso crash-restart: no false positive, whole stream checked"
+          test_crash_restart_online;
         slow "skip-write-tag caught live, mid-run"
           test_skip_write_tag_live;
         slow "stale-renewal caught live, mid-run" test_stale_renewal_live;
