@@ -5,11 +5,14 @@ type 'v t = {
   changed : Backend.condition;
   v : View.t array;
   store : (Timestamp.t, 'v) Hashtbl.t;
-  (* Append log of view insertions [(j, ts)]: lets a pending [await_eq]
-     update its per-view cardinalities incrementally instead of
-     recomputing EQ from scratch on every delivery. *)
-  additions : (int * Timestamp.t) Vec.t;
+  (* The pending [await_eq] calls (at most one on a sequential node):
+     [add_to_view] bumps their per-view counts directly, so the
+     predicate, run once per delivered message, never recounts. *)
+  mutable waiting : waiter list;
 }
+
+(* [counts.(j)] is [|V.(j)^{<=bound}|], kept current by [add_to_view]. *)
+and waiter = { counts : int array; bound : int }
 
 let create ~n ~me ~forward ~changed =
   {
@@ -19,7 +22,7 @@ let create ~n ~me ~forward ~changed =
     changed;
     v = Array.make n View.empty;
     store = Hashtbl.create 64;
-    additions = Vec.create ();
+    waiting = [];
   }
 
 let me t = t.me
@@ -27,7 +30,10 @@ let me t = t.me
 let add_to_view t j ts =
   if not (View.mem ts t.v.(j)) then begin
     t.v.(j) <- View.add ts t.v.(j);
-    Vec.push t.additions (j, ts)
+    let tag = Timestamp.tag ts in
+    List.iter
+      (fun w -> if tag <= w.bound then w.counts.(j) <- w.counts.(j) + 1)
+      t.waiting
   end
 
 let local_insert t ts value = Hashtbl.replace t.store ts value
@@ -44,9 +50,6 @@ let my_view t = t.v.(t.me)
 let value_of t ts = Hashtbl.find t.store ts
 let knows t ts = Hashtbl.mem t.store ts
 
-let in_range ts max_tag =
-  match max_tag with None -> true | Some r -> Timestamp.tag ts <= r
-
 let restricted v max_tag =
   match max_tag with None -> v | Some r -> View.restrict v ~max_tag:r
 
@@ -60,29 +63,25 @@ let eq_holds t ~quorum ~max_tag =
 
 let await_eq ?(must_contain = []) t ~quorum ~max_tag =
   (* Since V.(j) ⊆ V.(me), set equality below the tag bound is exactly
-     cardinality equality; track cardinalities incrementally from the
-     additions log. *)
-  let counts =
-    Array.init t.n (fun j ->
-        match max_tag with
-        | None -> View.cardinal t.v.(j)
-        | Some r -> View.count_le t.v.(j) ~max_tag:r)
+     cardinality equality. The starting counts are cheap [count_le]
+     calls; from then on [add_to_view] keeps them current. *)
+  let bound = Option.value max_tag ~default:max_int in
+  let w =
+    { counts = Array.init t.n (fun j -> View.count_le t.v.(j) ~max_tag:bound);
+      bound }
   in
-  let pos = ref (Vec.length t.additions) in
   let predicate () =
-    while !pos < Vec.length t.additions do
-      let j, ts = Vec.get t.additions !pos in
-      if in_range ts max_tag then counts.(j) <- counts.(j) + 1;
-      incr pos
-    done;
     List.for_all (fun ts -> View.mem ts t.v.(t.me)) must_contain
     &&
-    let mine = counts.(t.me) in
+    let mine = w.counts.(t.me) in
     let matching = ref 0 in
     for j = 0 to t.n - 1 do
-      if counts.(j) = mine then incr matching
+      if w.counts.(j) = mine then incr matching
     done;
     !matching >= quorum
   in
-  t.changed.Backend.await predicate;
+  t.waiting <- w :: t.waiting;
+  Fun.protect
+    ~finally:(fun () -> t.waiting <- List.filter (fun x -> x != w) t.waiting)
+    (fun () -> t.changed.Backend.await predicate);
   restricted t.v.(t.me) max_tag

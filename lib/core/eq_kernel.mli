@@ -19,8 +19,11 @@
     [V.(j) ⊆ V.(i)] for the local node [i] and every [j], because every
     insertion into [V.(j)] inserts into [V.(i)] in the same atomic
     handler. Equality [V.(j)^{<=r} = V.(i)^{<=r}] therefore reduces to a
-    cardinality comparison, which {!await_eq} maintains incrementally in
-    O(1) per received value. *)
+    cardinality comparison. {!await_eq} takes its starting counts from
+    {!View.count_le} (O(n · w · log H) per await for [w] writers and [H]
+    members, independent of the history when few members lie above
+    [r]); from then on every view insertion bumps the pending await's
+    count in O(1), and the predicate only compares [n] integers. *)
 
 type 'v t
 
@@ -75,6 +78,6 @@ val await_eq :
     context (a fiber on Sim, the node's own domain on Rt). *)
 
 val eq_holds : 'v t -> quorum:int -> max_tag:int option -> bool
-(** One-off (non-incremental) evaluation of the predicate; reference
-    implementation used by tests and by the communication-free SSO
-    scan path. *)
+(** One-off (non-incremental) evaluation of the predicate, by set
+    equality of the restricted views (O(n · H)): the reference the tests
+    compare {!await_eq}'s counters against. *)

@@ -383,7 +383,8 @@ let peer_conn_loop t fd reader ~src ~src_boot =
                 (fun m ->
                   Obs.Metrics.incr t.c_delivered;
                   ignore
-                    (Rt.Node.post t.node (Rt.Node.Net { src; msg = m; meta = None })))
+                    (Rt.Node.post t.node
+                       (Rt.Node.Net { src; msg = m; stamp = [||] })))
                 (Chan.rx_data ib.irx ~seq msg);
               Chan.rx_expected ib.irx
             end
@@ -511,7 +512,7 @@ let send t ~src ~dst m =
   if src = t.me && dst >= 0 && dst < t.n then begin
     Obs.Metrics.incr t.c_sent;
     if dst = t.me then begin
-      if Rt.Node.post t.node (Rt.Node.Net { src; msg = m; meta = None }) then
+      if Rt.Node.post t.node (Rt.Node.Net { src; msg = m; stamp = [||] }) then
         Obs.Metrics.incr t.c_delivered
     end
     else

@@ -149,12 +149,6 @@ let clock r i =
   Mutex.unlock s.s_lock;
   c
 
-let kind_code = function
-  | Send _ -> 0
-  | Deliver _ -> 1
-  | Drop _ -> 2
-  | Local -> 3
-
 let kind_of_code code peer =
   match code with
   | 0 -> Send { dst = peer }
@@ -162,21 +156,19 @@ let kind_of_code code peer =
   | 2 -> Drop { src = peer }
   | _ -> Local
 
-(* Callers hold [s.s_lock]. *)
-let push r s ~node ~kind ~flow ~at ~label =
+(* Callers hold [s.s_lock]. The kind travels as its ring code and peer,
+   so a capped shard builds no [kind] value on the hot path. *)
+let push r s ~node ~code ~peer ~flow ~at ~label =
   let idx = Atomic.fetch_and_add r.next_idx 1 in
   match s.s_store with
   | Unbounded u ->
+      let kind = kind_of_code code peer in
       u.log <- { idx; node; kind; flow; at; vc = copy s.s_clock; label } :: u.log
   | Ring rg ->
       let slot = rg.rg_len mod rg.rg_cap in
       rg.rg_idx.(slot) <- idx;
-      rg.rg_kind.(slot) <- kind_code kind;
-      rg.rg_peer.(slot) <-
-        (match kind with
-        | Send { dst } -> dst
-        | Deliver { src } | Drop { src } -> src
-        | Local -> 0);
+      rg.rg_kind.(slot) <- code;
+      rg.rg_peer.(slot) <- peer;
       rg.rg_flow.(slot) <- flow;
       rg.rg_at.(slot) <- at;
       Array.blit s.s_clock 0 rg.rg_vc (slot * r.n) r.n;
@@ -190,43 +182,47 @@ let push r s ~node ~kind ~flow ~at ~label =
             List.filter (fun (i, _) -> i > floor_idx) rg.rg_labels
       end
 
-(* Manual loops: the closure-based [Array.iteri] costs on a path run
-   once per delivered message. Caller holds the shard lock. *)
-let merge_tick clk ~(stamp : t) ~me =
+(* A stamp is one array: the sender's clock after the send, then the
+   flow id. Manual loops: the closure-based [Array.iteri] costs on a
+   path run once per delivered message. Caller holds the shard lock. *)
+let merge_tick clk ~(stamp : int array) ~me =
   let n = Array.length clk in
   for i = 0 to n - 1 do
     if stamp.(i) > clk.(i) then clk.(i) <- stamp.(i)
   done;
   clk.(me) <- clk.(me) + 1
 
+let stamp_flow stamp = stamp.(Array.length stamp - 1)
+
 let record_send r ~src ~dst ~at ?(label = "") () =
   let s = r.shards.(src) in
   Mutex.lock s.s_lock;
   tick s.s_clock src;
   let flow = Atomic.fetch_and_add r.next_flow 1 in
-  push r s ~node:src ~kind:(Send { dst }) ~flow ~at ~label;
-  let stamp = copy s.s_clock in
+  push r s ~node:src ~code:0 ~peer:dst ~flow ~at ~label;
+  let stamp = Array.make (r.n + 1) flow in
+  Array.blit s.s_clock 0 stamp 0 r.n;
   Mutex.unlock s.s_lock;
-  (flow, stamp)
+  stamp
 
-let record_deliver r ~dst ~src ~flow ~stamp ~at ?(label = "") () =
+let record_deliver r ~dst ~src ~stamp ~at ?(label = "") () =
   let s = r.shards.(dst) in
   Mutex.lock s.s_lock;
   merge_tick s.s_clock ~stamp ~me:dst;
-  push r s ~node:dst ~kind:(Deliver { src }) ~flow ~at ~label;
+  push r s ~node:dst ~code:1 ~peer:src ~flow:(stamp_flow stamp) ~at ~label;
   Mutex.unlock s.s_lock
 
-let record_drop r ~dst ~src ~flow ~at ?(label = "") () =
+let record_drop r ~dst ~src ~stamp ~at ?(label = "") () =
   let s = r.shards.(dst) in
   Mutex.lock s.s_lock;
-  push r s ~node:dst ~kind:(Drop { src }) ~flow ~at ~label;
+  push r s ~node:dst ~code:2 ~peer:src ~flow:(stamp_flow stamp) ~at ~label;
   Mutex.unlock s.s_lock
 
 let record_local r ~node ~at name =
   let s = r.shards.(node) in
   Mutex.lock s.s_lock;
   tick s.s_clock node;
-  push r s ~node ~kind:Local ~flow:0 ~at ~label:name;
+  push r s ~node ~code:3 ~peer:0 ~flow:0 ~at ~label:name;
   Mutex.unlock s.s_lock
 
 (* Snapshot every shard's log (each under its lock, ring slots

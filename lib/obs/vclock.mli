@@ -96,23 +96,30 @@ val clock : recorder -> int -> t
 
 val record_send :
   recorder -> src:int -> dst:int -> at:float -> ?label:string -> unit ->
-  int * t
-(** Tick [src]'s clock and log the send. Returns the fresh flow id
-    (positive, unique within the recorder) and a private copy of the
-    sender's clock — the stamp that must travel with the message and be
-    handed back to {!record_deliver}. *)
+  int array
+(** Tick [src]'s clock and log the send. Returns the stamp that must
+    travel with the message and be handed back to {!record_deliver} (or
+    {!record_drop}): one fresh array of [nodes r + 1] ints, the sender's
+    clock after the send followed by the flow id (positive, unique
+    within the recorder). One array keeps the per-message cost of
+    stamping to a single small allocation. *)
+
+val stamp_flow : int array -> int
+(** The flow id of a stamp from {!record_send}: its last component. *)
 
 val record_deliver :
-  recorder -> dst:int -> src:int -> flow:int -> stamp:t -> at:float ->
+  recorder -> dst:int -> src:int -> stamp:int array -> at:float ->
   ?label:string -> unit -> unit
-(** Merge the message [stamp] into [dst]'s clock, tick, and log the
-    delivery. *)
+(** Merge the clock part of [stamp] into [dst]'s clock, tick, and log the
+    delivery under the stamp's flow id. Allocates nothing on a capped
+    recorder. *)
 
 val record_drop :
-  recorder -> dst:int -> src:int -> flow:int -> at:float ->
+  recorder -> dst:int -> src:int -> stamp:int array -> at:float ->
   ?label:string -> unit -> unit
-(** Log a suppressed delivery (crashed receiver). Does not touch the
-    receiver's clock: a dropped message is causally inert. *)
+(** Log a suppressed delivery (crashed receiver) under the stamp's flow
+    id. Does not touch the receiver's clock: a dropped message is
+    causally inert. *)
 
 val record_local :
   recorder -> node:int -> at:float -> string -> unit

@@ -11,8 +11,5 @@ let equal a b = a.tag = b.tag && a.writer = b.writer
 let tag t = t.tag
 let writer t = t.writer
 
-(* Real writers are in [0, n); max_int sorts after all of them. *)
-let upper_bound r = { tag = r; writer = max_int }
-
 let pp ppf t = Format.fprintf ppf "<%d,%d>" t.tag t.writer
 let to_string t = Format.asprintf "%a" pp t

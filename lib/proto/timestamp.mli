@@ -15,9 +15,5 @@ val equal : t -> t -> bool
 val tag : t -> int
 val writer : t -> int
 
-val upper_bound : int -> t
-(** [upper_bound r] sorts after every real timestamp with tag [<= r] and
-    before every timestamp with tag [> r]; used to split views. *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

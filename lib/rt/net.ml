@@ -51,11 +51,11 @@ let create ?(recorder = true) ?(causal = false) ~n () =
   | Some vr ->
       Array.iteri
         (fun dst nd ->
-          Node.set_on_deliver nd (fun ~src (m : Node.meta) ->
-              Obs.Vclock.record_deliver vr ~dst ~src ~flow:m.flow
-                ~stamp:m.stamp ~at:(now ()) ();
+          Node.set_on_deliver nd (fun ~src stamp ->
+              Obs.Vclock.record_deliver vr ~dst ~src ~stamp ~at:(now ()) ();
               match tnodes.(dst) with
-              | Some tnd -> Telem.flow_recv tnd ~flow:m.flow
+              | Some tnd ->
+                  Telem.flow_recv tnd ~flow:(Obs.Vclock.stamp_flow stamp)
               | None -> ()))
         nodes
   | None -> ());
@@ -92,26 +92,24 @@ let send t ~src ~dst msg =
     if t.cut.((src * size t) + dst) then Obs.Metrics.incr t.c_dropped
     else begin
       Obs.Metrics.incr t.c_sent;
-      let meta =
+      let stamp =
         match t.causal with
-        | None -> None
+        | None -> [||]
         | Some vr ->
-            let flow, stamp =
-              Obs.Vclock.record_send vr ~src ~dst ~at:(now t) ()
-            in
+            let stamp = Obs.Vclock.record_send vr ~src ~dst ~at:(now t) () in
             (match t.tnodes.(src) with
-            | Some tnd -> Telem.flow_send tnd ~flow
+            | Some tnd ->
+                Telem.flow_send tnd ~flow:(Obs.Vclock.stamp_flow stamp)
             | None -> ());
-            Some { Node.flow; stamp }
+            stamp
       in
-      if Node.post t.nodes.(dst) (Node.Net { src; msg; meta }) then
+      if Node.post t.nodes.(dst) (Node.Net { src; msg; stamp }) then
         Obs.Metrics.incr t.c_delivered
       else begin
         Obs.Metrics.incr t.c_dropped;
-        match (t.causal, meta) with
-        | Some vr, Some m ->
-            Obs.Vclock.record_drop vr ~dst ~src ~flow:m.flow ~at:(now t) ()
-        | _ -> ()
+        match t.causal with
+        | Some vr -> Obs.Vclock.record_drop vr ~dst ~src ~stamp ~at:(now t) ()
+        | None -> ()
       end
     end
   end

@@ -25,8 +25,8 @@ val create : ?recorder:bool -> ?causal:bool -> n:int -> unit -> 'm t
     ring to every node ({!Telem}); pass [false] to measure its absence
     (the bench overhead rows). [causal] (default [false]) attaches an
     {!Obs.Vclock.recorder} and stamps every message: {!send} records the
-    send, piggy-backs the flow id and the sender's clock as
-    {!Node.meta} next to the untouched payload, and the delivery
+    send, piggy-backs the stamp (the sender's clock, then the flow id,
+    in one array) next to the untouched payload, and the delivery
     observer on the receiving domain merges the stamp — mirroring the
     sim wiring, so rt violations get the same causal-cone slices. Flow
     events ([net.msg] start/end pairs) land on the sender's and

@@ -1,13 +1,12 @@
 exception Crashed
 
-(* Causal metadata piggy-backed on a network message: the sender's
-   vector-clock stamp and the flow id tying this send to its delivery.
-   Rides next to the payload — protocol message types stay untouched,
-   mirroring how the sim's transport carries stamps out of band. *)
-type meta = { flow : int; stamp : Obs.Vclock.t }
-
+(* [stamp] is the causal stamp piggy-backed on a network message (an
+   {!Obs.Vclock} stamp: the sender's clock, then the flow id), empty
+   when stamping is off. Rides next to the payload — protocol message
+   types stay untouched, mirroring how the sim's transport carries
+   stamps out of band. *)
 type 'm item =
-  | Net of { src : int; msg : 'm; meta : meta option }
+  | Net of { src : int; msg : 'm; stamp : int array }
   | Work of (unit -> unit)
   | Stop
 
@@ -21,10 +20,10 @@ type 'm t = {
   poisoned : bool Atomic.t;
   mutable handler : src:int -> 'm -> unit;
   (* Delivery observer: runs on this node's domain just before the
-     handler, for every Net item carrying causal [meta]. Installed
+     handler, for every Net item carrying a causal stamp. Installed
      before [start] (like the handler); the vclock merge and the
      receive-side flow event live here. *)
-  mutable on_deliver : src:int -> meta -> unit;
+  mutable on_deliver : src:int -> int array -> unit;
   (* Work items that arrived while an operation was blocked in [await]:
      they must not run in the middle of that operation (nodes are
      sequential), so the pump parks them here and the run loop drains
@@ -62,8 +61,8 @@ let id t = t.id
 let set_handler t h = t.handler <- h
 let set_on_deliver t f = t.on_deliver <- f
 
-let deliver t ~src ~meta msg =
-  (match meta with Some m -> t.on_deliver ~src m | None -> ());
+let deliver t ~src ~stamp msg =
+  if Array.length stamp > 0 then t.on_deliver ~src stamp;
   t.handler ~src msg
 let set_telem t tl = t.telem <- tl
 let is_crashed t = Atomic.get t.poisoned
@@ -151,7 +150,7 @@ let next t =
 let await t pred =
   while not (pred ()) do
     match next t with
-    | Net { src; msg; meta } -> deliver t ~src ~meta msg
+    | Net { src; msg; stamp } -> deliver t ~src ~stamp msg
     | Work f -> t.deferred_rev <- f :: t.deferred_rev
     | Stop -> t.stop <- true
   done
@@ -168,7 +167,7 @@ let run t =
   try
     while not t.stop do
       match next t with
-      | Net { src; msg; meta } -> deliver t ~src ~meta msg
+      | Net { src; msg; stamp } -> deliver t ~src ~stamp msg
       | Work f ->
           f ();
           drain_deferred t

@@ -20,14 +20,13 @@ exception Crashed
 (** Raised by a blocking receive on a poisoned (crashed) node; unwinds
     the operation running on the node's domain. *)
 
-type meta = { flow : int; stamp : Obs.Vclock.t }
-(** Causal metadata riding next to a network payload: the sender's
-    vector-clock stamp and the flow id pairing this send with its
-    delivery. Protocol message types stay untouched — this mirrors the
-    sim transport's out-of-band stamping. *)
-
 type 'm item =
-  | Net of { src : int; msg : 'm; meta : meta option }
+  | Net of { src : int; msg : 'm; stamp : int array }
+      (** [stamp] is the causal stamp riding next to the payload: the
+          {!Obs.Vclock.record_send} array (the sender's clock, then the
+          flow id pairing this send with its delivery), or [[||]] when
+          stamping is off. Protocol message types stay untouched — this
+          mirrors the sim transport's out-of-band stamping. *)
   | Work of (unit -> unit)
   | Stop
 
@@ -43,9 +42,9 @@ val id : _ t -> int
 val set_handler : 'm t -> (src:int -> 'm -> unit) -> unit
 (** Install the message handler. Must happen before {!start}. *)
 
-val set_on_deliver : 'm t -> (src:int -> meta -> unit) -> unit
+val set_on_deliver : 'm t -> (src:int -> int array -> unit) -> unit
 (** Install the delivery observer: called on the node's own domain just
-    before the handler, for every [Net] item carrying [meta]. Must
+    before the handler, for every [Net] item with a non-empty stamp. Must
     happen before {!start}. {!Net} uses it to merge the piggy-backed
     vector-clock stamp and emit the receive-side flow event. *)
 

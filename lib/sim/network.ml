@@ -45,7 +45,7 @@ type 'm t = {
      queue is always the stamp of the message being delivered. The
      direct backend and the loopback path capture stamps in the
      scheduled closure instead. *)
-  stamps : (int * Obs.Vclock.t) Queue.t array array option;
+  stamps : int array Queue.t array array option;
   (* Payload-free message label for trace events; algorithms install
      their wire-protocol kind function ({!set_msg_label}). *)
   mutable msg_label : ('m -> string) option;
@@ -73,20 +73,21 @@ let obs_msg t ~name ~pid ~src ~dst msg =
       name
 
 (* Logical delivery point, shared by both backends: the destination's
-   crash is checked at delivery time. [stamp] is the (flow id, vector
-   clock) pair recorded at send time, [None] when causal recording is
-   off. *)
-let deliver ?stamp t ~src ~dst msg =
+   crash is checked at delivery time. [stamp] is the {!Obs.Vclock}
+   stamp (clock, then flow id) recorded at send time, empty when causal
+   recording is off. *)
+let deliver ~stamp t ~src ~dst msg =
   let now = Engine.now t.engine in
   if not t.crashed.(dst) then begin
     Obs.Metrics.incr t.delivered;
     obs_msg t ~name:"recv" ~pid:dst ~src ~dst msg;
-    (match (t.causal, stamp) with
-    | Some r, Some (flow, vc) ->
-        Obs.Vclock.record_deliver r ~dst ~src ~flow ~stamp:vc ~at:now
+    (match t.causal with
+    | Some r when Array.length stamp > 0 ->
+        Obs.Vclock.record_deliver r ~dst ~src ~stamp ~at:now
           ~label:(label t msg) ();
         if Obs.Trace.enabled t.obs then
-          Obs.Trace.flow_end t.obs ~ts:now ~pid:dst ~id:flow (label t msg)
+          Obs.Trace.flow_end t.obs ~ts:now ~pid:dst
+            ~id:(Obs.Vclock.stamp_flow stamp) (label t msg)
     | _ -> ());
     trace t (Delivered { src; dst; at = now; msg });
     t.handlers.(dst) ~src msg
@@ -94,21 +95,21 @@ let deliver ?stamp t ~src ~dst msg =
   else begin
     Obs.Metrics.incr t.dropped;
     obs_msg t ~name:"drop" ~pid:dst ~src ~dst msg;
-    (match (t.causal, stamp) with
-    | Some r, Some (flow, _) ->
-        Obs.Vclock.record_drop r ~dst ~src ~flow ~at:now ~label:(label t msg)
+    (match t.causal with
+    | Some r when Array.length stamp > 0 ->
+        Obs.Vclock.record_drop r ~dst ~src ~stamp ~at:now ~label:(label t msg)
           ()
     | _ -> ());
     trace t (Dropped { src; dst; at = now; msg })
   end
 
 (* Pop the in-flight stamp for the transport delivery about to happen
-   on channel (src, dst); [None] when causal recording is off. *)
+   on channel (src, dst); empty when causal recording is off. *)
 let pop_stamp t ~src ~dst =
   match t.stamps with
-  | None -> None
-  | Some q -> if Queue.is_empty q.(src).(dst) then None
-              else Some (Queue.pop q.(src).(dst))
+  | None -> [||]
+  | Some q -> if Queue.is_empty q.(src).(dst) then [||]
+              else Queue.pop q.(src).(dst)
 
 let create ?substrate engine ~n ~delay =
   assert (n > 0);
@@ -159,7 +160,7 @@ let create ?substrate engine ~n ~delay =
   | Stack tr ->
       for i = 0 to n - 1 do
         Transport.set_handler tr i (fun ~src msg ->
-            deliver ?stamp:(pop_stamp t ~src ~dst:i) t ~src ~dst:i msg)
+            deliver ~stamp:(pop_stamp t ~src ~dst:i) t ~src ~dst:i msg)
       done);
   t
 
@@ -242,14 +243,15 @@ let send t ~src ~dst msg =
        packet but delivers the message once). *)
     let stamp =
       match t.causal with
-      | None -> None
+      | None -> [||]
       | Some r ->
-          let flow, vc =
+          let stamp =
             Obs.Vclock.record_send r ~src ~dst ~at:now ~label:(label t msg) ()
           in
           if Obs.Trace.enabled t.obs then
-            Obs.Trace.flow_start t.obs ~ts:now ~pid:src ~id:flow (label t msg);
-          Some (flow, vc)
+            Obs.Trace.flow_start t.obs ~ts:now ~pid:src
+              ~id:(Obs.Vclock.stamp_flow stamp) (label t msg);
+          stamp
     in
     trace t (Sent { src; dst; at = now; msg });
     match t.backend with
@@ -258,18 +260,18 @@ let send t ~src ~dst msg =
         let at = Float.max (now +. d) last_delivery.(src).(dst) in
         last_delivery.(src).(dst) <- at;
         Engine.schedule ~label:(Label.Deliver dst) t.engine ~delay:(at -. now)
-          (fun () -> deliver ?stamp t ~src ~dst msg)
+          (fun () -> deliver ~stamp t ~src ~dst msg)
     | Stack tr ->
         if src = dst then
           (* Loopback needs no reliability protocol; deliver at the
              current time via the event queue, as the ideal network
              does, to preserve handler atomicity. *)
           Engine.schedule ~label:(Label.Deliver dst) t.engine ~delay:0.
-            (fun () -> deliver ?stamp t ~src ~dst msg)
+            (fun () -> deliver ~stamp t ~src ~dst msg)
         else begin
-          (match (t.stamps, stamp) with
-          | Some q, Some s -> Queue.push s q.(src).(dst)
-          | _ -> ());
+          (match t.stamps with
+          | Some q -> Queue.push stamp q.(src).(dst)
+          | None -> ());
           Transport.send tr ~src ~dst msg
         end
   end

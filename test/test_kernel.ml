@@ -105,16 +105,35 @@ let test_incremental_matches_reference () =
     in
     (* Schedule arrivals at distinct times; recheck reference after
        each. NOTE: arrival sources/timestamps are arbitrary — the
-       kernel's invariant only needs receive's own bookkeeping. *)
+       kernel's invariant only needs receive's own bookkeeping. Tags
+       range well above the bound, so views hold members the bound
+       hides both when the await starts and while it waits. *)
     let events = ref [] in
     for i = 1 to 25 do
       let at = float_of_int i *. 0.5 in
       let src = Sim.Rng.int rng n in
       let t =
-        ts ~tag:(1 + Sim.Rng.int rng 4) ~writer:(Sim.Rng.int rng n)
+        ts ~tag:(1 + Sim.Rng.int rng 7) ~writer:(Sim.Rng.int rng n)
       in
       events := (at, src, t) :: !events
     done;
+    (* Then every view catches up on everything drawn, in a random
+       order, so EQ eventually holds and the unblock instant is tested
+       on every trial rather than only the lucky ones. *)
+    let drawn =
+      List.sort_uniq Timestamp.compare (List.map (fun (_, _, t) -> t) !events)
+    in
+    let flush =
+      List.concat_map
+        (fun t ->
+          List.init n (fun src -> (Sim.Rng.int rng 1_000_000, src, t)))
+        drawn
+      |> List.sort compare
+    in
+    List.iteri
+      (fun k (_, src, t) ->
+        events := (13.0 +. (float_of_int k *. 0.5), src, t) :: !events)
+      flush;
     (* The fiber starts waiting mid-schedule (at t = 6.2, between
        arrivals), so the predicate is usually false at first — the
        trivially-true empty-views case would make the test vacuous. *)

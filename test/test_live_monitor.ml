@@ -176,6 +176,54 @@ let test_crash_restart_online () =
     (Rt.Live_monitor.events_checked lm)
 
 (* ------------------------------------------------------------------ *)
+(* Stamp soundness: the rt causal log the violation slices are cut
+   from must itself be a happened-before log. In the retained window of
+   a clean run, every flow id pairs at most one send with at most one
+   deliver, on the right nodes; the deliver comes later in the global
+   index and its clock dominates the send's. *)
+
+let test_rt_stamps_sound () =
+  let s = Rt.Service.create ~online:true ~algo:Rt.Service.Eq_aso ~n:3 ~f:1 () in
+  let r = run_load s ~clients:2 ~secs:0.3 in
+  Alcotest.(check bool) "ran work" true (r.completed_updates > 0);
+  let vr = Option.get (Rt.Net.causal (Rt.Service.net s)) in
+  let sends = Hashtbl.create 4096 and delivers = Hashtbl.create 4096 in
+  let add tbl (ev : Obs.Vclock.event) what =
+    if Hashtbl.mem tbl ev.flow then
+      Alcotest.failf "flow %d has two %ss (#%d)" ev.flow what ev.idx;
+    Hashtbl.replace tbl ev.flow ev
+  in
+  List.iter
+    (fun (ev : Obs.Vclock.event) ->
+      match ev.kind with
+      | Obs.Vclock.Send _ -> add sends ev "send"
+      | Obs.Vclock.Deliver _ -> add delivers ev "deliver"
+      | _ -> ())
+    (Obs.Vclock.events vr);
+  let pairs = ref 0 in
+  Hashtbl.iter
+    (fun flow (d : Obs.Vclock.event) ->
+      match Hashtbl.find_opt sends flow with
+      | None -> () (* the send fell out of its node's window *)
+      | Some (snd : Obs.Vclock.event) ->
+          incr pairs;
+          (match (snd.kind, d.kind) with
+          | Obs.Vclock.Send { dst }, Obs.Vclock.Deliver { src } ->
+              if dst <> d.node || src <> snd.node then
+                Alcotest.failf "flow %d: send n%d->n%d, deliver n%d<-n%d" flow
+                  snd.node dst d.node src
+          | _ -> assert false);
+          if d.idx <= snd.idx then
+            Alcotest.failf "flow %d: deliver #%d not after send #%d" flow d.idx
+              snd.idx;
+          if not (Obs.Vclock.happened_before snd d) then
+            Alcotest.failf "flow %d: deliver clock %a does not dominate send %a"
+              flow Obs.Vclock.pp d.vc Obs.Vclock.pp snd.vc)
+    delivers;
+  Alcotest.(check bool) "matched send/deliver pairs in the window" true
+    (!pairs > 100)
+
+(* ------------------------------------------------------------------ *)
 (* Bounded lag: throttle the monitor domain so it provably falls behind
    the service, then verify (a) no false positive appears under lag,
    (b) the shutdown drain still checks every event, and (c) the lag
@@ -259,6 +307,8 @@ let suites =
           test_lag_bound_slowed_monitor;
         case "eq-aso crash-restart: no false positive, whole stream checked"
           test_crash_restart_online;
+        case "rt stamps: one send/deliver per flow, deliver dominates"
+          test_rt_stamps_sound;
         slow "skip-write-tag caught live, mid-run"
           test_skip_write_tag_live;
         slow "stale-renewal caught live, mid-run" test_stale_renewal_live;

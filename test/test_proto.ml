@@ -11,13 +11,6 @@ let test_timestamp_order () =
   Alcotest.(check bool) "equal" true
     (Timestamp.equal (ts ~tag:3 ~writer:2) (ts ~tag:3 ~writer:2))
 
-let test_timestamp_upper_bound () =
-  let b = Timestamp.upper_bound 2 in
-  Alcotest.(check bool) "after tag 2 writers" true
-    (Timestamp.compare (ts ~tag:2 ~writer:1000) b < 0);
-  Alcotest.(check bool) "before tag 3" true
-    (Timestamp.compare b (ts ~tag:3 ~writer:0) < 0)
-
 let view_of l = View.of_list l
 
 let test_view_restrict () =
@@ -105,6 +98,132 @@ let prop_count_le =
         (fun r -> View.count_le v ~max_tag:r = View.cardinal (View.restrict v ~max_tag:r))
         [ 0; 1; 2; 3; 4; 5; 6; 7 ])
 
+(* Model test: [View] against the plain timestamp set it replaced, kept
+   here as the reference. A program of random steps over a few view
+   registers (adds, unions, nested restricts, adds above a restrict's
+   bound) runs on both; after every step every query must agree on
+   every register. *)
+module Ref = struct
+  module S = Set.Make (Timestamp)
+
+  let restrict v ~max_tag = S.filter (fun ts -> Timestamp.tag ts <= max_tag) v
+  let count_le v ~max_tag = S.cardinal (restrict v ~max_tag)
+
+  let max_tag v =
+    match S.max_elt_opt v with None -> 0 | Some ts -> Timestamp.tag ts
+
+  let latest_per_writer v ~n =
+    let out = Array.make n None in
+    S.iter
+      (fun ts ->
+        let w = Timestamp.writer ts in
+        if w >= 0 && w < n then out.(w) <- Some ts)
+      v;
+    out
+end
+
+type view_step =
+  | Add of int * Timestamp.t
+  | Union of int * int
+  | Restrict of int * int
+  | Copy of int * int
+
+let registers = 3
+
+let pp_step = function
+  | Add (i, t) -> Printf.sprintf "v%d += %s" i (Timestamp.to_string t)
+  | Union (i, j) -> Printf.sprintf "v%d := v%d u v%d" i i j
+  | Restrict (i, r) -> Printf.sprintf "v%d := v%d^{<=%d}" i i r
+  | Copy (i, j) -> Printf.sprintf "v%d := v%d" i j
+
+let view_step_gen =
+  QCheck.Gen.(
+    let reg = int_range 0 (registers - 1) in
+    frequency
+      [
+        ( 5,
+          map2
+            (fun i (tag, writer) -> Add (i, ts ~tag ~writer))
+            reg
+            (pair (int_range 1 8) (int_range 0 4)) );
+        (1, map2 (fun i j -> Union (i, j)) reg reg);
+        (2, map2 (fun i r -> Restrict (i, r)) reg (int_range 0 9));
+        (1, map2 (fun i j -> Copy (i, j)) reg reg);
+      ])
+
+let view_program_arb =
+  QCheck.make
+    QCheck.Gen.(list_size (int_range 1 40) view_step_gen)
+    ~print:(fun steps -> String.concat "; " (List.map pp_step steps))
+
+let agrees v r =
+  let all_ts =
+    List.concat_map
+      (fun tag -> List.init 5 (fun writer -> ts ~tag ~writer))
+      (List.init 9 (fun k -> k + 1))
+  in
+  let ts_list_eq a b =
+    List.length a = List.length b && List.for_all2 Timestamp.equal a b
+  in
+  View.cardinal v = Ref.S.cardinal r
+  && View.is_empty v = Ref.S.is_empty r
+  && View.max_tag v = Ref.max_tag r
+  && ts_list_eq (View.elements v) (Ref.S.elements r)
+  && ts_list_eq (List.rev (View.fold List.cons v [])) (Ref.S.elements r)
+  && (let seen = ref [] in
+      View.iter (fun t -> seen := t :: !seen) v;
+      ts_list_eq (List.rev !seen) (Ref.S.elements r))
+  && List.for_all (fun t -> View.mem t v = Ref.S.mem t r) all_ts
+  && List.for_all
+       (fun m -> View.count_le v ~max_tag:m = Ref.count_le r ~max_tag:m)
+       (List.init 11 (fun k -> k - 1))
+  && List.for_all
+       (fun n ->
+         View.latest_per_writer v ~n = Ref.latest_per_writer r ~n
+         && View.extract v ~n ~value_of:Timestamp.tag
+            = Array.map (Option.map Timestamp.tag) (Ref.latest_per_writer r ~n))
+       [ 0; 2; 3; 6 ]
+  && View.equal v (View.of_list (Ref.S.elements r))
+
+let prop_view_model =
+  QCheck.Test.make ~name:"view agrees with the timestamp-set model"
+    ~count:500 view_program_arb (fun steps ->
+      let vs = Array.make registers View.empty in
+      let rs = Array.make registers Ref.S.empty in
+      let pairs_agree () =
+        let ok = ref true in
+        for i = 0 to registers - 1 do
+          for j = 0 to registers - 1 do
+            let a, b = (vs.(i), vs.(j)) and ra, rb = (rs.(i), rs.(j)) in
+            if
+              View.subset a b <> Ref.S.subset ra rb
+              || View.equal a b <> Ref.S.equal ra rb
+              || View.comparable a b
+                 <> (Ref.S.subset ra rb || Ref.S.subset rb ra)
+              || not (agrees (View.union a b) (Ref.S.union ra rb))
+            then ok := false
+          done
+        done;
+        !ok
+      in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Add (i, t) ->
+              vs.(i) <- View.add t vs.(i);
+              rs.(i) <- Ref.S.add t rs.(i)
+          | Union (i, j) ->
+              vs.(i) <- View.union vs.(i) vs.(j);
+              rs.(i) <- Ref.S.union rs.(i) rs.(j)
+          | Restrict (i, r) ->
+              vs.(i) <- View.restrict vs.(i) ~max_tag:r;
+              rs.(i) <- Ref.restrict rs.(i) ~max_tag:r
+          | Copy (i, j) ->
+              vs.(i) <- vs.(j);
+              rs.(i) <- rs.(j));
+          Array.for_all2 agrees vs rs && pairs_agree ())
+        steps)
+
 let test_collector_basics () =
   let c = Collector.create () in
   let r1 = Collector.fresh c in
@@ -169,7 +288,6 @@ let suites =
     ( "proto.timestamp",
       [
         case "order" test_timestamp_order;
-        case "upper bound" test_timestamp_upper_bound;
       ] );
     ( "proto.view",
       [
@@ -182,6 +300,7 @@ let suites =
         qcase prop_union_monotone;
         qcase prop_restrict_distributes_union;
         qcase prop_count_le;
+        qcase prop_view_model;
       ] );
     ( "proto.misc",
       [
