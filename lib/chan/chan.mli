@@ -61,8 +61,11 @@ val rx : unit -> 'm rx
 val rx_data : 'm rx -> seq:int -> 'm -> 'm list
 (** One incoming data frame: returns the messages that just became
     deliverable, in order (empty on duplicates and gaps). The caller
-    acks cumulatively with {!rx_expected} after {e every} data frame,
-    duplicates included — the lost packet may have been the ack. *)
+    acks cumulatively with {!rx_expected}; when is its policy, but a
+    duplicate must be re-acked, since the lost packet may have been
+    the ack. {!Sim.Transport} acks after every data frame. [Dist.Net]
+    acks at once on a duplicate or a gap, otherwise every 64 frames or
+    20 ms. *)
 
 val rx_expected : 'm rx -> int
 

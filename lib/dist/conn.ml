@@ -47,13 +47,32 @@ let listen ep =
      raise e);
   sock
 
+(* Frames are small and latency-bound, and acks are coalesced, so
+   Nagle's algorithm would hold each frame until the peer's delayed TCP
+   ACK came back (tens of milliseconds). *)
+let no_delay ep fd =
+  match ep with
+  | Tcp_ep _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
+  | Unix_ep _ -> ()
+
 let connect ep =
   let sock = Unix.socket (domain ep) Unix.SOCK_STREAM 0 in
-  match Unix.connect sock (sockaddr ep) with
+  match
+    Unix.connect sock (sockaddr ep);
+    no_delay ep sock
+  with
   | () -> Ok sock
   | exception e ->
       (try Unix.close sock with Unix.Unix_error _ -> ());
       Error e
+
+let accept ep listener =
+  let fd, _ = Unix.accept listener in
+  (try no_delay ep fd
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
+  fd
 
 let dial ?(backoff0 = 0.01) ?(backoff_max = 0.5) ~stop ep =
   let rec go pause =
@@ -67,19 +86,35 @@ let dial ?(backoff0 = 0.01) ?(backoff_max = 0.5) ~stop ep =
   in
   go backoff0
 
-let write_frame fd frame =
-  let s = Wire.encode frame in
+let write_some fd s off =
   let len = String.length s in
   let rec go off =
-    if off >= len then true
+    if off >= len then `Done
     else
-      match Unix.write_substring fd s off (len - off) with
-      | 0 -> false
+      match Unix.single_write_substring fd s off (len - off) with
+      | 0 -> `Dead
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception Unix.Unix_error _ -> false
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          `Blocked off
+      | exception Unix.Unix_error _ -> `Dead
   in
-  go 0
+  go off
+
+(* On a blocking socket [write_some] only stops when done or dead. *)
+let write_frame fd frame = write_some fd (Wire.encode frame) 0 = `Done
+
+(* [select] on a closed or shut-down socket returns at once (readable /
+   writable with an error pending), so neither wait outlives its
+   connection; the bound on the write wait is only a safety net. *)
+let wait_writable fd =
+  try ignore (Unix.select [] [ fd ] [] 0.1) with Unix.Unix_error _ -> ()
+
+let wait_readable fd =
+  match Unix.select [ fd ] [] [] (-1.) with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+  | exception Unix.Unix_error _ -> false
 
 (* Buffered reader: accumulate into [buf], decode from [lo]; compact
    when the valid region ends (cheap — frames are small). *)
@@ -88,9 +123,16 @@ type reader = {
   mutable buf : Bytes.t;
   mutable lo : int;  (* first undecoded byte *)
   mutable hi : int;  (* end of valid data *)
+  mutable nonblocking : bool;
+      (* EAGAIN means "wait for bytes", not a receive timeout *)
 }
 
-let reader fd = { fd; buf = Bytes.create 8192; lo = 0; hi = 0 }
+let reader fd =
+  { fd; buf = Bytes.create 8192; lo = 0; hi = 0; nonblocking = false }
+
+let set_nonblocking r =
+  Unix.set_nonblock r.fd;
+  r.nonblocking <- true
 
 let refill r =
   if r.lo > 0 then begin
@@ -106,6 +148,9 @@ let refill r =
       r.hi <- r.hi + n;
       true
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+    when r.nonblocking ->
+      wait_readable r.fd
   | exception Unix.Unix_error _ -> false
 
 let rec read_frame r =

@@ -18,7 +18,13 @@ val listen : endpoint -> Unix.file_descr
     @raise Unix.Unix_error *)
 
 val connect : endpoint -> (Unix.file_descr, exn) result
-(** One connection attempt. *)
+(** One connection attempt. TCP sockets get [TCP_NODELAY]: frames are
+    small and acks coalesced, so Nagle's algorithm would hold a frame
+    until the peer's delayed TCP ACK. *)
+
+val accept : endpoint -> Unix.file_descr -> Unix.file_descr
+(** Accept one connection on a {!listen}ing socket for [endpoint]
+    ([TCP_NODELAY] on TCP, as {!connect}). @raise Unix.Unix_error *)
 
 val dial :
   ?backoff0:float ->
@@ -31,13 +37,29 @@ val dial :
     reconnect loop's engine. [None] only when stopped. *)
 
 val write_frame : Unix.file_descr -> Wire.frame -> bool
-(** Encode and write the whole frame (looping over short writes).
-    [false] on any write error — the connection is dead. *)
+(** Encode and write the whole frame on a blocking socket (looping
+    over short writes). [false] on any write error — the connection is
+    dead. *)
+
+val write_some :
+  Unix.file_descr -> string -> int -> [ `Done | `Blocked of int | `Dead ]
+(** Write [s] from offset [off] on an [O_NONBLOCK] socket until it is
+    all out ([`Done]), the socket buffer is full ([`Blocked off'], with
+    [s] written up to [off']), or the connection is dead. *)
+
+val wait_writable : Unix.file_descr -> unit
+(** Block until [fd] may take more bytes, it failed, or 0.1 s passed. *)
 
 type reader
 (** Buffered frame reader over one fd. Single-consumer. *)
 
 val reader : Unix.file_descr -> reader
+
+val set_nonblocking : reader -> unit
+(** Put the reader's socket in [O_NONBLOCK] mode (writers to it then
+    use {!write_some}). The reader waits for readability on [EAGAIN];
+    on a blocking socket [EAGAIN] is a [SO_RCVTIMEO] timeout and reads
+    as [`Eof]. *)
 
 val read_frame : reader -> (Wire.frame, [ `Eof | `Err of Wire.error ]) result
 (** Block until one whole frame is buffered and decode it. [`Eof] on a

@@ -2,11 +2,15 @@ type msg = Wire.msg
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
-(* Per-peer outbound state: the dialer/writer thread owns the
-   connection; [mu] guards everything else. [tx_gen] bumps when the
-   peer comes back as a new process (sequence numbers restarted), so
-   stale acks and stale held-back frames from the previous numbering
-   can be recognized and dropped. *)
+(* Per-peer outbound state, all under [pmu]. The dialer thread opens
+   the connection; once live, [fd] is non-blocking and every write to
+   it happens under [pmu], so frames never interleave. A write the
+   socket did not take whole leaves its remainder in [partial]; the
+   writer thread finishes it, then drains [outq], before anyone writes
+   directly again. [tx_gen] bumps when the peer comes back as a new
+   process (sequence numbers restarted), so stale acks and stale
+   held-back frames from the previous numbering can be recognized and
+   dropped. *)
 type peer = {
   dst : int;
   pmu : Mutex.t;
@@ -15,15 +19,20 @@ type peer = {
   ptx : msg Chan.tx;
   mutable tx_gen : int;
   mutable fd : Unix.file_descr option;
+  mutable partial : (string * int) option;  (* bytes, offset written *)
   mutable peer_boot : int option;
 }
 
 (* Per-source inbound state, shared by however many connections that
-   source opens over time (a restart can briefly leave two). *)
+   source opens over time (a restart can briefly leave two). [ifd] is
+   the newest of them, where the timer's coalesced acks go; [acked] is
+   the last cumulative ack written. *)
 type inbound = {
   imu : Mutex.t;
   irx : msg Chan.rx;
   mutable iboot : int option;
+  mutable ifd : Unix.file_descr option;
+  mutable acked : int;
 }
 
 type verdict = Pass | Drop | Duplicate | Hold of float
@@ -34,6 +43,11 @@ type dice = { faults : Chan.faults; rng : Random.State.t; mu : Mutex.t }
 
 (* How long [reorder] holds a frame back: later frames overtake it. *)
 let reorder_window = 0.005
+
+(* In-order data frames are acked once this many are unacked, or else
+   on the next [tick] — 5x inside Chan's 0.1 s initial RTO. *)
+let ack_every = 64
+let tick = 0.02
 
 type t = {
   me : int;
@@ -101,11 +115,18 @@ let create ?(faults = Chan.no_faults) ?(seed = 1) ~me ~eps () =
                 ptx = Chan.tx ();
                 tx_gen = 0;
                 fd = None;
+                partial = None;
                 peer_boot = None;
               });
     inbound =
       Array.init n (fun _ ->
-          { imu = Mutex.create (); irx = Chan.rx (); iboot = None });
+          {
+            imu = Mutex.create ();
+            irx = Chan.rx ();
+            iboot = None;
+            ifd = None;
+            acked = 0;
+          });
     dice;
     t0 = Monotonic_clock.now ();
     metrics;
@@ -170,13 +191,28 @@ let untrack_conn t fd =
 (* ------------------------------------------------------------------ *)
 (* Outbound: dialer / writer / ack reader, one trio per peer.          *)
 
-let mark_conn_dead p fd =
-  Mutex.lock p.pmu;
+(* With [pmu] held. The frames this connection did not confirm stay
+   unacked in the channel and go out again after the reconnect. *)
+let conn_dead p fd =
   if p.fd = Some fd then begin
     p.fd <- None;
     Condition.broadcast p.pcv
-  end;
+  end
+
+let mark_conn_dead p fd =
+  Mutex.lock p.pmu;
+  conn_dead p fd;
   Mutex.unlock p.pmu
+
+(* With [pmu] held and nothing [partial]: write what the socket takes
+   now and leave the rest to the writer thread. *)
+let put p fd bytes off =
+  match Conn.write_some fd bytes off with
+  | `Done -> ()
+  | `Blocked off ->
+      p.partial <- Some (bytes, off);
+      Condition.broadcast p.pcv
+  | `Dead -> conn_dead p fd
 
 (* Drains acks coming back on the outbound connection. [gen] pins the
    numbering this connection was speaking: after the peer reboots and
@@ -225,43 +261,53 @@ let delayer_loop t =
     Thread.delay 0.005
   done
 
-let write_data t p fd frame =
-  let ok = Conn.write_frame fd frame in
-  if ok then Obs.Metrics.incr t.c_data else mark_conn_dead p fd;
-  ok
+(* With [pmu] held: the bytes to put on the wire for one queued Data
+   frame, under the fault dice. Faults apply to Data frames only —
+   handshakes and acks always go through, so faults exercise
+   retransmission rather than jamming connection establishment. A
+   dropped frame simply stays unacked. *)
+let emit t p frame =
+  match judge t with
+  | Pass -> Some (Wire.encode frame)
+  | Drop ->
+      Obs.Metrics.incr t.c_lost;
+      None
+  | Duplicate ->
+      Obs.Metrics.incr t.c_duplicated;
+      let bytes = Wire.encode frame in
+      Some (bytes ^ bytes)
+  | Hold d ->
+      Obs.Metrics.incr t.c_reordered;
+      delay_frame t (now t +. d) p p.tx_gen frame;
+      None
 
-(* Pop frames and put them on the wire until the connection dies or we
-   stop. Link faults apply to Data frames only — handshakes and acks
-   always go through, so faults exercise retransmission rather than
-   jamming connection establishment. A dropped frame simply stays
-   unacked. *)
+(* Finish a [partial] write, waiting for the socket outside the lock,
+   then pop and put queued frames one at a time, until the connection
+   dies or we stop. Only this thread writes while either is
+   non-empty. *)
 let writer_loop t p fd =
+  let live () = p.fd = Some fd && not (Atomic.get t.stopping) in
   let rec loop () =
     Mutex.lock p.pmu;
-    while
-      Queue.is_empty p.outq && p.fd = Some fd && not (Atomic.get t.stopping)
-    do
+    while live () && p.partial = None && Queue.is_empty p.outq do
       Condition.wait p.pcv p.pmu
     done;
-    if Atomic.get t.stopping || p.fd <> Some fd then Mutex.unlock p.pmu
+    if not (live ()) then Mutex.unlock p.pmu
     else begin
-      let frame = Queue.pop p.outq in
-      let gen = p.tx_gen in
+      (match p.partial with
+      | Some (bytes, off) ->
+          Mutex.unlock p.pmu;
+          Conn.wait_writable fd;
+          Mutex.lock p.pmu;
+          if p.fd = Some fd then begin
+            p.partial <- None;
+            put p fd bytes off
+          end
+      | None -> (
+          match emit t p (Queue.pop p.outq) with
+          | Some bytes -> put p fd bytes 0
+          | None -> ()));
       Mutex.unlock p.pmu;
-      (match frame with
-      | Wire.Data _ when t.dice <> None -> (
-          match judge t with
-          | Pass -> ignore (write_data t p fd frame)
-          | Drop -> Obs.Metrics.incr t.c_lost
-          | Duplicate ->
-              Obs.Metrics.incr t.c_duplicated;
-              if write_data t p fd frame then
-                ignore (write_data t p fd frame)
-          | Hold d ->
-              Obs.Metrics.incr t.c_reordered;
-              delay_frame t (now t +. d) p gen frame)
-      | _ ->
-          if not (Conn.write_frame fd frame) then mark_conn_dead p fd);
       loop ()
     end
   in
@@ -291,6 +337,7 @@ let run_connection t p fd =
              stale queue entries would duplicate (or, after a renumber,
              corrupt) them. *)
           Queue.clear p.outq;
+          p.partial <- None;
           let frames =
             Chan.tx_reconnect p.ptx ~now:(now t)
               ~peer_rebooted:rebooted ~rx_expected
@@ -298,6 +345,9 @@ let run_connection t p fd =
           List.iter
             (fun (seq, m) -> Queue.push (Wire.Data { seq; msg = m }) p.outq)
             frames;
+          (* From here on the node thread writes this socket itself: it
+             must never block on a peer that stopped reading. *)
+          Conn.set_nonblocking reader;
           p.fd <- Some fd;
           let gen = p.tx_gen in
           Mutex.unlock p.pmu;
@@ -326,9 +376,28 @@ let dialer_loop t p =
   in
   loop ()
 
-(* Retransmission timer: poll every 20 ms, re-queue whatever is due on a
-   live connection. With the connection down there is no point — the
-   reconnect handshake re-emits everything anyway. *)
+(* With [imu] held, which serializes every write of acks. The inbound
+   socket is non-blocking, so neither the reader thread nor the timer
+   ever waits on a peer that stops reading its acks: an ack the socket
+   takes none of is skipped (acks are cumulative, and the next frame or
+   tick tries again); one it takes only in part has torn the stream, so
+   the connection is shut down and the peer reconnects. *)
+let write_ack t ib fd upto =
+  match Conn.write_some fd (Wire.encode (Wire.Ack { upto })) 0 with
+  | `Done ->
+      ib.acked <- upto;
+      Obs.Metrics.incr t.c_acks;
+      true
+  | `Blocked 0 -> true
+  | `Blocked _ | `Dead ->
+      (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+      if ib.ifd = Some fd then ib.ifd <- None;
+      false
+
+(* The [tick] timer. Outbound: re-queue whatever is due on a live
+   connection (with the connection down there is no point — the
+   reconnect handshake re-emits everything anyway). Inbound: ack every
+   channel that advanced since its last ack. *)
 let retransmit_loop t =
   while not (Atomic.get t.stopping) do
     Array.iter
@@ -349,17 +418,29 @@ let retransmit_loop t =
             end;
             Mutex.unlock p.pmu)
       t.peers;
-    Thread.delay 0.02
+    Array.iter
+      (fun ib ->
+        Mutex.lock ib.imu;
+        (match ib.ifd with
+        | Some fd when Chan.rx_expected ib.irx > ib.acked ->
+            ignore (write_ack t ib fd (Chan.rx_expected ib.irx))
+        | _ -> ());
+        Mutex.unlock ib.imu)
+      t.inbound;
+    Thread.delay tick
   done
 
 (* ------------------------------------------------------------------ *)
 (* Inbound: accept loop + one reader thread per connection.            *)
 
 (* A peer connection: reset the channel if this is a new incarnation of
-   [src], then deliver Data in order and ack after every frame (the
-   lost packet may have been our ack). Posting to the mailbox inside
-   [imu] keeps delivery FIFO even if a reconnecting src briefly has two
-   live connections racing here. *)
+   [src], then deliver Data in order. A frame that is not simply the
+   next one — a duplicate, or one that opens or fills a gap — means the
+   sender is retransmitting (the lost packet may have been our ack), so
+   it is acked at once; in-order frames are acked every [ack_every]
+   frames, or by the timer. Posting to the mailbox inside [imu] keeps
+   delivery FIFO even if a reconnecting src briefly has two live
+   connections racing here. *)
 let peer_conn_loop t fd reader ~src ~src_boot =
   let ib = t.inbound.(src) in
   Mutex.lock ib.imu;
@@ -368,37 +449,47 @@ let peer_conn_loop t fd reader ~src ~src_boot =
     ib.iboot <- Some src_boot
   end;
   let expected = Chan.rx_expected ib.irx in
+  (* Inside [imu], so the timer's acks cannot overtake the Welcome. *)
+  let welcomed =
+    Conn.write_frame fd (Wire.Welcome { boot = t.boot; rx_expected = expected })
+  in
+  if welcomed then begin
+    Conn.set_nonblocking reader;
+    ib.ifd <- Some fd;
+    ib.acked <- expected
+  end;
   Mutex.unlock ib.imu;
-  if Conn.write_frame fd (Wire.Welcome { boot = t.boot; rx_expected = expected })
-  then
-    let rec loop () =
-      match Conn.read_frame reader with
-      | Ok (Wire.Data { seq; msg }) ->
-          Mutex.lock ib.imu;
-          let stale = ib.iboot <> Some src_boot in
-          let upto =
-            if stale then 0
-            else begin
-              List.iter
-                (fun m ->
-                  Obs.Metrics.incr t.c_delivered;
-                  ignore
-                    (Rt.Node.post t.node
-                       (Rt.Node.Net { src; msg = m; stamp = [||] })))
-                (Chan.rx_data ib.irx ~seq msg);
-              Chan.rx_expected ib.irx
-            end
+  let rec loop () =
+    match Conn.read_frame reader with
+    | Ok (Wire.Data { seq; msg }) ->
+        Mutex.lock ib.imu;
+        (* A newer incarnation of src took over the channel: this
+           connection is an orphan — stop speaking for it. *)
+        let live =
+          ib.iboot = Some src_boot
+          &&
+          let next =
+            seq = Chan.rx_expected ib.irx && Chan.rx_buffered ib.irx = 0
           in
-          Mutex.unlock ib.imu;
-          (* A newer incarnation of src took over the channel: this
-             connection is an orphan — stop speaking for it. *)
-          if (not stale) && Conn.write_frame fd (Wire.Ack { upto }) then begin
-            Obs.Metrics.incr t.c_acks;
-            loop ()
-          end
-      | Ok _ | Error _ -> ()
-    in
-    loop ()
+          List.iter
+            (fun m ->
+              Obs.Metrics.incr t.c_delivered;
+              ignore
+                (Rt.Node.post t.node
+                   (Rt.Node.Net { src; msg = m; stamp = [||] })))
+            (Chan.rx_data ib.irx ~seq msg);
+          let upto = Chan.rx_expected ib.irx in
+          if next && upto - ib.acked < ack_every then true
+          else write_ack t ib fd upto
+        in
+        Mutex.unlock ib.imu;
+        if live then loop ()
+    | Ok _ | Error _ -> ()
+  in
+  if welcomed then loop ();
+  Mutex.lock ib.imu;
+  if ib.ifd = Some fd then ib.ifd <- None;
+  Mutex.unlock ib.imu
 
 (* A client connection: Req frames in, Resp frames out. The handler
    typically defers to protocol context and calls [reply] later, from
@@ -439,8 +530,8 @@ let conn_thread t fd =
 let accept_loop t listener =
   let rec loop () =
     if not (Atomic.get t.stopping) then
-      match Unix.accept listener with
-      | fd, _ ->
+      match Conn.accept t.eps.(t.me) listener with
+      | fd ->
           ignore (Thread.create (fun () -> conn_thread t fd) ());
           loop ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
@@ -521,8 +612,16 @@ let send t ~src ~dst m =
       | Some p ->
           Mutex.lock p.pmu;
           let seq = Chan.tx_send p.ptx ~now:(now t) m in
-          Queue.push (Wire.Data { seq; msg = m }) p.outq;
-          Condition.broadcast p.pcv;
+          Obs.Metrics.incr t.c_data;
+          let frame = Wire.Data { seq; msg = m } in
+          (* The common case writes from this thread: no handoff. *)
+          (match p.fd with
+          | Some fd
+            when t.dice = None && p.partial = None && Queue.is_empty p.outq ->
+              put p fd (Wire.encode frame) 0
+          | _ ->
+              Queue.push frame p.outq;
+              Condition.broadcast p.pcv);
           Mutex.unlock p.pmu
   end
 

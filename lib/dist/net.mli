@@ -18,9 +18,38 @@
     ({!run}) — handlers and operations interleave only at [await]
     pump points, the execution contract every backend honours. Around
     it: an accept thread, one reader thread per live connection, one
-    dialer/writer thread per peer, a retransmission timer, and (under
-    link faults) a delayer. All of them touch protocol state only by
-    posting mailbox items.
+    dialer/writer thread and one ack reader per peer, a 20 ms timer
+    (retransmissions and acks), and (under link faults) a delayer. All
+    of them touch protocol state only by posting mailbox items.
+
+    {e Who writes a frame.} After the handshake the outbound socket is
+    non-blocking, and every write to it is made under the peer's lock,
+    so one thread at a time writes a connection and frames never
+    interleave. On a live connection with nothing queued and no link
+    faults, the protocol thread writes each [Data] frame itself, in
+    [send]. What the socket does not take ([EAGAIN], a short write) is
+    finished by the peer's writer thread, which waits for the socket
+    with [select]; frames sent meanwhile queue behind it, and the
+    writer drains them before direct writes resume. So the protocol
+    thread never blocks on a peer that stops reading. The writer also
+    carries retransmissions, the frames a reconnect re-emits, and,
+    under link faults, every frame. A dead socket marks the connection
+    dead whoever writes; its unacked frames go out again after the
+    reconnect.
+
+    {e Acks.} The acceptor acks cumulatively on the same socket. A
+    frame that is not simply the next one (a duplicate, or one that
+    opens or fills a gap) is acked at once: its sender is
+    retransmitting. Other frames are acked once 64 are unacked, or on
+    the next timer tick for every channel that advanced since its last
+    ack — 5x inside the 0.1 s retransmission timeout. The reader
+    thread and the timer write acks under the channel's lock on a
+    non-blocking socket: an ack the socket cannot take now is skipped
+    for the next frame or tick to retry, so a peer that stops reading
+    its acks stalls no thread here. Counters:
+    ["dist.data_sent"] (first transmissions), ["dist.retransmits"] and
+    ["dist.acks_sent"] sum to the frames on the wire, link faults
+    aside.
 
     {e Link faults} ({!Chan.faults}) are applied on the sender side,
     to [Data] frames only — never to the handshake or to acks, whose

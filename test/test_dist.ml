@@ -251,18 +251,19 @@ let fresh_dir name =
    with Sys_error _ | Unix.Unix_error _ -> ());
   dir
 
-let retransmits cluster n =
+(* One counter summed over the nodes of a cluster. *)
+let count cluster n name =
   let total = ref 0 in
   for i = 0 to n - 1 do
     let snap = Obs.Metrics.snapshot (Dist.Net.metrics (Dist.Local.net cluster i)) in
-    match Obs.Metrics.find_count snap "dist.retransmits" with
+    match Obs.Metrics.find_count snap name with
     | Some c -> total := !total + c
     | None -> ()
   done;
   !total
 
 (* One closed-loop window (30% scans) over an in-process cluster: the
-   driver's report, the merged history and the retransmit count. *)
+   driver's report, the merged history and the nodes' counter sums. *)
 let run_cluster ?chaos ?seed ?wal ?faults ~name ~algo ~n ~clients ~secs () =
   let cluster =
     Dist.Local.start ?chaos ?seed ?wal ~algo ~n ~f:1 ~dir:(fresh_dir name) ()
@@ -275,7 +276,7 @@ let run_cluster ?chaos ?seed ?wal ?faults ~name ~algo ~n ~clients ~secs () =
           (Dist.Local.deployment cluster)
           ~clients ~secs ~scan_fraction:0.3 ~seed:42
       in
-      (r, Dist.Local.history cluster, retransmits cluster n))
+      (r, Dist.Local.history cluster, count cluster n))
 
 let completed (r : Load.report) = r.completed_updates + r.completed_scans
 
@@ -292,23 +293,31 @@ let test_e2e_eq_aso () =
 
 let test_e2e_chaos () =
   let chaos = { Chan.drop = 0.12; dup = 0.05; reorder = 0.3 } in
-  let r, h, retx =
+  let r, h, count =
     run_cluster ~chaos ~seed:7 ~name:"chaos" ~algo:Rt.Service.Eq_aso ~n:3
       ~clients:3 ~secs:1.2 ()
   in
   Alcotest.(check bool) "progress under chaos" true (completed r > 0);
-  Alcotest.(check bool) "chaos forced retransmissions" true (retx > 0);
+  Alcotest.(check bool) "chaos forced retransmissions" true
+    (count "dist.retransmits" > 0);
   match Checker.Feed.check ~mode:Obs.Monitor.Atomic ~n:3 h with
   | Ok () -> ()
   | Error v ->
       Alcotest.failf "chaos run not linearizable: %a" Obs.Monitor.pp_violation v
 
+(* Also the wire accounting: every first transmission counts once in
+   [dist.data_sent], and on clean links cumulative acks are coalesced
+   to far fewer than one per frame. *)
 let test_e2e_sso () =
-  let r, h, _ =
+  let r, h, count =
     run_cluster ~name:"sso" ~algo:Rt.Service.Sso_fast_scan ~n:3 ~clients:2
       ~secs:0.25 ()
   in
   Alcotest.(check bool) "made progress" true (completed r > 10);
+  let data = count "dist.data_sent" and acks = count "dist.acks_sent" in
+  Alcotest.(check bool) "data frames counted" true (data > 0);
+  if acks > data / 4 then
+    Alcotest.failf "%d acks for %d data frames: acks not coalesced" acks data;
   match Checker.Feed.check ~mode:Obs.Monitor.Sequential ~n:3 h with
   | Ok () -> ()
   | Error v ->
@@ -364,6 +373,204 @@ let test_fault_dice_per_node () =
   Alcotest.(check bool) "no faults, no dice" true
     (List.for_all (fun v -> v = Dist.Net.Pass) (verdicts 0))
 
+(* A unix-socket pair of endpoints in a fresh directory, and its
+   cleanup. *)
+let sock_eps name n =
+  let dir = fresh_dir name in
+  Unix.mkdir dir 0o755;
+  let eps =
+    Array.init n (fun i ->
+        Dist.Conn.Unix_ep (Filename.concat dir (Printf.sprintf "n%d.sock" i)))
+  in
+  let remove () =
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  in
+  (eps, remove)
+
+(* A peer that stops reading must not stall the protocol thread: node 0
+   sends ~2 MB (far over a socket buffer) to a node 1 played by hand,
+   which answers the handshake and then reads nothing. The first
+   message alone is larger than the socket buffer, so the socket takes
+   only part of it and the writer thread must finish the rest. Every
+   send must return; once drained, the stream must be whole frames
+   carrying the messages in order. *)
+let test_stalled_peer () =
+  let eps, remove = sock_eps "stall" 2 in
+  let listener = Dist.Conn.listen eps.(1) in
+  let net = Dist.Net.create ~me:0 ~eps () in
+  let fd = ref None in
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  let cleanup () =
+    (* Listener first, so node 0 cannot reconnect into a handshake that
+       nobody answers. *)
+    close listener;
+    Option.iter close !fd;
+    Dist.Net.stop net;
+    remove ()
+  in
+  Fun.protect ~finally:cleanup @@ fun () ->
+  Dist.Net.start net;
+  let sock = Dist.Conn.accept eps.(1) listener in
+  fd := Some sock;
+  let reader = Dist.Conn.reader sock in
+  (match Dist.Conn.read_frame reader with
+  | Ok (W.Hello { src = 0; _ }) -> ()
+  | _ -> Alcotest.fail "expected node 0's Hello");
+  if not (Dist.Conn.write_frame sock (W.Welcome { boot = 1; rx_expected = 0 }))
+  then Alcotest.fail "Welcome not written";
+  let value i =
+    LC.Msg.Value { ts = Timestamp.make ~tag:(i + 1) ~writer:0; value = i }
+  in
+  let big =
+    LC.Msg.Recover_push
+      {
+        req = 0;
+        entries =
+          List.init 100_000 (fun i -> (Timestamp.make ~tag:(i + 1) ~writer:0, i));
+        max_tag = 100_000;
+      }
+  in
+  let msgs = big :: List.init 100_000 value in
+  let k = List.length msgs in
+  let send = (Dist.Net.backend net).send in
+  let sent = Atomic.make false in
+  let sender =
+    Thread.create
+      (fun () ->
+        List.iter (send ~src:0 ~dst:1) msgs;
+        Atomic.set sent true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (Atomic.get sent)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  if not (Atomic.get sent) then begin
+    (* Free a sender stuck in [write] before failing. *)
+    close listener;
+    Unix.shutdown sock Unix.SHUTDOWN_ALL;
+    Thread.join sender;
+    Alcotest.fail "sends blocked on a peer that stopped reading"
+  end;
+  Thread.join sender;
+  Unix.setsockopt_float sock Unix.SO_RCVTIMEO 5.;
+  let rx = Chan.rx () in
+  let got = ref [] in
+  while Chan.rx_expected rx < k do
+    match Dist.Conn.read_frame reader with
+    | Ok (W.Data { seq; msg }) ->
+        got := List.rev_append (Chan.rx_data rx ~seq msg) !got
+    | Ok f -> Alcotest.failf "unexpected %s frame" (frame_kind f)
+    | Error `Eof ->
+        Alcotest.failf "stream stopped after %d of %d messages"
+          (Chan.rx_expected rx) k
+    | Error (`Err e) ->
+        Alcotest.failf "undecodable frame after %d messages: %a"
+          (Chan.rx_expected rx) W.pp_error e
+  done;
+  Alcotest.(check bool) "messages in order" true (List.rev !got = msgs)
+
+(* The ack direction: node 0's acks to a peer that stops reading them
+   must block neither that peer's reader thread nor the 20 ms timer,
+   which acks every other peer. Node 1, played by hand, floods node 0
+   with duplicates (each acked at once) and never reads its acks; the
+   flood must be read to the end. Then node 1 sends one frame that
+   only the timer acks, and node 2, also by hand, sends one in-order
+   frame: the timer must still ack node 2. *)
+let test_stalled_ack_reader () =
+  let eps, remove = sock_eps "stall-ack" 3 in
+  let net = Dist.Net.create ~me:0 ~eps () in
+  let socks = ref [] in
+  let cleanup () =
+    List.iter
+      (fun fd ->
+        (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+        try Unix.close fd with Unix.Unix_error _ -> ())
+      !socks;
+    Dist.Net.stop net;
+    remove ()
+  in
+  Fun.protect ~finally:cleanup @@ fun () ->
+  Dist.Net.start net;
+  let join src =
+    let rec dial tries =
+      match Dist.Conn.connect eps.(0) with
+      | Ok fd -> fd
+      | Error _ when tries > 0 ->
+          Thread.delay 0.01;
+          dial (tries - 1)
+      | Error e -> Alcotest.failf "connect: %s" (Printexc.to_string e)
+    in
+    let fd = dial 100 in
+    socks := fd :: !socks;
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.;
+    let reader = Dist.Conn.reader fd in
+    if not (Dist.Conn.write_frame fd (W.Hello { src; boot = 1 })) then
+      Alcotest.fail "Hello not written";
+    (match Dist.Conn.read_frame reader with
+    | Ok (W.Welcome { rx_expected = 0; _ }) -> ()
+    | _ -> Alcotest.failf "node %d: expected a fresh Welcome" src);
+    (fd, reader)
+  in
+  let data seq = W.Data { seq; msg = LC.Msg.Echo_tag { tag = seq } } in
+  let fd1, _ = join 1 in
+  let flooded = Atomic.make false in
+  let flood =
+    Thread.create
+      (fun () ->
+        if Dist.Conn.write_frame fd1 (data 0) then begin
+          let rec go i =
+            i = 0 || (Dist.Conn.write_frame fd1 (data 0) && go (i - 1))
+          in
+          if go 100_000 then Atomic.set flooded true
+        end)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (Atomic.get flooded)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  if not (Atomic.get flooded) then begin
+    (* Free a flood stuck in [write] before failing. *)
+    Unix.shutdown fd1 Unix.SHUTDOWN_ALL;
+    Thread.join flood;
+    Alcotest.fail "node 0 stopped reading: an ack write blocked"
+  end;
+  Thread.join flood;
+  if not (Dist.Conn.write_frame fd1 (data 1)) then
+    Alcotest.fail "node 1's in-order frame not written";
+  Thread.delay 0.1;
+  let fd2, reader2 = join 2 in
+  if not (Dist.Conn.write_frame fd2 (data 0)) then
+    Alcotest.fail "node 2's frame not written";
+  match Dist.Conn.read_frame reader2 with
+  | Ok (W.Ack { upto = 1 }) -> ()
+  | Ok f -> Alcotest.failf "node 2 got %s, expected Ack 1" (frame_kind f)
+  | Error _ -> Alcotest.fail "node 2 never acked: the timer is stuck"
+
+(* Nagle's algorithm would hold each small frame for the peer's delayed
+   TCP ACK: both ends of a TCP connection disable it, the dialled one
+   ([Conn.connect]) and the accepted one ([Conn.accept], which
+   [Net]'s listener uses). *)
+let test_tcp_nodelay () =
+  let listener = Dist.Conn.listen (Dist.Conn.Tcp_ep ("127.0.0.1", 0)) in
+  Fun.protect ~finally:(fun () -> Unix.close listener) @@ fun () ->
+  let ep =
+    match Unix.getsockname listener with
+    | Unix.ADDR_INET (_, port) -> Dist.Conn.Tcp_ep ("127.0.0.1", port)
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "not a TCP listener"
+  in
+  match Dist.Conn.connect ep with
+  | Error e -> Alcotest.failf "connect: %s" (Printexc.to_string e)
+  | Ok dialled ->
+      let accepted = Dist.Conn.accept ep listener in
+      let nodelay fd = Unix.getsockopt fd Unix.TCP_NODELAY in
+      Alcotest.(check bool) "dialled socket" true (nodelay dialled);
+      Alcotest.(check bool) "accepted socket" true (nodelay accepted);
+      Unix.close dialled;
+      Unix.close accepted
+
 (* ---- suites ---------------------------------------------------------- *)
 
 let suites =
@@ -389,5 +596,11 @@ let suites =
         Alcotest.test_case "sso over sockets sequential" `Quick test_e2e_sso;
         Alcotest.test_case "eq-aso crash-restart in process" `Quick
           test_e2e_crash_restart;
+        Alcotest.test_case "stalled peer never blocks the sender" `Quick
+          test_stalled_peer;
+        Alcotest.test_case "stalled ack reader never blocks acks" `Quick
+          test_stalled_ack_reader;
+        Alcotest.test_case "tcp sockets set TCP_NODELAY" `Quick
+          test_tcp_nodelay;
       ] );
   ]
