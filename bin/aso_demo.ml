@@ -1230,25 +1230,12 @@ let dist_node_impl algo_name me peers f_opt wal recover telemetry faults
     Dist.Node_main.start ?telemetry ~seed
       { Dist.Node_main.me; eps; f; algo; wal; recover; chaos = Some faults }
   in
-  (* Graceful shutdown: SIGTERM/SIGINT post a Stop behind whatever is in
-     the mailbox, so in-flight operations complete and the exit status
-     is 0 — the supervisor tells this apart from a crash. The handler
-     only sets a flag and a thread posts the Stop: posting from inside
-     the handler can find the mailbox lock held by the thread it
-     interrupted. *)
-  let term = Atomic.make false in
-  let stop _ = Atomic.set term true in
+  (* Graceful shutdown: SIGTERM/SIGINT stop the loop once the operation
+     in flight completes, and the exit status is 0 — the supervisor
+     tells this apart from a crash. *)
+  let stop _ = Dist.Node_main.request_stop t in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-  let (_ : Thread.t) =
-    Thread.create
-      (fun () ->
-        while not (Atomic.get term) do
-          Thread.delay 0.002
-        done;
-        Dist.Node_main.request_stop t)
-      ()
-  in
   Dist.Node_main.run t;
   Dist.Node_main.shutdown t
 

@@ -55,13 +55,16 @@ let no_delay ep fd =
   | Tcp_ep _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
   | Unix_ep _ -> ()
 
-let connect ep =
+let connect ?(nonblocking = false) ep =
   let sock = Unix.socket (domain ep) Unix.SOCK_STREAM 0 in
   match
-    Unix.connect sock (sockaddr ep);
-    no_delay ep sock
+    if nonblocking then Unix.set_nonblock sock;
+    no_delay ep sock;
+    Unix.connect sock (sockaddr ep)
   with
   | () -> Ok sock
+  | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) when nonblocking ->
+      Ok sock
   | exception e ->
       (try Unix.close sock with Unix.Unix_error _ -> ());
       Error e
@@ -74,94 +77,70 @@ let accept ep listener =
      raise e);
   fd
 
-let dial ?(backoff0 = 0.01) ?(backoff_max = 0.5) ~stop ep =
-  let rec go pause =
-    if stop () then None
-    else
-      match connect ep with
-      | Ok fd -> Some fd
-      | Error _ ->
-          Thread.delay pause;
-          go (Float.min (pause *. 2.) backoff_max)
-  in
-  go backoff0
-
-let write_some fd s off =
-  let len = String.length s in
+let write_frame fd frame =
+  let s = Wire.encode frame in
   let rec go off =
-    if off >= len then `Done
-    else
-      match Unix.single_write_substring fd s off (len - off) with
-      | 0 -> `Dead
-      | n -> go (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          `Blocked off
-      | exception Unix.Unix_error _ -> `Dead
+    off >= String.length s
+    ||
+    match Unix.single_write_substring fd s off (String.length s - off) with
+    | 0 -> false
+    | n -> go (off + n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+    | exception Unix.Unix_error _ -> false
   in
-  go off
+  go 0
 
-(* On a blocking socket [write_some] only stops when done or dead. *)
-let write_frame fd frame = write_some fd (Wire.encode frame) 0 = `Done
-
-(* [select] on a closed or shut-down socket returns at once (readable /
-   writable with an error pending), so neither wait outlives its
-   connection; the bound on the write wait is only a safety net. *)
-let wait_writable fd =
-  try ignore (Unix.select [] [ fd ] [] 0.1) with Unix.Unix_error _ -> ()
-
-let wait_readable fd =
-  match Unix.select [ fd ] [] [] (-1.) with
-  | _ -> true
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
-  | exception Unix.Unix_error _ -> false
-
-(* Buffered reader: accumulate into [buf], decode from [lo]; compact
-   when the valid region ends (cheap — frames are small). *)
+(* Buffered decoder: bytes accumulate in [buf] from [lo] to [hi]. A
+   frame is copied out once, whole, when its header says it has all
+   arrived; the unread tail moves to the front only when the buffer is
+   full, and the buffer doubles only for a frame larger than itself. *)
 type reader = {
   fd : Unix.file_descr;
   mutable buf : Bytes.t;
   mutable lo : int;  (* first undecoded byte *)
   mutable hi : int;  (* end of valid data *)
-  mutable nonblocking : bool;
-      (* EAGAIN means "wait for bytes", not a receive timeout *)
 }
 
-let reader fd =
-  { fd; buf = Bytes.create 8192; lo = 0; hi = 0; nonblocking = false }
+let reader fd = { fd; buf = Bytes.create 65536; lo = 0; hi = 0 }
 
-let set_nonblocking r =
-  Unix.set_nonblock r.fd;
-  r.nonblocking <- true
-
-let refill r =
-  if r.lo > 0 then begin
-    Bytes.blit r.buf r.lo r.buf 0 (r.hi - r.lo);
-    r.hi <- r.hi - r.lo;
-    r.lo <- 0
+let fill r =
+  if r.lo = r.hi then begin
+    r.lo <- 0;
+    r.hi <- 0
+  end
+  else if r.hi = Bytes.length r.buf then begin
+    let live = r.hi - r.lo in
+    let b = if r.lo = 0 then Bytes.create (2 * live) else r.buf in
+    Bytes.blit r.buf r.lo b 0 live;
+    r.buf <- b;
+    r.lo <- 0;
+    r.hi <- live
   end;
-  if r.hi = Bytes.length r.buf then
-    r.buf <- Bytes.extend r.buf 0 (Bytes.length r.buf);
   match Unix.read r.fd r.buf r.hi (Bytes.length r.buf - r.hi) with
-  | 0 -> false
+  | 0 -> `Eof
   | n ->
       r.hi <- r.hi + n;
-      true
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-    when r.nonblocking ->
-      wait_readable r.fd
-  | exception Unix.Unix_error _ -> false
+      `Read
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Read
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      `Blocked
+  | exception Unix.Unix_error _ -> `Eof
+
+let next r =
+  match Wire.frame_length r.buf ~pos:r.lo ~len:(r.hi - r.lo) with
+  | Error Wire.Truncated -> Ok None
+  | Error e -> Error e
+  | Ok len when len > r.hi - r.lo -> Ok None
+  | Ok len -> (
+      let frame = Bytes.sub_string r.buf r.lo len in
+      r.lo <- r.lo + len;
+      match Wire.decode frame ~pos:0 with
+      | Ok (f, _) -> Ok (Some f)
+      | Error e -> Error e)
 
 let rec read_frame r =
-  (* Decoding from a string copy of the window keeps Wire pure; frames
-     are small and this path is not the ops hot loop (one copy per
-     refill round, not per frame, would be an easy upgrade). *)
-  let window = Bytes.sub_string r.buf r.lo (r.hi - r.lo) in
-  match Wire.decode window ~pos:0 with
-  | Ok (frame, consumed) ->
-      r.lo <- r.lo + consumed;
-      Ok frame
-  | Error Wire.Truncated ->
-      if refill r then read_frame r else Error `Eof
+  match next r with
+  | Ok (Some f) -> Ok f
   | Error e -> Error (`Err e)
+  | Ok None -> (
+      match fill r with `Read -> read_frame r | `Blocked | `Eof -> Error `Eof)

@@ -1,6 +1,6 @@
 (** Socket plumbing under the dist backend: endpoints, listeners,
-    dialing with exponential backoff, and framed reads/writes over a
-    file descriptor.
+    connection attempts, and framed reads/writes over a file
+    descriptor.
 
     Endpoints are unix-domain sockets by default (no ports to collide
     in CI; the supervisor puts them in its run directory) with TCP as
@@ -17,51 +17,41 @@ val listen : endpoint -> Unix.file_descr
 (** Bind + listen (unlinking a stale unix socket file first).
     @raise Unix.Unix_error *)
 
-val connect : endpoint -> (Unix.file_descr, exn) result
+val connect :
+  ?nonblocking:bool -> endpoint -> (Unix.file_descr, exn) result
 (** One connection attempt. TCP sockets get [TCP_NODELAY]: frames are
     small and acks coalesced, so Nagle's algorithm would hold a frame
-    until the peer's delayed TCP ACK. *)
+    until the peer's delayed TCP ACK. With [~nonblocking:true] the
+    socket is [O_NONBLOCK] and may still be connecting
+    ([EINPROGRESS]): it turns writable once the attempt is over, and
+    [Unix.getsockopt_error] then tells how it went. *)
 
 val accept : endpoint -> Unix.file_descr -> Unix.file_descr
 (** Accept one connection on a {!listen}ing socket for [endpoint]
     ([TCP_NODELAY] on TCP, as {!connect}). @raise Unix.Unix_error *)
-
-val dial :
-  ?backoff0:float ->
-  ?backoff_max:float ->
-  stop:(unit -> bool) ->
-  endpoint ->
-  Unix.file_descr option
-(** Retry {!connect} with exponential backoff (default 10 ms doubling
-    to 500 ms) until it succeeds or [stop ()] turns true — the
-    reconnect loop's engine. [None] only when stopped. *)
 
 val write_frame : Unix.file_descr -> Wire.frame -> bool
 (** Encode and write the whole frame on a blocking socket (looping
     over short writes). [false] on any write error — the connection is
     dead. *)
 
-val write_some :
-  Unix.file_descr -> string -> int -> [ `Done | `Blocked of int | `Dead ]
-(** Write [s] from offset [off] on an [O_NONBLOCK] socket until it is
-    all out ([`Done]), the socket buffer is full ([`Blocked off'], with
-    [s] written up to [off']), or the connection is dead. *)
-
-val wait_writable : Unix.file_descr -> unit
-(** Block until [fd] may take more bytes, it failed, or 0.1 s passed. *)
-
 type reader
-(** Buffered frame reader over one fd. Single-consumer. *)
+(** Buffered frame decoder over one fd. Single-consumer. Each frame is
+    copied out of the buffer once, whole, when {!Wire.frame_length}
+    says all of it has arrived. *)
 
 val reader : Unix.file_descr -> reader
 
-val set_nonblocking : reader -> unit
-(** Put the reader's socket in [O_NONBLOCK] mode (writers to it then
-    use {!write_some}). The reader waits for readability on [EAGAIN];
-    on a blocking socket [EAGAIN] is a [SO_RCVTIMEO] timeout and reads
-    as [`Eof]. *)
+val fill : reader -> [ `Read | `Blocked | `Eof ]
+(** One [read] into the buffer. [`Blocked] is [EAGAIN]: no bytes yet
+    on an [O_NONBLOCK] socket, or an [SO_RCVTIMEO] timeout on a
+    blocking one. [`Eof] on a clean close or a read error. *)
+
+val next : reader -> (Wire.frame option, Wire.error) result
+(** Decode the next frame if it is buffered whole; [Ok None] if more
+    bytes are needed. An [Error] leaves the stream unrecoverable. *)
 
 val read_frame : reader -> (Wire.frame, [ `Eof | `Err of Wire.error ]) result
-(** Block until one whole frame is buffered and decode it. [`Eof] on a
-    clean close or a read error; [`Err] on undecodable bytes (the
-    stream is unrecoverable after either — close it). *)
+(** {!next}, {!fill}ing until a frame is whole. [`Eof] on a clean
+    close, a read error or a receive timeout; [`Err] on undecodable
+    bytes (the stream is unrecoverable after either — close it). *)

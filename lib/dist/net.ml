@@ -1,662 +1,445 @@
 type msg = Wire.msg
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-(* Per-peer outbound state, all under [pmu]. The dialer thread opens
-   the connection; once live, [fd] is non-blocking and every write to
-   it happens under [pmu], so frames never interleave. A write the
-   socket did not take whole leaves its remainder in [partial]; the
-   writer thread finishes it, then drains [outq], before anyone writes
-   directly again. [tx_gen] bumps when the peer comes back as a new
-   process (sequence numbers restarted), so stale acks and stale
-   held-back frames from the previous numbering can be recognized and
-   dropped. *)
-type peer = {
-  dst : int;
-  pmu : Mutex.t;
-  pcv : Condition.t;
-  outq : Wire.frame Queue.t;
+(* In-order data frames are acked once [ack_every] are unacked, or else
+   on the next [tick] — 5x inside Chan's 0.1 s initial RTO. Redials back
+   off from [backoff0], doubling, until a handshake. *)
+let ack_every, tick = (64, 0.02)
+let backoff0, backoff_max = (0.01, 0.5)
+let reorder_window = 0.005
+
+(* Both channels between this node and node [id], and the connection
+   each rides: [out] dialed by us, [isock] by [id]. [out] is redialed
+   only once closed, so what arrives on it is of the current numbering. *)
+type link = {
+  id : int;
   ptx : msg Chan.tx;
-  mutable tx_gen : int;
-  mutable fd : Unix.file_descr option;
-  mutable partial : (string * int) option;  (* bytes, offset written *)
   mutable peer_boot : int option;
-}
-
-(* Per-source inbound state, shared by however many connections that
-   source opens over time (a restart can briefly leave two). [ifd] is
-   the newest of them, where the timer's coalesced acks go; [acked] is
-   the last cumulative ack written. *)
-type inbound = {
-  imu : Mutex.t;
+  mutable out : sock option;
+  mutable dial_at : float;
+  mutable backoff : float;
   irx : msg Chan.rx;
   mutable iboot : int option;
-  mutable ifd : Unix.file_descr option;
+  mutable isock : sock option;
   mutable acked : int;
+  mutable ack_due : bool;
 }
+
+(* A non-blocking socket: its decoder and out-buffer [obuf.(olo..ohi)]. *)
+and sock = {
+  fd : Unix.file_descr;
+  rd : Conn.reader;
+  mutable obuf : Bytes.t;
+  mutable olo : int;
+  mutable ohi : int;
+  mutable role : role;
+  mutable closed : bool;
+}
+
+and role =
+  | Greeting of link  (* dialed, Hello queued; awaiting Welcome *)
+  | Out of link  (* live *)
+  | Accepted  (* awaiting Hello (a peer) or Req (a client) *)
+  | In of link
+  | Client of { mutable inflight : int }
 
 type verdict = Pass | Drop | Duplicate | Hold of float
 
-(* The sender-side fault dice: one stream per node, shared by its
-   writer threads. *)
-type dice = { faults : Chan.faults; rng : Random.State.t; mu : Mutex.t }
-
-(* How long [reorder] holds a frame back: later frames overtake it. *)
-let reorder_window = 0.005
-
-(* In-order data frames are acked once this many are unacked, or else
-   on the next [tick] — 5x inside Chan's 0.1 s initial RTO. *)
-let ack_every = 64
-let tick = 0.02
-
 type t = {
   me : int;
-  n : int;
   boot : int;
   eps : Conn.endpoint array;
-  node : msg Rt.Node.t;
-  peers : peer option array;
-  inbound : inbound array;
-  dice : dice option;
-  t0 : int64;
+  links : link array;  (* [links.(me)] is unused *)
+  dice : (Chan.faults * Random.State.t) option;
   metrics : Obs.Metrics.t;
-  c_sent : Obs.Metrics.counter;
-  c_delivered : Obs.Metrics.counter;
-  c_broadcasts : Obs.Metrics.counter;
-  c_data : Obs.Metrics.counter;
-  c_retx : Obs.Metrics.counter;
-  c_acks : Obs.Metrics.counter;
-  c_reconnects : Obs.Metrics.counter;
-  c_lost : Obs.Metrics.counter;
-  c_duplicated : Obs.Metrics.counter;
-  c_reordered : Obs.Metrics.counter;
-  stopping : bool Atomic.t;
-  mutable listener : Unix.file_descr option;
-  mutable threads : Thread.t list;
-  cmu : Mutex.t;  (* guards [conns] and [client_handler] *)
-  mutable conns : Unix.file_descr list;
+  mutable handler : src:int -> msg -> unit;
   mutable client_handler : Wire.frame -> reply:(Wire.frame -> unit) -> unit;
-  dmu : Mutex.t;  (* guards [delayed] *)
-  mutable delayed : (float * peer * int * Wire.frame) list;
+  loopback : msg Queue.t;  (* sends to self, delivered by [pump] *)
+  posted : (unit -> unit) list Atomic.t;  (* from any thread, newest first *)
+  stopping : bool Atomic.t;
+  woken : bool Atomic.t;  (* a byte is in the wake pipe *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  mutable listener : Unix.file_descr option;
+  mutable socks : sock list;
+  mutable holds : (float * sock * string) list;  (* reordered frames *)
+  mutable next_tick : float;
 }
+
+let counters =
+  [ "net.sent"; "net.delivered"; "net.broadcasts"; "dist.data_sent";
+    "dist.retransmits"; "dist.acks_sent"; "dist.reconnects";
+    "link.wire_lost"; "link.duplicated"; "link.reordered" ]
+
+let count t name = Obs.Metrics.incr (Obs.Metrics.counter t.metrics name)
 
 let create ?(faults = Chan.no_faults) ?(seed = 1) ~me ~eps () =
   let n = Array.length eps in
   if me < 0 || me >= n then invalid_arg "Net.create: me out of range";
   (* A peer writing into our dead socket must not kill the process. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let metrics = Obs.Metrics.create () in
   let dice =
     match Chan.validate faults with
     | Error e -> invalid_arg ("Dist.Net: " ^ e)
     | Ok f when f = Chan.no_faults -> None
-    | Ok f ->
-        let rng = Random.State.make [| seed; me |] in
-        Some { faults = f; rng; mu = Mutex.create () }
+    | Ok f -> Some (f, Random.State.make [| seed; me |])
   in
-  {
-    me;
-    n;
-    (* Incarnation id: must differ across restarts of the same node id.
-       Monotonic nanoseconds xor pid, kept positive. *)
-    boot = now_ns () lxor (Unix.getpid () lsl 24) land max_int;
-    eps = Array.copy eps;
-    node = Rt.Node.create me;
-    peers =
-      Array.init n (fun dst ->
-          if dst = me then None
-          else
-            Some
-              {
-                dst;
-                pmu = Mutex.create ();
-                pcv = Condition.create ();
-                outq = Queue.create ();
-                ptx = Chan.tx ();
-                tx_gen = 0;
-                fd = None;
-                partial = None;
-                peer_boot = None;
-              });
-    inbound =
-      Array.init n (fun _ ->
-          {
-            imu = Mutex.create ();
-            irx = Chan.rx ();
-            iboot = None;
-            ifd = None;
-            acked = 0;
-          });
-    dice;
-    t0 = Monotonic_clock.now ();
-    metrics;
-    c_sent = Obs.Metrics.counter metrics "net.sent";
-    c_delivered = Obs.Metrics.counter metrics "net.delivered";
-    c_broadcasts = Obs.Metrics.counter metrics "net.broadcasts";
-    c_data = Obs.Metrics.counter metrics "dist.data_sent";
-    c_retx = Obs.Metrics.counter metrics "dist.retransmits";
-    c_acks = Obs.Metrics.counter metrics "dist.acks_sent";
-    c_reconnects = Obs.Metrics.counter metrics "dist.reconnects";
-    c_lost = Obs.Metrics.counter metrics "link.wire_lost";
-    c_duplicated = Obs.Metrics.counter metrics "link.duplicated";
-    c_reordered = Obs.Metrics.counter metrics "link.reordered";
-    stopping = Atomic.make false;
-    listener = None;
-    threads = [];
-    cmu = Mutex.create ();
-    conns = [];
-    client_handler = (fun _ ~reply:_ -> ());
-    dmu = Mutex.create ();
-    delayed = [];
-  }
+  let metrics = Obs.Metrics.create () in
+  List.iter (fun c -> ignore (Obs.Metrics.counter metrics c)) counters;
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  let link id =
+    { id; ptx = Chan.tx (); peer_boot = None; out = None;
+      dial_at = 0.; backoff = backoff0; irx = Chan.rx (); iboot = None;
+      isock = None; acked = 0; ack_due = false }
+  in
+  (* The incarnation id must differ across restarts of one node id:
+     monotonic nanoseconds xor pid, kept positive. *)
+  let boot = now_ns () lxor (Unix.getpid () lsl 24) land max_int in
+  { me; boot; eps = Array.copy eps; links = Array.init n link; dice; metrics;
+    handler = (fun ~src:_ _ -> ()); client_handler = (fun _ ~reply:_ -> ());
+    loopback = Queue.create (); posted = Atomic.make [];
+    stopping = Atomic.make false; woken = Atomic.make false; wake_r; wake_w;
+    listener = None; socks = []; holds = []; next_tick = 0. }
 
-let me t = t.me
-let size t = t.n
-let boot t = t.boot
 let metrics t = t.metrics
-
-let now t =
-  Int64.to_float (Int64.sub (Monotonic_clock.now ()) t.t0) *. 1e-9
+let set_client_handler t h = t.client_handler <- h
 
 let judge t =
   match t.dice with
   | None -> Pass
-  | Some d ->
-      Mutex.lock d.mu;
-      let hit p = p > 0. && Random.State.float d.rng 1.0 < p in
-      let v =
-        if hit d.faults.drop then Drop
-        else if hit d.faults.dup then Duplicate
-        else if hit d.faults.reorder then
-          Hold (Random.State.float d.rng reorder_window)
-        else Pass
-      in
-      Mutex.unlock d.mu;
-      v
+  | Some (f, rng) ->
+      let hit p = p > 0. && Random.State.float rng 1.0 < p in
+      if hit f.drop then Drop
+      else if hit f.dup then Duplicate
+      else if hit f.reorder then Hold (Random.State.float rng reorder_window)
+      else Pass
 
 let close_quietly fd =
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let track_conn t fd =
-  Mutex.lock t.cmu;
-  t.conns <- fd :: t.conns;
-  Mutex.unlock t.cmu
+let is s = Option.fold ~none:false ~some:(( == ) s)
 
-let untrack_conn t fd =
-  Mutex.lock t.cmu;
-  t.conns <- List.filter (fun fd' -> fd' != fd) t.conns;
-  Mutex.unlock t.cmu
+let redial_later l =
+  l.out <- None;
+  l.dial_at <- now () +. l.backoff;
+  l.backoff <- Float.min (2. *. l.backoff) backoff_max
 
-(* ------------------------------------------------------------------ *)
-(* Outbound: dialer / writer / ack reader, one trio per peer.          *)
-
-(* With [pmu] held. The frames this connection did not confirm stay
-   unacked in the channel and go out again after the reconnect. *)
-let conn_dead p fd =
-  if p.fd = Some fd then begin
-    p.fd <- None;
-    Condition.broadcast p.pcv
+(* The only place a socket dies. A dead outbound connection's unacked
+   frames stay in its channel and go out again after the redial. *)
+let close_sock s =
+  if not s.closed then begin
+    s.closed <- true;
+    close_quietly s.fd;
+    match s.role with
+    | (Greeting l | Out l) when is s l.out -> redial_later l
+    | In l when is s l.isock -> l.isock <- None
+    | _ -> ()
   end
 
-let mark_conn_dead p fd =
-  Mutex.lock p.pmu;
-  conn_dead p fd;
-  Mutex.unlock p.pmu
-
-(* With [pmu] held and nothing [partial]: write what the socket takes
-   now and leave the rest to the writer thread. *)
-let put p fd bytes off =
-  match Conn.write_some fd bytes off with
-  | `Done -> ()
-  | `Blocked off ->
-      p.partial <- Some (bytes, off);
-      Condition.broadcast p.pcv
-  | `Dead -> conn_dead p fd
-
-(* Drains acks coming back on the outbound connection. [gen] pins the
-   numbering this connection was speaking: after the peer reboots and
-   the channel renumbers, a late ack from the old connection must not
-   trim the renumbered queue. *)
-let ack_reader_loop t p fd reader gen =
-  let rec loop () =
-    match Conn.read_frame reader with
-    | Ok (Wire.Ack { upto }) ->
-        Mutex.lock p.pmu;
-        if p.tx_gen = gen then
-          ignore (Chan.tx_ack p.ptx ~now:(now t) ~upto);
-        Mutex.unlock p.pmu;
-        loop ()
-    | Ok _ | Error _ -> ()
+let add_sock t fd role =
+  let s =
+    { fd; rd = Conn.reader fd; obuf = Bytes.empty; olo = 0; ohi = 0; role;
+      closed = false }
   in
-  loop ();
-  mark_conn_dead p fd
+  t.socks <- s :: t.socks;
+  s
 
-let delay_frame t release p gen frame =
-  Mutex.lock t.dmu;
-  t.delayed <- (release, p, gen, frame) :: t.delayed;
-  Mutex.unlock t.dmu
+(* ---- The one write path: [write] appends to the out-buffer and, if
+   that was empty, writes; [pump] writes the rest when it can. ------- *)
 
-(* Release held-back frames into their peer's queue once their time
-   comes. Polling at 5 ms is fine: holds are at most [reorder_window],
-   far below the retransmission timeout. *)
-let delayer_loop t =
-  while not (Atomic.get t.stopping) do
-    let now_ = now t in
-    Mutex.lock t.dmu;
-    let due, rest =
-      List.partition (fun (release, _, _, _) -> release <= now_) t.delayed
-    in
-    t.delayed <- rest;
-    Mutex.unlock t.dmu;
-    List.iter
-      (fun (_, p, gen, frame) ->
-        Mutex.lock p.pmu;
-        if p.tx_gen = gen then begin
-          Queue.push frame p.outq;
-          Condition.broadcast p.pcv
-        end;
-        Mutex.unlock p.pmu)
-      due;
-    Thread.delay 0.005
+let idle s = s.olo = s.ohi
+
+let rec flush s =
+  if not (s.closed || idle s) then
+    match Unix.single_write s.fd s.obuf s.olo (s.ohi - s.olo) with
+    | k -> s.olo <- s.olo + k; flush s
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error _ -> close_sock s
+
+(* A new buffer only when [bytes] do not fit behind the tail. *)
+let write s bytes =
+  let len = String.length bytes and live = s.ohi - s.olo in
+  if s.ohi + len > Bytes.length s.obuf then begin
+    let b = Bytes.create (max 4096 (2 * (live + len))) in
+    Bytes.blit s.obuf s.olo b 0 live;
+    s.obuf <- b;
+    s.olo <- 0;
+    s.ohi <- live
+  end;
+  Bytes.blit_string bytes 0 s.obuf s.ohi len;
+  s.ohi <- s.ohi + len;
+  if live = 0 then flush s
+
+(* A [Data] frame toward [l], under the fault dice. A dropped frame, or
+   one sent while the connection is down, stays unacked in [Chan]. *)
+let put_data t l seq m =
+  match l.out with
+  | Some ({ role = Out _; _ } as s) -> (
+      let bytes = Wire.encode (Wire.Data { seq; msg = m }) in
+      match judge t with
+      | Pass -> write s bytes
+      | Drop -> count t "link.wire_lost"
+      | Duplicate -> count t "link.duplicated"; write s (bytes ^ bytes)
+      | Hold d ->
+          count t "link.reordered";
+          t.holds <- (now () +. d, s, bytes) :: t.holds)
+  | _ -> ()
+
+(* The channel's one waiting ack goes out once its connection has
+   written all else: a peer that stops reading acks costs nothing. *)
+let send_ack t l ~due =
+  l.ack_due <- l.ack_due || due;
+  match l.isock with
+  | Some s when l.ack_due && idle s ->
+      l.acked <- Chan.rx_expected l.irx;
+      l.ack_due <- false;
+      count t "dist.acks_sent";
+      write s (Wire.encode (Wire.Ack { upto = l.acked }))
+  | _ -> ()
+
+(* ---- Frames in. ---------------------------------------------------- *)
+
+(* A client is read only while it has no request running and no reply
+   unwritten: one that pipelines requests holds one of each, and a
+   closed-loop client never waits on this rule. *)
+let wants_input s =
+  match s.role with Client c -> c.inflight = 0 && idle s | _ -> true
+
+let rec drain t s =
+  if (not s.closed) && wants_input s then
+    match Conn.next s.rd with
+    | Ok (Some frame) ->
+        on_frame t s frame;
+        drain t s
+    | Ok None -> ()
+    | Error _ -> close_sock s
+
+and on_frame t s frame =
+  match (s.role, frame) with
+  | Greeting l, Wire.Welcome { boot; rx_expected } ->
+      let rebooted = Option.fold ~none:false ~some:(( <> ) boot) l.peer_boot in
+      if l.peer_boot <> None then count t "dist.reconnects";
+      l.peer_boot <- Some boot;
+      l.backoff <- backoff0;
+      s.role <- Out l;
+      List.iter
+        (fun (seq, m) -> put_data t l seq m)
+        (Chan.tx_reconnect l.ptx ~now:(now ()) ~peer_rebooted:rebooted
+           ~rx_expected)
+  | Out l, Wire.Ack { upto } -> ignore (Chan.tx_ack l.ptx ~now:(now ()) ~upto)
+  | Accepted, Wire.Hello { src; boot }
+    when src >= 0 && src < Array.length t.links && src <> t.me ->
+      (* A new connection from [src] means its old one is dead: what we
+         did not deliver from it, [Welcome] asks for again. *)
+      let l = t.links.(src) in
+      Option.iter close_sock l.isock;
+      if l.iboot <> Some boot then begin
+        Chan.rx_reset l.irx;
+        l.iboot <- Some boot
+      end;
+      s.role <- In l;
+      l.isock <- Some s;
+      l.acked <- Chan.rx_expected l.irx;
+      l.ack_due <- false;
+      write s (Wire.encode (Wire.Welcome { boot = t.boot; rx_expected = l.acked }))
+  | In l, Wire.Data { seq; msg } ->
+      (* A frame that is not simply the next one — a duplicate, or one at
+         a gap — means its sender is retransmitting: ack it at once. *)
+      let next = seq = Chan.rx_expected l.irx && Chan.rx_buffered l.irx = 0 in
+      Chan.rx_data l.irx ~seq msg
+      |> List.iter (fun m -> count t "net.delivered"; t.handler ~src:l.id m);
+      send_ack t l
+        ~due:((not next) || Chan.rx_expected l.irx - l.acked >= ack_every)
+  | Accepted, Wire.Req _ ->
+      s.role <- Client { inflight = 0 };
+      on_frame t s frame
+  | Client c, Wire.Req _ ->
+      c.inflight <- c.inflight + 1;
+      t.client_handler frame ~reply:(fun resp ->
+          c.inflight <- c.inflight - 1;
+          if not s.closed then begin
+            write s (Wire.encode resp);
+            drain t s
+          end)
+  | _ -> close_sock s
+
+(* ---- The loop. ----------------------------------------------------- *)
+
+(* The Hello waits in the out-buffer while the connect is in progress
+   ([EAGAIN]); a failed connect fails its write. *)
+let dial t l =
+  match Conn.connect ~nonblocking:true t.eps.(l.id) with
+  | Ok fd ->
+      let s = add_sock t fd (Greeting l) in
+      l.out <- Some s;
+      write s (Wire.encode (Wire.Hello { src = t.me; boot = t.boot }))
+  | Error _ -> redial_later l
+
+(* Every [tick]: retransmit what is due on live connections, and ack
+   every channel that advanced since its last ack. *)
+let on_tick t now_ =
+  Array.iter
+    (fun l ->
+      (match l.out with
+      | Some { role = Out _; _ } ->
+          Chan.tx_due l.ptx ~now:now_
+          |> List.iter (fun (seq, m) -> count t "dist.retransmits"; put_data t l seq m)
+      | _ -> ());
+      send_ack t l ~due:(Chan.rx_expected l.irx > l.acked))
+    t.links
+
+(* A ready socket: write what it can, read what came, act on every
+   whole frame, and send an ack that waited for the out-buffer. *)
+let serve t s ~readable ~writable =
+  if writable then flush s;
+  if readable && (not s.closed) && Conn.fill s.rd = `Eof then close_sock s;
+  drain t s;
+  match s.role with In l -> send_ack t l ~due:false | _ -> ()
+
+(* One turn of the loop: run due timers, [select] until a socket is
+   ready, a deadline passes or [wake] is called, serve the ready
+   sockets, then deliver what this node sent itself. *)
+let pump t =
+  let now_ = now () in
+  if now_ >= t.next_tick then begin
+    t.next_tick <- now_ +. tick;
+    on_tick t now_
+  end;
+  let due, held = List.partition (fun (at, _, _) -> at <= now_) t.holds in
+  t.holds <- held;
+  List.iter (fun (_, s, bytes) -> if not s.closed then write s bytes) (List.rev due);
+  let down l = l.id <> t.me && l.out = None in
+  Array.iter (fun l -> if down l && now_ >= l.dial_at then dial t l) t.links;
+  let deadline =
+    Array.fold_left
+      (fun d l -> if down l then Float.min d l.dial_at else d)
+      (List.fold_left (fun d (at, _, _) -> Float.min d at) t.next_tick held)
+      t.links
+  in
+  t.socks <- List.filter (fun s -> not s.closed) t.socks;
+  let fds f = List.filter_map (fun s -> if f s then Some s.fd else None) t.socks in
+  let rd = (t.wake_r :: Option.to_list t.listener) @ fds wants_input
+  and wr = fds (fun s -> not (idle s)) in
+  let timeout =
+    if Queue.is_empty t.loopback then Float.max 0. (deadline -. now_) else 0.
+  in
+  (match Unix.select rd wr [] timeout with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | r, w, _ ->
+      List.iter
+        (fun s ->
+          let readable = List.memq s.fd r and writable = List.memq s.fd w in
+          if readable || writable then serve t s ~readable ~writable)
+        t.socks;
+      Option.iter
+        (fun l ->
+          if List.memq l r then
+            match Conn.accept t.eps.(t.me) l with
+            | fd ->
+                Unix.set_nonblock fd;
+                ignore (add_sock t fd Accepted)
+            | exception Unix.Unix_error _ -> ())
+        t.listener;
+      if List.memq t.wake_r r then begin
+        Atomic.set t.woken false;
+        let b = Bytes.create 64 in
+        try while Unix.read t.wake_r b 0 64 > 0 do () done
+        with Unix.Unix_error _ -> ()
+      end);
+  for _ = 1 to Queue.length t.loopback do
+    t.handler ~src:t.me (Queue.pop t.loopback)
   done
 
-(* With [pmu] held: the bytes to put on the wire for one queued Data
-   frame, under the fault dice. Faults apply to Data frames only —
-   handshakes and acks always go through, so faults exercise
-   retransmission rather than jamming connection establishment. A
-   dropped frame simply stays unacked. *)
-let emit t p frame =
-  match judge t with
-  | Pass -> Some (Wire.encode frame)
-  | Drop ->
-      Obs.Metrics.incr t.c_lost;
-      None
-  | Duplicate ->
-      Obs.Metrics.incr t.c_duplicated;
-      let bytes = Wire.encode frame in
-      Some (bytes ^ bytes)
-  | Hold d ->
-      Obs.Metrics.incr t.c_reordered;
-      delay_frame t (now t +. d) p p.tx_gen frame;
-      None
-
-(* Finish a [partial] write, waiting for the socket outside the lock,
-   then pop and put queued frames one at a time, until the connection
-   dies or we stop. Only this thread writes while either is
-   non-empty. *)
-let writer_loop t p fd =
-  let live () = p.fd = Some fd && not (Atomic.get t.stopping) in
-  let rec loop () =
-    Mutex.lock p.pmu;
-    while live () && p.partial = None && Queue.is_empty p.outq do
-      Condition.wait p.pcv p.pmu
-    done;
-    if not (live ()) then Mutex.unlock p.pmu
-    else begin
-      (match p.partial with
-      | Some (bytes, off) ->
-          Mutex.unlock p.pmu;
-          Conn.wait_writable fd;
-          Mutex.lock p.pmu;
-          if p.fd = Some fd then begin
-            p.partial <- None;
-            put p fd bytes off
-          end
-      | None -> (
-          match emit t p (Queue.pop p.outq) with
-          | Some bytes -> put p fd bytes 0
-          | None -> ()));
-      Mutex.unlock p.pmu;
-      loop ()
-    end
-  in
-  loop ()
-
-(* One established outbound connection: handshake, resync the channel,
-   then write until it dies. Returns when the connection is gone. *)
-let run_connection t p fd =
-  if not (Conn.write_frame fd (Wire.Hello { src = t.me; boot = t.boot }))
-  then close_quietly fd
-  else
-    let reader = Conn.reader fd in
-    match Conn.read_frame reader with
-    | Ok (Wire.Welcome { boot; rx_expected }) ->
-        let gen =
-          Mutex.lock p.pmu;
-          let rebooted =
-            match p.peer_boot with
-            | None -> false
-            | Some b -> b <> boot
-          in
-          if rebooted then p.tx_gen <- p.tx_gen + 1;
-          if p.peer_boot <> None then Obs.Metrics.incr t.c_reconnects;
-          p.peer_boot <- Some boot;
-          (* Frames queued for the dead connection are all unacked, so
-             tx_reconnect re-emits them with the right numbering; the
-             stale queue entries would duplicate (or, after a renumber,
-             corrupt) them. *)
-          Queue.clear p.outq;
-          p.partial <- None;
-          let frames =
-            Chan.tx_reconnect p.ptx ~now:(now t)
-              ~peer_rebooted:rebooted ~rx_expected
-          in
-          List.iter
-            (fun (seq, m) -> Queue.push (Wire.Data { seq; msg = m }) p.outq)
-            frames;
-          (* From here on the node thread writes this socket itself: it
-             must never block on a peer that stopped reading. *)
-          Conn.set_nonblocking reader;
-          p.fd <- Some fd;
-          let gen = p.tx_gen in
-          Mutex.unlock p.pmu;
-          gen
-        in
-        let ack_thread =
-          Thread.create (fun () -> ack_reader_loop t p fd reader gen) ()
-        in
-        writer_loop t p fd;
-        close_quietly fd;
-        Thread.join ack_thread
-    | Ok _ | Error _ -> close_quietly fd
-
-let dialer_loop t p =
-  let stop () = Atomic.get t.stopping in
-  let rec loop () =
-    if not (stop ()) then begin
-      (match Conn.dial ~stop t.eps.(p.dst) with
-      | None -> ()
-      | Some fd -> run_connection t p fd);
-      if not (stop ()) then begin
-        Thread.delay 0.01;
-        loop ()
-      end
-    end
-  in
-  loop ()
-
-(* With [imu] held, which serializes every write of acks. The inbound
-   socket is non-blocking, so neither the reader thread nor the timer
-   ever waits on a peer that stops reading its acks: an ack the socket
-   takes none of is skipped (acks are cumulative, and the next frame or
-   tick tries again); one it takes only in part has torn the stream, so
-   the connection is shut down and the peer reconnects. *)
-let write_ack t ib fd upto =
-  match Conn.write_some fd (Wire.encode (Wire.Ack { upto })) 0 with
-  | `Done ->
-      ib.acked <- upto;
-      Obs.Metrics.incr t.c_acks;
-      true
-  | `Blocked 0 -> true
-  | `Blocked _ | `Dead ->
-      (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-      if ib.ifd = Some fd then ib.ifd <- None;
-      false
-
-(* The [tick] timer. Outbound: re-queue whatever is due on a live
-   connection (with the connection down there is no point — the
-   reconnect handshake re-emits everything anyway). Inbound: ack every
-   channel that advanced since its last ack. *)
-let retransmit_loop t =
-  while not (Atomic.get t.stopping) do
-    Array.iter
-      (function
-        | None -> ()
-        | Some p ->
-            Mutex.lock p.pmu;
-            if p.fd <> None then begin
-              match Chan.tx_due p.ptx ~now:(now t) with
-              | [] -> ()
-              | frames ->
-                  List.iter
-                    (fun (seq, m) ->
-                      Obs.Metrics.incr t.c_retx;
-                      Queue.push (Wire.Data { seq; msg = m }) p.outq)
-                    frames;
-                  Condition.broadcast p.pcv
-            end;
-            Mutex.unlock p.pmu)
-      t.peers;
-    Array.iter
-      (fun ib ->
-        Mutex.lock ib.imu;
-        (match ib.ifd with
-        | Some fd when Chan.rx_expected ib.irx > ib.acked ->
-            ignore (write_ack t ib fd (Chan.rx_expected ib.irx))
-        | _ -> ());
-        Mutex.unlock ib.imu)
-      t.inbound;
-    Thread.delay tick
+(* The contract every backend honours: handlers run only in [pump], so
+   an operation meets them only at [await]; work that arrives meanwhile
+   waits until it returns, and so does a stop request. *)
+let await t pred =
+  while not (pred ()) do
+    pump t
   done
 
-(* ------------------------------------------------------------------ *)
-(* Inbound: accept loop + one reader thread per connection.            *)
+let run t =
+  let running () = not (Atomic.get t.stopping) in
+  while running () do
+    match Atomic.exchange t.posted [] with
+    | [] -> pump t
+    | fs -> List.iter (fun f -> if running () then f ()) (List.rev fs)
+  done
 
-(* A peer connection: reset the channel if this is a new incarnation of
-   [src], then deliver Data in order. A frame that is not simply the
-   next one — a duplicate, or one that opens or fills a gap — means the
-   sender is retransmitting (the lost packet may have been our ack), so
-   it is acked at once; in-order frames are acked every [ack_every]
-   frames, or by the timer. Posting to the mailbox inside [imu] keeps
-   delivery FIFO even if a reconnecting src briefly has two live
-   connections racing here. *)
-let peer_conn_loop t fd reader ~src ~src_boot =
-  let ib = t.inbound.(src) in
-  Mutex.lock ib.imu;
-  if ib.iboot <> Some src_boot then begin
-    Chan.rx_reset ib.irx;
-    ib.iboot <- Some src_boot
-  end;
-  let expected = Chan.rx_expected ib.irx in
-  (* Inside [imu], so the timer's acks cannot overtake the Welcome. *)
-  let welcomed =
-    Conn.write_frame fd (Wire.Welcome { boot = t.boot; rx_expected = expected })
-  in
-  if welcomed then begin
-    Conn.set_nonblocking reader;
-    ib.ifd <- Some fd;
-    ib.acked <- expected
-  end;
-  Mutex.unlock ib.imu;
-  let rec loop () =
-    match Conn.read_frame reader with
-    | Ok (Wire.Data { seq; msg }) ->
-        Mutex.lock ib.imu;
-        (* A newer incarnation of src took over the channel: this
-           connection is an orphan — stop speaking for it. *)
-        let live =
-          ib.iboot = Some src_boot
-          &&
-          let next =
-            seq = Chan.rx_expected ib.irx && Chan.rx_buffered ib.irx = 0
-          in
-          List.iter
-            (fun m ->
-              Obs.Metrics.incr t.c_delivered;
-              ignore
-                (Rt.Node.post t.node
-                   (Rt.Node.Net { src; msg = m; stamp = [||] })))
-            (Chan.rx_data ib.irx ~seq msg);
-          let upto = Chan.rx_expected ib.irx in
-          if next && upto - ib.acked < ack_every then true
-          else write_ack t ib fd upto
-        in
-        Mutex.unlock ib.imu;
-        if live then loop ()
-    | Ok _ | Error _ -> ()
-  in
-  if welcomed then loop ();
-  Mutex.lock ib.imu;
-  if ib.ifd = Some fd then ib.ifd <- None;
-  Mutex.unlock ib.imu
+(* At most one byte in the pipe: [pump] clears [woken] before it empties
+   the pipe, and [run] reads [posted] after that. *)
+let wake t =
+  if not (Atomic.exchange t.woken true) then
+    try ignore (Unix.single_write_substring t.wake_w "!" 0 1)
+    with Unix.Unix_error _ -> ()
 
-(* A client connection: Req frames in, Resp frames out. The handler
-   typically defers to protocol context and calls [reply] later, from
-   the node's run loop — hence the write lock. *)
-let client_conn_loop t fd reader first =
-  let wmu = Mutex.create () in
-  let reply frame =
-    Mutex.lock wmu;
-    ignore (Conn.write_frame fd frame);
-    Mutex.unlock wmu
-  in
-  let handler =
-    Mutex.lock t.cmu;
-    let h = t.client_handler in
-    Mutex.unlock t.cmu;
-    h
-  in
-  let rec loop frame =
-    handler frame ~reply;
-    match Conn.read_frame reader with
-    | Ok (Wire.Req _ as next) -> loop next
-    | Ok _ | Error _ -> ()
-  in
-  loop first
+let rec post_work t f =
+  let l = Atomic.get t.posted in
+  if Atomic.compare_and_set t.posted l (f :: l) then wake t
+  else post_work t f
 
-let conn_thread t fd =
-  track_conn t fd;
-  let reader = Conn.reader fd in
-  (match Conn.read_frame reader with
-  | Ok (Wire.Hello { src; boot })
-    when src >= 0 && src < t.n && src <> t.me ->
-      peer_conn_loop t fd reader ~src ~src_boot:boot
-  | Ok (Wire.Req _ as first) -> client_conn_loop t fd reader first
-  | Ok _ | Error _ -> ());
-  close_quietly fd;
-  untrack_conn t fd
-
-let accept_loop t listener =
-  let rec loop () =
-    if not (Atomic.get t.stopping) then
-      match Conn.accept t.eps.(t.me) listener with
-      | fd ->
-          ignore (Thread.create (fun () -> conn_thread t fd) ());
-          loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error _ ->
-          (* Listener closed (shutdown) or transient accept failure. *)
-          if not (Atomic.get t.stopping) then begin
-            Thread.delay 0.01;
-            loop ()
-          end
-  in
-  loop ()
-
-(* ------------------------------------------------------------------ *)
+let request_stop t =
+  Atomic.set t.stopping true;
+  wake t
 
 let start t =
-  let listener = Conn.listen t.eps.(t.me) in
-  t.listener <- Some listener;
-  let spawn f = t.threads <- Thread.create f () :: t.threads in
-  spawn (fun () -> accept_loop t listener);
-  spawn (fun () -> retransmit_loop t);
-  if t.dice <> None then spawn (fun () -> delayer_loop t);
-  Array.iter
-    (function
-      | None -> ()
-      | Some p -> spawn (fun () -> dialer_loop t p))
-    t.peers
-
-let run t = Rt.Node.run t.node
-let post_work t f = ignore (Rt.Node.post t.node (Rt.Node.Work f))
-let request_stop t = ignore (Rt.Node.post t.node Rt.Node.Stop)
-
-let set_client_handler t h =
-  Mutex.lock t.cmu;
-  t.client_handler <- h;
-  Mutex.unlock t.cmu
+  let l = Conn.listen t.eps.(t.me) in
+  Unix.set_nonblock l;
+  t.listener <- Some l
 
 let stop t =
-  Atomic.set t.stopping true;
   request_stop t;
-  (match t.listener with
-  | Some fd ->
-      close_quietly fd;
-      t.listener <- None
-  | None -> ());
+  Option.iter close_quietly t.listener;
   (match t.eps.(t.me) with
   | Conn.Unix_ep path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Conn.Tcp_ep _ -> ());
-  Array.iter
-    (function
-      | None -> ()
-      | Some p ->
-          Mutex.lock p.pmu;
-          (match p.fd with Some fd -> close_quietly fd | None -> ());
-          p.fd <- None;
-          Condition.broadcast p.pcv;
-          Mutex.unlock p.pmu)
-    t.peers;
-  Mutex.lock t.cmu;
-  let conns = t.conns in
-  Mutex.unlock t.cmu;
-  List.iter close_quietly conns;
-  List.iter Thread.join t.threads;
-  t.threads <- []
+  List.iter close_sock t.socks;
+  (* [woken] stays set from here on, so no later [wake] writes. *)
+  Unix.close t.wake_r;
+  Unix.close t.wake_w
 
-(* ------------------------------------------------------------------ *)
-(* The engine surface.                                                 *)
+(* ---- The engine surface. ------------------------------------------- *)
 
 let send t ~src ~dst m =
-  if src = t.me && dst >= 0 && dst < t.n then begin
-    Obs.Metrics.incr t.c_sent;
-    if dst = t.me then begin
-      if Rt.Node.post t.node (Rt.Node.Net { src; msg = m; stamp = [||] }) then
-        Obs.Metrics.incr t.c_delivered
-    end
+  if src = t.me && dst >= 0 && dst < Array.length t.links then begin
+    count t "net.sent";
+    if dst = t.me then (
+      count t "net.delivered";
+      Queue.push m t.loopback)
     else
-      match t.peers.(dst) with
-      | None -> ()
-      | Some p ->
-          Mutex.lock p.pmu;
-          let seq = Chan.tx_send p.ptx ~now:(now t) m in
-          Obs.Metrics.incr t.c_data;
-          let frame = Wire.Data { seq; msg = m } in
-          (* The common case writes from this thread: no handoff. *)
-          (match p.fd with
-          | Some fd
-            when t.dice = None && p.partial = None && Queue.is_empty p.outq ->
-              put p fd (Wire.encode frame) 0
-          | _ ->
-              Queue.push frame p.outq;
-              Condition.broadcast p.pcv);
-          Mutex.unlock p.pmu
+      let l = t.links.(dst) in
+      count t "dist.data_sent";
+      put_data t l (Chan.tx_send l.ptx ~now:(now ()) m) m
   end
 
 let backend t =
+  let n = Array.length t.links in
   {
-    Backend.n = t.n;
+    Backend.n;
     backend_name = "dist";
-    now = (fun () -> now t);
-    send = (fun ~src ~dst m -> send t ~src ~dst m);
+    now;
+    send = send t;
     broadcast =
       (fun ~src m ->
-        if src = t.me then begin
-          Obs.Metrics.incr t.c_broadcasts;
-          for dst = 0 to t.n - 1 do
-            send t ~src ~dst m
-          done
-        end);
-    set_handler =
-      (fun i h -> if i = t.me then Rt.Node.set_handler t.node h);
-    set_msg_label = (fun _ -> ());
+        if src = t.me then count t "net.broadcasts";
+        for dst = 0 to n - 1 do
+          send t ~src ~dst m
+        done);
+    set_handler = (fun i h -> if i = t.me then t.handler <- h);
+    set_msg_label = ignore;
     new_condition =
       (fun ~node ->
-        if node = t.me then
-          {
-            Backend.await = (fun pred -> Rt.Node.await t.node pred);
-            signal = (fun () -> ());
-          }
-        else
-          {
-            Backend.await =
-              (fun _ ->
-                invalid_arg
-                  "Dist.Net: only the local node's condition can be awaited");
-            signal = (fun () -> ());
-          });
+        let await pred =
+          if node = t.me then await t pred
+          else
+            invalid_arg "Dist.Net: only the local node's condition can be awaited"
+        in
+        { Backend.await; signal = ignore });
     trace = Obs.Trace.noop;
     metrics = t.metrics;
   }

@@ -51,8 +51,8 @@ let start ?telemetry ?seed cfg =
       | _ -> ());
   (* Rejoin runs as the first operation: reset volatile state (epoch
      bump fences stale-incarnation acks), then replay the WAL + quorum
-     pull + mint fence + renewal. Client ops posted meanwhile are
-     deferred behind it by the run loop. *)
+     pull + mint fence + renewal. Client ops posted meanwhile wait
+     behind it in the run loop. *)
   if cfg.recover then
     Net.post_work net (fun () ->
         ops.begin_recovery ~node:me;

@@ -28,16 +28,14 @@ val start : ?telemetry:string -> ?seed:int -> config -> t
 val net : t -> Net.t
 
 val run : t -> unit
-(** The node's protocol loop (blocking; the caller's thread). Returns
-    after {!request_stop}. *)
+(** The node's loop ({!Net.run}; blocking, and the caller's thread is
+    the node's only one). Returns after {!request_stop}. *)
 
 val request_stop : t -> unit
-(** Graceful shutdown trigger, from any thread. In-flight client
-    operations complete before {!run} returns (the [Stop] is just
-    another mailbox item behind them). Not from a signal handler: it
-    takes the mailbox lock, which the interrupted thread may hold — have
-    the handler set a flag and a thread call this. *)
+(** Graceful shutdown trigger, from any thread or signal handler. The
+    operation in flight completes before {!run} returns; requests still
+    queued are dropped, and their clients see the connection close. *)
 
 val shutdown : t -> unit
-(** Close sockets, stop helper threads and the telemetry endpoint.
-    Call after {!run} returned. *)
+(** Close sockets and stop the telemetry endpoint. Call after {!run}
+    returned. *)

@@ -37,14 +37,15 @@ let pp_error ppf = function
 
 (* Same FNV-1a 32 as the write-ahead log: corruption *detection* on a
    loopback/LAN path, not an integrity MAC. *)
-let checksum s =
+let checksum_sub s pos len =
   let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0xffffffff)
-    s;
+  for i = pos to pos + len - 1 do
+    h := !h lxor Char.code (String.unsafe_get s i);
+    h := !h * 0x01000193 land 0xffffffff
+  done;
   !h
+
+let checksum s = checksum_sub s 0 (String.length s)
 
 (* ---- varints --------------------------------------------------------- *)
 
@@ -265,11 +266,7 @@ let put_u32 buf v =
   Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
   Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff))
 
-let get_u32 s pos =
-  Char.code s.[pos]
-  lor (Char.code s.[pos + 1] lsl 8)
-  lor (Char.code s.[pos + 2] lsl 16)
-  lor (Char.code s.[pos + 3] lsl 24)
+let get_u32 b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xffffffff
 
 let encode frame =
   let payload = Buffer.create 64 in
@@ -283,31 +280,36 @@ let encode frame =
   Buffer.add_string out p;
   Buffer.contents out
 
-let decode s ~pos =
-  let len = String.length s in
-  if pos + header_len > len then
+let frame_length b ~pos ~len =
+  let byte i = Bytes.get b (pos + i) in
+  if len < header_len then
     (* Not even a whole header: only reject what we can already see. *)
-    if pos < len && s.[pos] <> 'A' then Error Bad_magic
-    else if pos + 1 < len && s.[pos + 1] <> 'W' then Error Bad_magic
+    if len > 0 && byte 0 <> 'A' then Error Bad_magic
+    else if len > 1 && byte 1 <> 'W' then Error Bad_magic
     else Error Truncated
-  else if s.[pos] <> 'A' || s.[pos + 1] <> 'W' then Error Bad_magic
-  else if Char.code s.[pos + 2] <> version then
-    Error (Bad_version (Char.code s.[pos + 2]))
+  else if byte 0 <> 'A' || byte 1 <> 'W' then Error Bad_magic
+  else if Char.code (byte 2) <> version then
+    Error (Bad_version (Char.code (byte 2)))
   else
-    let plen = get_u32 s (pos + 3) in
-    if plen < 0 || plen > max_payload then Error (Oversize plen)
-    else if pos + header_len + plen > len then Error Truncated
-    else
-      let sum = get_u32 s (pos + 7) in
-      let body = pos + header_len in
-      let payload = String.sub s body plen in
-      if checksum payload <> sum then Error Bad_checksum
+    let plen = get_u32 b (pos + 3) in
+    if plen > max_payload then Error (Oversize plen)
+    else Ok (header_len + plen)
+
+let decode s ~pos =
+  let b = Bytes.unsafe_of_string s in
+  match frame_length b ~pos ~len:(String.length s - pos) with
+  | Error e -> Error e
+  | Ok total when pos + total > String.length s -> Error Truncated
+  | Ok total ->
+      let body = pos + header_len and limit = pos + total in
+      if checksum_sub s body (limit - body) <> get_u32 b (pos + 7) then
+        Error Bad_checksum
       else
-        let p = { s = payload; pos = 0; limit = plen } in
+        let p = { s; pos = body; limit } in
         match get_frame p with
         | exception Fail -> Error Bad_payload
         | frame ->
             (* The payload must be consumed exactly: trailing garbage
                behind a parsable prefix is still a corrupt frame. *)
             if p.pos <> p.limit then Error Bad_payload
-            else Ok (frame, body + plen)
+            else Ok (frame, limit)

@@ -79,5 +79,12 @@ val decode : string -> pos:int -> (frame * int, error) result
     offset just past it. [Error Truncated] means the bytes so far are a
     valid proper prefix — a streaming reader should wait for more. *)
 
+val frame_length : Bytes.t -> pos:int -> len:int -> (int, error) result
+(** The whole length (header and payload) of the frame starting at
+    [pos], judged from the [len] bytes there, as soon as its header is
+    complete: a streaming reader copies out exactly that many bytes
+    once they have arrived. [Error Truncated] until the header is
+    whole; [Bad_magic], [Bad_version] and [Oversize] as {!decode}. *)
+
 val checksum : string -> int
 (** FNV-1a 32 (exposed for the corruption tests). *)

@@ -124,6 +124,51 @@ let wire_stream =
           | Ok (b', q) -> b' = b && q = String.length s
           | Error _ -> false))
 
+(* The streaming decoder ({!Dist.Conn.reader}, shared by the node loop
+   and the client): a frame list written through a socketpair in chunks
+   of random size, 1 byte up to 64 KiB, reads back whole and in
+   order. *)
+let wire_socket_chunks =
+  let chunks =
+    QCheck.make
+      ~print:QCheck.Print.(list int)
+      QCheck.Gen.(
+        list_size (int_range 1 20) (oneof [ int_range 1 16; int_range 1 65536 ]))
+  in
+  QCheck.Test.make ~count:100 ~name:"wire reader reassembles socket chunks"
+    (QCheck.pair (QCheck.list_of_size QCheck.Gen.(int_range 0 300) frame_arb) chunks)
+    (fun (frames, chunks) ->
+      let bytes = String.concat "" (List.map W.encode frames) in
+      let chunks = Array.of_list chunks in
+      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let writer =
+        Thread.create
+          (fun () ->
+            let rec go off i =
+              if off < String.length bytes then begin
+                let k =
+                  min chunks.(i mod Array.length chunks) (String.length bytes - off)
+                in
+                ignore (Unix.write_substring a bytes off k);
+                go (off + k) (i + 1)
+              end
+            in
+            go 0 0;
+            Unix.close a)
+          ()
+      in
+      let reader = Dist.Conn.reader b in
+      let rec read acc =
+        match Dist.Conn.read_frame reader with
+        | Ok f -> read (f :: acc)
+        | Error `Eof -> List.rev acc
+        | Error (`Err e) -> Alcotest.failf "undecodable: %a" W.pp_error e
+      in
+      let got = read [] in
+      Thread.join writer;
+      Unix.close b;
+      got = frames)
+
 (* ---- garbage rejection ---------------------------------------------- *)
 
 (* Every proper prefix of a valid frame is [Truncated] — the streaming
@@ -388,29 +433,39 @@ let sock_eps name n =
   in
   (eps, remove)
 
-(* A peer that stops reading must not stall the protocol thread: node 0
+(* Run node [net]'s loop on a thread of its own; the returned cleanup
+   stops it and closes its sockets. *)
+let spawn_loop net =
+  Dist.Net.start net;
+  let loop = Thread.create Dist.Net.run net in
+  fun () ->
+    Dist.Net.request_stop net;
+    Thread.join loop;
+    Dist.Net.stop net
+
+(* A peer that stops reading must not stall the node's thread: node 0
    sends ~2 MB (far over a socket buffer) to a node 1 played by hand,
    which answers the handshake and then reads nothing. The first
    message alone is larger than the socket buffer, so the socket takes
-   only part of it and the writer thread must finish the rest. Every
-   send must return; once drained, the stream must be whole frames
-   carrying the messages in order. *)
+   only part of it and the loop must finish the rest. Every send must
+   return; once drained, the stream must be whole frames carrying the
+   messages in order. *)
 let test_stalled_peer () =
   let eps, remove = sock_eps "stall" 2 in
   let listener = Dist.Conn.listen eps.(1) in
   let net = Dist.Net.create ~me:0 ~eps () in
   let fd = ref None in
   let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  let stop_loop = spawn_loop net in
   let cleanup () =
     (* Listener first, so node 0 cannot reconnect into a handshake that
        nobody answers. *)
     close listener;
     Option.iter close !fd;
-    Dist.Net.stop net;
+    stop_loop ();
     remove ()
   in
   Fun.protect ~finally:cleanup @@ fun () ->
-  Dist.Net.start net;
   let sock = Dist.Conn.accept eps.(1) listener in
   fd := Some sock;
   let reader = Dist.Conn.reader sock in
@@ -435,25 +490,19 @@ let test_stalled_peer () =
   let k = List.length msgs in
   let send = (Dist.Net.backend net).send in
   let sent = Atomic.make false in
-  let sender =
-    Thread.create
-      (fun () ->
-        List.iter (send ~src:0 ~dst:1) msgs;
-        Atomic.set sent true)
-      ()
-  in
+  Dist.Net.post_work net (fun () ->
+      List.iter (send ~src:0 ~dst:1) msgs;
+      Atomic.set sent true);
   let deadline = Unix.gettimeofday () +. 5. in
   while (not (Atomic.get sent)) && Unix.gettimeofday () < deadline do
     Thread.delay 0.01
   done;
   if not (Atomic.get sent) then begin
-    (* Free a sender stuck in [write] before failing. *)
+    (* Free a node stuck in [write] before failing. *)
     close listener;
     Unix.shutdown sock Unix.SHUTDOWN_ALL;
-    Thread.join sender;
     Alcotest.fail "sends blocked on a peer that stopped reading"
   end;
-  Thread.join sender;
   Unix.setsockopt_float sock Unix.SO_RCVTIMEO 5.;
   let rx = Chan.rx () in
   let got = ref [] in
@@ -472,8 +521,8 @@ let test_stalled_peer () =
   Alcotest.(check bool) "messages in order" true (List.rev !got = msgs)
 
 (* The ack direction: node 0's acks to a peer that stops reading them
-   must block neither that peer's reader thread nor the 20 ms timer,
-   which acks every other peer. Node 1, played by hand, floods node 0
+   must stop neither node 0 reading that peer nor the 20 ms tick, which
+   acks every other peer. Node 1, played by hand, floods node 0
    with duplicates (each acked at once) and never reads its acks; the
    flood must be read to the end. Then node 1 sends one frame that
    only the timer acks, and node 2, also by hand, sends one in-order
@@ -482,17 +531,17 @@ let test_stalled_ack_reader () =
   let eps, remove = sock_eps "stall-ack" 3 in
   let net = Dist.Net.create ~me:0 ~eps () in
   let socks = ref [] in
+  let stop_loop = spawn_loop net in
   let cleanup () =
     List.iter
       (fun fd ->
         (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
         try Unix.close fd with Unix.Unix_error _ -> ())
       !socks;
-    Dist.Net.stop net;
+    stop_loop ();
     remove ()
   in
   Fun.protect ~finally:cleanup @@ fun () ->
-  Dist.Net.start net;
   let join src =
     let rec dial tries =
       match Dist.Conn.connect eps.(0) with
@@ -571,6 +620,156 @@ let test_tcp_nodelay () =
       Unix.close dialled;
       Unix.close accepted
 
+(* One thread per node: a three-node in-process cluster that has served
+   an update adds at most one thread per node, plus OCaml's tick thread
+   if these are the process's first threads. *)
+let test_thread_count () =
+  if not (Sys.file_exists "/proc/self/task") then Alcotest.skip ();
+  let tasks () = Array.length (Sys.readdir "/proc/self/task") in
+  let before = tasks () in
+  let dir = fresh_dir "threads" in
+  let cluster = Dist.Local.start ~algo:Rt.Service.Eq_aso ~n:3 ~f:1 ~dir () in
+  Fun.protect ~finally:(fun () -> Dist.Local.stop cluster) @@ fun () ->
+  (match
+     Dist.Client.connect (Dist.Conn.Unix_ep (Filename.concat dir "node-0.sock"))
+   with
+  | None -> Alcotest.fail "node 0 unreachable"
+  | Some c ->
+      let r = Dist.Client.update c 1 in
+      Dist.Client.close c;
+      if r = Error () then Alcotest.fail "update failed");
+  let added = tasks () - before in
+  if added > 3 + 1 then Alcotest.failf "%d threads for 3 nodes" added
+
+(* A client that pipelines requests and reads none of its replies must
+   not stall the node for everyone else: a raw socket sends node 0 100k
+   scans and reads nothing, and a normal client of node 0 must still
+   complete an update and a scan within 5 s. *)
+let test_client_reads_nothing () =
+  let dir = fresh_dir "deaf-client" in
+  let cluster = Dist.Local.start ~algo:Rt.Service.Eq_aso ~n:3 ~f:1 ~dir () in
+  let ep = Dist.Conn.Unix_ep (Filename.concat dir "node-0.sock") in
+  let raw =
+    match Dist.Conn.connect ep with
+    | Ok fd -> fd
+    | Error e -> Alcotest.failf "connect: %s" (Printexc.to_string e)
+  in
+  let reqs =
+    String.concat ""
+      (List.init 100_000 (fun rid -> W.encode (W.Req { rid; op = W.Op_scan })))
+  in
+  let flood =
+    Thread.create
+      (fun () ->
+        try ignore (Unix.write_substring raw reqs 0 (String.length reqs))
+        with Unix.Unix_error _ -> ())
+      ()
+  in
+  let cleanup () =
+    (* Free a flood stuck in [write] first. *)
+    (try Unix.shutdown raw Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+    Thread.join flood;
+    Unix.close raw;
+    Dist.Local.stop cluster
+  in
+  Fun.protect ~finally:cleanup @@ fun () ->
+  Thread.delay 0.2;
+  let t0 = Unix.gettimeofday () in
+  match Dist.Client.connect ~rcv_timeout:5. ep with
+  | None -> Alcotest.fail "node 0 unreachable"
+  | Some c ->
+      Fun.protect ~finally:(fun () -> Dist.Client.close c) @@ fun () ->
+      if Dist.Client.update c 7 = Error () then
+        Alcotest.fail "update stalled behind a client that reads nothing";
+      (match Dist.Client.scan c with
+      | Ok _ -> ()
+      | Error () -> Alcotest.fail "scan stalled behind a client that reads nothing");
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt > 5. then Alcotest.failf "update + scan took %.2f s" dt
+
+(* [request_stop] is safe from a signal handler: a SIGUSR1 handler that
+   calls it makes a running node's thread (a [Node_main], as
+   [Dist.Local] runs on each of its threads) return within 2 s. *)
+let test_stop_from_signal () =
+  let eps, remove = sock_eps "signal" 3 in
+  let node =
+    Dist.Node_main.start
+      {
+        Dist.Node_main.me = 0;
+        eps;
+        f = 1;
+        algo = Rt.Service.Eq_aso;
+        wal = None;
+        recover = false;
+        chaos = None;
+      }
+  in
+  let returned = Atomic.make false in
+  let loop =
+    Thread.create
+      (fun () ->
+        Dist.Node_main.run node;
+        Atomic.set returned true)
+      ()
+  in
+  let old =
+    Sys.signal Sys.sigusr1
+      (Sys.Signal_handle (fun _ -> Dist.Node_main.request_stop node))
+  in
+  let cleanup () =
+    Sys.set_signal Sys.sigusr1 old;
+    Dist.Node_main.request_stop node;
+    Thread.join loop;
+    Dist.Node_main.shutdown node;
+    remove ()
+  in
+  Fun.protect ~finally:cleanup @@ fun () ->
+  Thread.delay 0.1;
+  Unix.kill (Unix.getpid ()) Sys.sigusr1;
+  let deadline = Unix.gettimeofday () +. 2. in
+  while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  Alcotest.(check bool) "node thread returned" true (Atomic.get returned)
+
+(* The non-blocking connect over TCP: node 0 dials node 1 before node 1
+   listens (refused, then in progress once it does), and a message node
+   0 sent before node 1 listened still arrives. *)
+let test_tcp_late_listener () =
+  let eps =
+    let socks =
+      List.init 2 (fun _ ->
+          let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+          Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+          s)
+    in
+    let ep s =
+      match Unix.getsockname s with
+      | Unix.ADDR_INET (_, port) -> Dist.Conn.Tcp_ep ("127.0.0.1", port)
+      | Unix.ADDR_UNIX _ -> assert false
+    in
+    let eps = Array.of_list (List.map ep socks) in
+    List.iter Unix.close socks;
+    eps
+  in
+  let n0 = Dist.Net.create ~me:0 ~eps () and n1 = Dist.Net.create ~me:1 ~eps () in
+  let got = Atomic.make [] in
+  (Dist.Net.backend n1).set_handler 1 (fun ~src m ->
+      Atomic.set got ((src, m) :: Atomic.get got));
+  let msg = LC.Msg.Echo_tag { tag = 42 } in
+  let stop0 = spawn_loop n0 in
+  let stop1 = ref ignore in
+  Fun.protect ~finally:(fun () -> stop0 (); !stop1 ()) @@ fun () ->
+  Dist.Net.post_work n0 (fun () -> (Dist.Net.backend n0).send ~src:0 ~dst:1 msg);
+  Thread.delay 0.2;
+  stop1 := spawn_loop n1;
+  let deadline = Unix.gettimeofday () +. 5. in
+  while Atomic.get got = [] && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  Alcotest.(check bool) "delivered once, from node 0" true
+    (Atomic.get got = [ (0, msg) ])
+
 (* ---- suites ---------------------------------------------------------- *)
 
 let suites =
@@ -579,6 +778,7 @@ let suites =
       [
         qcase wire_roundtrip;
         qcase wire_stream;
+        qcase wire_socket_chunks;
         qcase wire_torn;
         qcase wire_flip_payload;
         qcase wire_flip_checksum;
@@ -602,5 +802,12 @@ let suites =
           test_stalled_ack_reader;
         Alcotest.test_case "tcp sockets set TCP_NODELAY" `Quick
           test_tcp_nodelay;
+        Alcotest.test_case "one thread per node" `Quick test_thread_count;
+        Alcotest.test_case "a client that reads nothing stalls no one" `Quick
+          test_client_reads_nothing;
+        Alcotest.test_case "request_stop from a signal handler" `Quick
+          test_stop_from_signal;
+        Alcotest.test_case "tcp dial before the peer listens" `Quick
+          test_tcp_late_listener;
       ] );
   ]
