@@ -926,9 +926,11 @@ let serve_impl algo_name n clients secs batch scan_fraction seed crash
     (match Rt.Service.recorder svc with
     | Some rc ->
         let trace_file = dump_file "flight-recorder.json" in
-        (* Recorder timestamps are wall seconds; Trace renders one unit
-           as 1 ms, so scale by 1e3 to keep Perfetto's axis honest. *)
-        let tr = Obs.Recorder.to_trace ~mul:1e3 rc in
+        (* The rings plus the net.msg arrows drawn from the causal log
+           (stamped whenever the live monitor is on). *)
+        let tr =
+          Rt.Telem.to_trace ?causal:(Rt.Net.causal (Rt.Service.net svc)) rc
+        in
         let oc = open_out trace_file in
         output_string oc
           (Obs.Trace.to_chrome ~process_name:"aso-serve" tr);
@@ -966,7 +968,7 @@ let serve_impl algo_name n clients secs batch scan_fraction seed crash
   (* The live monitor's verdict outranks everything else: it halted
      intake mid-run, so the report above describes a truncated run. The
      dump gains the causal-cone slice next to the Perfetto trace (whose
-     net.msg flow events carry the same cross-domain arrows). *)
+     net.msg arrows are drawn from the same causal log). *)
   let live = Rt.Service.live_monitor svc in
   (match Option.bind live Rt.Live_monitor.tripped with
   | Some v ->

@@ -58,6 +58,7 @@ type t = {
   mutable client_handler : Wire.frame -> reply:(Wire.frame -> unit) -> unit;
   loopback : msg Queue.t;  (* sends to self, delivered by [pump] *)
   posted : (unit -> unit) list Atomic.t;  (* from any thread, newest first *)
+  mutable loop_thread : int;  (* [Thread.id] of [run]'s caller; -1 before *)
   stopping : bool Atomic.t;
   woken : bool Atomic.t;  (* a byte is in the wake pipe *)
   wake_r : Unix.file_descr;
@@ -101,7 +102,7 @@ let create ?(faults = Chan.no_faults) ?(seed = 1) ~me ~eps () =
   let boot = now_ns () lxor (Unix.getpid () lsl 24) land max_int in
   { me; boot; eps = Array.copy eps; links = Array.init n link; dice; metrics;
     handler = (fun ~src:_ _ -> ()); client_handler = (fun _ ~reply:_ -> ());
-    loopback = Queue.create (); posted = Atomic.make [];
+    loopback = Queue.create (); posted = Atomic.make []; loop_thread = -1;
     stopping = Atomic.make false; woken = Atomic.make false; wake_r; wake_w;
     listener = None; socks = []; holds = []; next_tick = 0. }
 
@@ -364,6 +365,7 @@ let await t pred =
   done
 
 let run t =
+  t.loop_thread <- Thread.id (Thread.self ());
   let running () = not (Atomic.get t.stopping) in
   while running () do
     match Atomic.exchange t.posted [] with
@@ -378,10 +380,13 @@ let wake t =
     try ignore (Unix.single_write_substring t.wake_w "!" 0 1)
     with Unix.Unix_error _ -> ()
 
+(* A post from the loop's own thread (a client request, handled inside
+   [pump]) needs no wake: [run] reads [posted] as soon as the pump or
+   the running work item returns. *)
 let rec post_work t f =
   let l = Atomic.get t.posted in
-  if Atomic.compare_and_set t.posted l (f :: l) then wake t
-  else post_work t f
+  if not (Atomic.compare_and_set t.posted l (f :: l)) then post_work t f
+  else if Thread.id (Thread.self ()) <> t.loop_thread then wake t
 
 let request_stop t =
   Atomic.set t.stopping true;

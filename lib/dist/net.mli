@@ -68,7 +68,9 @@ val run : t -> unit
     called. The running operation completes; queued work is dropped. *)
 
 val post_work : t -> (unit -> unit) -> unit
-(** Queue a thunk for {!run}, from any thread. *)
+(** Queue a thunk for {!run}, from any thread. A post from another
+    thread wakes the loop out of [select]; one from the loop's own
+    thread does not need to. *)
 
 val set_client_handler :
   t -> (Wire.frame -> reply:(Wire.frame -> unit) -> unit) -> unit

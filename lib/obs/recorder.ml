@@ -29,24 +29,18 @@ type kind =
   | Span_end
   | Instant
   | Counter
-  | Flow_start
-  | Flow_end
 
 let kind_to_int = function
   | Span_begin -> 0
   | Span_end -> 1
   | Instant -> 2
   | Counter -> 3
-  | Flow_start -> 4
-  | Flow_end -> 5
 
 let kind_of_int = function
   | 0 -> Span_begin
   | 1 -> Span_end
   | 2 -> Instant
-  | 3 -> Counter
-  | 4 -> Flow_start
-  | _ -> Flow_end
+  | _ -> Counter
 
 type ring = {
   pid : int;
@@ -126,15 +120,6 @@ let span_end r ~code ~ts = emit r ~kind:Span_end ~code ~ts ~value:0.
 let instant r ~code ~ts ~value = emit r ~kind:Instant ~code ~ts ~value
 let counter r ~code ~ts ~value = emit r ~kind:Counter ~code ~ts ~value
 
-(* Flow events carry the flow id in [value] — the same id on the
-   matching start (sending domain) and end (receiving domain) lets
-   Perfetto draw the cross-track arrow. *)
-let flow_start r ~code ~ts ~flow =
-  emit r ~kind:Flow_start ~code ~ts ~value:(float_of_int flow)
-
-let flow_end r ~code ~ts ~flow =
-  emit r ~kind:Flow_end ~code ~ts ~value:(float_of_int flow)
-
 let emitted r = Atomic.get r.head
 let overwritten r = max 0 (Atomic.get r.head - r.cap)
 
@@ -212,10 +197,6 @@ let to_trace ?(mul = 1.) t =
           Trace.instant tr ~ts ~pid ~cat
             ~args:[ ("value", Trace.Float ev.e_value) ]
             name
-      | Counter -> Trace.counter tr ~ts ~pid ~value:ev.e_value name
-      | Flow_start ->
-          Trace.flow_start tr ~ts ~pid ~id:(int_of_float ev.e_value) ~cat name
-      | Flow_end ->
-          Trace.flow_end tr ~ts ~pid ~id:(int_of_float ev.e_value) ~cat name)
+      | Counter -> Trace.counter tr ~ts ~pid ~value:ev.e_value name)
     (events t);
   tr

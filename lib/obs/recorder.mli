@@ -25,8 +25,6 @@ type kind =
   | Span_end
   | Instant
   | Counter
-  | Flow_start  (** message departure; flow id in [e_value] *)
-  | Flow_end  (** matching arrival on the receiving domain's ring *)
 
 val create : ?capacity:int -> n:int -> unit -> t
 (** [n] rings (one per domain/node) of [capacity] slots each
@@ -49,13 +47,6 @@ val span_begin : ring -> code:int -> ts:float -> unit
 val span_end : ring -> code:int -> ts:float -> unit
 val instant : ring -> code:int -> ts:float -> value:float -> unit
 val counter : ring -> code:int -> ts:float -> value:float -> unit
-
-val flow_start : ring -> code:int -> ts:float -> flow:int -> unit
-(** Message departure. [flow] is the id tying this event to the
-    {!flow_end} emitted on the receiving domain's ring; {!to_trace} maps
-    the pair to Perfetto flow arrows. *)
-
-val flow_end : ring -> code:int -> ts:float -> flow:int -> unit
 
 val emitted : ring -> int
 (** Events ever written (monotone; not capped by capacity). *)

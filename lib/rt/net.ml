@@ -7,9 +7,6 @@ type 'm t = {
   c_broadcasts : Obs.Metrics.counter;
   t0 : int64;
   telem : Telem.t option;
-  (* Per-node flight-recorder handles, precomputed so the send hot path
-     does not allocate one per message. *)
-  tnodes : Telem.node option array;
   causal : Obs.Vclock.recorder option;
   (* Link-level fault injection (tests only): [cut.(src * n + dst)]
      silently drops that directed link's messages, counted under
@@ -26,14 +23,10 @@ let create ?(recorder = true) ?(causal = false) ~n () =
   let now () = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9 in
   let telem = if recorder then Some (Telem.create ~n ~now ()) else None in
   let nodes = Array.init n Node.create in
-  let tnodes =
-    match telem with
-    | Some tl -> Array.init n (fun i -> Some (Telem.node tl i))
-    | None -> Array.make n None
-  in
-  (match telem with
-  | Some _ -> Array.iteri (fun i nd -> Node.set_telem nd tnodes.(i)) nodes
-  | None -> ());
+  Option.iter
+    (fun tl ->
+      Array.iteri (fun i nd -> Node.set_telem nd (Some (Telem.node tl i))) nodes)
+    telem;
   (* Retention-bounded: rt stamps hundreds of thousands of events per
      second, and the slice forensics only need the recent causal
      window — an unbounded log is a major-heap leak that costs real
@@ -42,21 +35,16 @@ let create ?(recorder = true) ?(causal = false) ~n () =
     if causal then Some (Obs.Vclock.recorder ~cap:16_384 ~n ()) else None
   in
   (* Receive side of the causal wiring: the delivery observer runs on
-     the receiving node's own domain just before the handler — merge the
-     piggy-backed stamp into the receiver's clock and pair the flow
-     arrow on the receiver's ring (single-writer contract holds on both
-     rings: sends are recorded by the sending domain, deliveries by the
-     receiving one). *)
+     the receiving node's own domain just before the handler and merges
+     the piggy-backed stamp into the receiver's clock. This log entry is
+     the message's only record: the flight-recorder arrows are drawn
+     from it at export ({!Telem.to_trace}). *)
   (match causal with
   | Some vr ->
       Array.iteri
         (fun dst nd ->
           Node.set_on_deliver nd (fun ~src stamp ->
-              Obs.Vclock.record_deliver vr ~dst ~src ~stamp ~at:(now ()) ();
-              match tnodes.(dst) with
-              | Some tnd ->
-                  Telem.flow_recv tnd ~flow:(Obs.Vclock.stamp_flow stamp)
-              | None -> ()))
+              Obs.Vclock.record_deliver vr ~dst ~src ~stamp ~at:(now ()) ()))
         nodes
   | None -> ());
   {
@@ -70,7 +58,6 @@ let create ?(recorder = true) ?(causal = false) ~n () =
     c_broadcasts = Obs.Metrics.counter metrics "net.broadcasts";
     t0;
     telem;
-    tnodes;
     causal;
     cut = Array.make (n * n) false;
   }
@@ -95,13 +82,7 @@ let send t ~src ~dst msg =
       let stamp =
         match t.causal with
         | None -> [||]
-        | Some vr ->
-            let stamp = Obs.Vclock.record_send vr ~src ~dst ~at:(now t) () in
-            (match t.tnodes.(src) with
-            | Some tnd ->
-                Telem.flow_send tnd ~flow:(Obs.Vclock.stamp_flow stamp)
-            | None -> ());
-            stamp
+        | Some vr -> Obs.Vclock.record_send vr ~src ~dst ~at:(now t) ()
       in
       if Node.post t.nodes.(dst) (Node.Net { src; msg; stamp }) then
         Obs.Metrics.incr t.c_delivered

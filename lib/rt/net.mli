@@ -28,9 +28,10 @@ val create : ?recorder:bool -> ?causal:bool -> n:int -> unit -> 'm t
     send, piggy-backs the stamp (the sender's clock, then the flow id,
     in one array) next to the untouched payload, and the delivery
     observer on the receiving domain merges the stamp — mirroring the
-    sim wiring, so rt violations get the same causal-cone slices. Flow
-    events ([net.msg] start/end pairs) land on the sender's and
-    receiver's flight-recorder rings when both are enabled. *)
+    sim wiring, so rt violations get the same causal-cone slices. That
+    log is each message's only record: the flight-recorder rings hold no
+    per-message event, and {!Telem.to_trace} draws the [net.msg] arrows
+    from the log when a trace is exported. *)
 
 val size : _ t -> int
 val metrics : _ t -> Obs.Metrics.t

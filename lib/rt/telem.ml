@@ -14,7 +14,6 @@ type t = {
   batch_fuse : int;
   recover_replay : int;
   recover_rejoin : int;
-  net_msg : int;
 }
 
 type node = { ring : Obs.Recorder.ring; sh : t }
@@ -32,7 +31,6 @@ let create ?capacity ~n ~now () =
     batch_fuse = i ~cat:"op" "batch.fuse";
     recover_replay = i ~cat:"recover" "recover.replay";
     recover_rejoin = i ~cat:"recover" "recover.rejoin";
-    net_msg = i ~cat:"net" "net.msg";
   }
 
 let recorder t = t.recorder
@@ -66,17 +64,6 @@ let fuse nd ~n =
   Obs.Recorder.counter nd.ring ~code:nd.sh.batch_fuse ~ts:(nd.sh.now ())
     ~value:(float_of_int n)
 
-(* Flow events pair a [net.msg] departure on the sender's ring with the
-   arrival on the receiver's — Perfetto draws the cross-track arrow from
-   the shared flow id. Send-side events are emitted by the sending
-   domain, receive-side by the receiving domain (the Node.on_deliver
-   hook), both honouring the single-writer contract. *)
-let flow_send nd ~flow =
-  Obs.Recorder.flow_start nd.ring ~code:nd.sh.net_msg ~ts:(nd.sh.now ()) ~flow
-
-let flow_recv nd ~flow =
-  Obs.Recorder.flow_end nd.ring ~code:nd.sh.net_msg ~ts:(nd.sh.now ()) ~flow
-
 (* The WAL replay runs on the restarter thread while the node's domain
    is dead; the fresh domain emits the span retroactively with the
    measured timestamps, preserving the single-writer contract. *)
@@ -90,3 +77,62 @@ let rejoin_begin nd =
 
 let rejoin_end nd =
   Obs.Recorder.span_end nd.ring ~code:nd.sh.recover_rejoin ~ts:(nd.sh.now ())
+
+(* Messages are not written to the rings: the causal log already holds
+   each send and delivery with its node, time and flow id, so the export
+   draws the [net.msg] arrows from it. Every retained [Send] opens a
+   flow; a [Deliver] closes one only when its [Send] is retained too, so
+   no arrow is drawn to a head without a tail. The log comes in index
+   order, and [at] is read just before the shard lock, so it is sorted
+   by [at] here; then one merge with the (sorted) ring events keeps the
+   trace in timestamp order. *)
+let to_trace ?causal rc =
+  let ms = 1e3 (* wall seconds -> Trace units, 1 s renders as 1000 *) in
+  let rings = Obs.Trace.events (Obs.Recorder.to_trace ~mul:ms rc) in
+  let flows =
+    match causal with
+    | None -> []
+    | Some vr ->
+        let log = Obs.Vclock.events vr in
+        let sent = Hashtbl.create 4096 in
+        List.iter
+          (fun (ev : Obs.Vclock.event) ->
+            match ev.kind with
+            | Send _ -> Hashtbl.replace sent ev.flow ()
+            | _ -> ())
+          log;
+        List.filter
+          (fun (ev : Obs.Vclock.event) ->
+            match ev.kind with
+            | Send _ -> true
+            | Deliver _ -> Hashtbl.mem sent ev.flow
+            | Drop _ | Local -> false)
+          log
+        |> List.stable_sort (fun (a : Obs.Vclock.event) b ->
+               Float.compare a.at b.at)
+  in
+  let tr = Obs.Trace.create () in
+  let flow (ev : Obs.Vclock.event) =
+    let arrow =
+      match ev.kind with
+      | Send _ -> Obs.Trace.flow_start
+      | _ -> Obs.Trace.flow_end
+    in
+    arrow tr ~ts:(ev.at *. ms) ~pid:ev.node ~id:ev.flow ~cat:"net" "net.msg"
+  in
+  let rec merge rs fs =
+    match (rs, fs) with
+    | (r : Obs.Trace.event) :: rs', (f : Obs.Vclock.event) :: fs' ->
+        if f.at *. ms < r.ts then begin
+          flow f;
+          merge rs fs'
+        end
+        else begin
+          Obs.Trace.emit tr r;
+          merge rs' fs
+        end
+    | rs, [] -> List.iter (Obs.Trace.emit tr) rs
+    | [], fs -> List.iter flow fs
+  in
+  merge rings flows;
+  tr

@@ -14,9 +14,11 @@
     - [batch.fuse] — counter, value = UPDATEs fused into one quorum
       write;
     - [recover.replay], [recover.rejoin] — spans around the WAL replay
-      and rejoin phases of a crash-restart;
-    - [net.msg] — flow-event pairs tying each send to its cross-domain
-      delivery (Perfetto renders them as arrows between node tracks). *)
+      and rejoin phases of a crash-restart.
+
+    Messages have no ring event: each is recorded once, in the causal
+    log ({!Net.causal}), and {!to_trace} draws the [net.msg] arrows from
+    that log at export. *)
 
 type t
 type node
@@ -42,10 +44,15 @@ val replay : node -> t0:float -> t1:float -> unit
 val rejoin_begin : node -> unit
 val rejoin_end : node -> unit
 
-val flow_send : node -> flow:int -> unit
-(** [net.msg] departure on the sending node's ring; call from the
-    sending domain. *)
-
-val flow_recv : node -> flow:int -> unit
-(** Matching arrival on the receiving node's ring; call from the
-    receiving domain ({!Node.set_on_deliver}). *)
+val to_trace : ?causal:Obs.Vclock.recorder -> Obs.Recorder.t -> Obs.Trace.t
+(** The recorder's rings as a Perfetto-ready {!Obs.Trace} (one track per
+    node, wall seconds rendered as trace milliseconds), merged in
+    timestamp order with [net.msg] flow events (category [net]) drawn
+    from [causal]'s log: a flow start on the sender's track at each
+    retained [Send], and a flow end on the receiver's track at each
+    retained [Deliver] whose [Send] is retained too, both at the event's
+    [at] and with its flow id. No end ever lacks its start; a start
+    whose delivery is not retained (still in flight, dropped at a
+    crashed node, or past the log's window) draws no arrow. Without
+    [causal] there are no flow events. Export-time only; call after the
+    run or from any thread while it runs. *)

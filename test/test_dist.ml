@@ -284,17 +284,28 @@ let wire_garbage_no_crash =
 
 (* ---- end-to-end over real sockets ----------------------------------- *)
 
-let fresh_dir name =
+(* Remove [path] and everything under it, as far as it can: cleanup
+   must not turn a test's own verdict into [Fun.Finally_raised]. *)
+let rec rm_rf path =
+  try
+    match (Unix.lstat path).st_kind with
+    | Unix.S_DIR ->
+        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+        Unix.rmdir path
+    | _ -> Unix.unlink path
+  with Unix.Unix_error _ | Sys_error _ -> ()
+
+(* [f dir] with [dir] a fresh path in the temp dir for one test's
+   sockets and WALs (not created; [Dist.Local.start] and [sock_eps]
+   make it). The directory is removed when [f] returns or raises. *)
+let with_dir name f =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "aso-dist-%s-%d" name (Unix.getpid ()))
   in
-  (try
-     Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
-     Unix.rmdir dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  dir
+  rm_rf dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 (* One counter summed over the nodes of a cluster. *)
 let count cluster n name =
@@ -310,9 +321,8 @@ let count cluster n name =
 (* One closed-loop window (30% scans) over an in-process cluster: the
    driver's report, the merged history and the nodes' counter sums. *)
 let run_cluster ?chaos ?seed ?wal ?faults ~name ~algo ~n ~clients ~secs () =
-  let cluster =
-    Dist.Local.start ?chaos ?seed ?wal ~algo ~n ~f:1 ~dir:(fresh_dir name) ()
-  in
+  with_dir name @@ fun dir ->
+  let cluster = Dist.Local.start ?chaos ?seed ?wal ~algo ~n ~f:1 ~dir () in
   Fun.protect
     ~finally:(fun () -> Dist.Local.stop cluster)
     (fun () ->
@@ -418,20 +428,11 @@ let test_fault_dice_per_node () =
   Alcotest.(check bool) "no faults, no dice" true
     (List.for_all (fun v -> v = Dist.Net.Pass) (verdicts 0))
 
-(* A unix-socket pair of endpoints in a fresh directory, and its
-   cleanup. *)
-let sock_eps name n =
-  let dir = fresh_dir name in
+(* [n] unix-socket endpoints in directory [dir], which this creates. *)
+let sock_eps dir n =
   Unix.mkdir dir 0o755;
-  let eps =
-    Array.init n (fun i ->
-        Dist.Conn.Unix_ep (Filename.concat dir (Printf.sprintf "n%d.sock" i)))
-  in
-  let remove () =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  in
-  (eps, remove)
+  Array.init n (fun i ->
+      Dist.Conn.Unix_ep (Filename.concat dir (Printf.sprintf "n%d.sock" i)))
 
 (* Run node [net]'s loop on a thread of its own; the returned cleanup
    stops it and closes its sockets. *)
@@ -451,7 +452,8 @@ let spawn_loop net =
    return; once drained, the stream must be whole frames carrying the
    messages in order. *)
 let test_stalled_peer () =
-  let eps, remove = sock_eps "stall" 2 in
+  with_dir "stall" @@ fun dir ->
+  let eps = sock_eps dir 2 in
   let listener = Dist.Conn.listen eps.(1) in
   let net = Dist.Net.create ~me:0 ~eps () in
   let fd = ref None in
@@ -462,8 +464,7 @@ let test_stalled_peer () =
        nobody answers. *)
     close listener;
     Option.iter close !fd;
-    stop_loop ();
-    remove ()
+    stop_loop ()
   in
   Fun.protect ~finally:cleanup @@ fun () ->
   let sock = Dist.Conn.accept eps.(1) listener in
@@ -528,7 +529,8 @@ let test_stalled_peer () =
    only the timer acks, and node 2, also by hand, sends one in-order
    frame: the timer must still ack node 2. *)
 let test_stalled_ack_reader () =
-  let eps, remove = sock_eps "stall-ack" 3 in
+  with_dir "stall-ack" @@ fun dir ->
+  let eps = sock_eps dir 3 in
   let net = Dist.Net.create ~me:0 ~eps () in
   let socks = ref [] in
   let stop_loop = spawn_loop net in
@@ -538,8 +540,7 @@ let test_stalled_ack_reader () =
         (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
         try Unix.close fd with Unix.Unix_error _ -> ())
       !socks;
-    stop_loop ();
-    remove ()
+    stop_loop ()
   in
   Fun.protect ~finally:cleanup @@ fun () ->
   let join src =
@@ -627,7 +628,7 @@ let test_thread_count () =
   if not (Sys.file_exists "/proc/self/task") then Alcotest.skip ();
   let tasks () = Array.length (Sys.readdir "/proc/self/task") in
   let before = tasks () in
-  let dir = fresh_dir "threads" in
+  with_dir "threads" @@ fun dir ->
   let cluster = Dist.Local.start ~algo:Rt.Service.Eq_aso ~n:3 ~f:1 ~dir () in
   Fun.protect ~finally:(fun () -> Dist.Local.stop cluster) @@ fun () ->
   (match
@@ -646,7 +647,7 @@ let test_thread_count () =
    scans and reads nothing, and a normal client of node 0 must still
    complete an update and a scan within 5 s. *)
 let test_client_reads_nothing () =
-  let dir = fresh_dir "deaf-client" in
+  with_dir "deaf-client" @@ fun dir ->
   let cluster = Dist.Local.start ~algo:Rt.Service.Eq_aso ~n:3 ~f:1 ~dir () in
   let ep = Dist.Conn.Unix_ep (Filename.concat dir "node-0.sock") in
   let raw =
@@ -691,7 +692,8 @@ let test_client_reads_nothing () =
    calls it makes a running node's thread (a [Node_main], as
    [Dist.Local] runs on each of its threads) return within 2 s. *)
 let test_stop_from_signal () =
-  let eps, remove = sock_eps "signal" 3 in
+  with_dir "signal" @@ fun dir ->
+  let eps = sock_eps dir 3 in
   let node =
     Dist.Node_main.start
       {
@@ -720,8 +722,7 @@ let test_stop_from_signal () =
     Sys.set_signal Sys.sigusr1 old;
     Dist.Node_main.request_stop node;
     Thread.join loop;
-    Dist.Node_main.shutdown node;
-    remove ()
+    Dist.Node_main.shutdown node
   in
   Fun.protect ~finally:cleanup @@ fun () ->
   Thread.delay 0.1;
@@ -731,6 +732,46 @@ let test_stop_from_signal () =
     Thread.delay 0.01
   done;
   Alcotest.(check bool) "node thread returned" true (Atomic.get returned)
+
+(* Milliseconds from a post to the posted thunk's run on an idle
+   one-node loop, the loop blocked in [select] when it starts: posted
+   by another thread, or ([nested]) by a thunk that itself runs on the
+   loop. Each must run at once, not at the next 20 ms tick: with the
+   loop idle 30 ms between tries, a missed wake waits about 10 ms every
+   time. Of five tries the second slowest is returned, so one scheduler
+   hiccup on a loaded machine does not count. *)
+let post_latency ~nested =
+  with_dir (if nested then "wake-nested" else "wake-thread") @@ fun dir ->
+  let net = Dist.Net.create ~me:0 ~eps:(sock_eps dir 1) () in
+  let stop_loop = spawn_loop net in
+  Fun.protect ~finally:stop_loop @@ fun () ->
+  let once () =
+    Thread.delay 0.03;
+    let took = Atomic.make (-1) in
+    let timed () =
+      let t0 = Dist.Net.now_ns () in
+      Dist.Net.post_work net (fun () ->
+          Atomic.set took (Dist.Net.now_ns () - t0))
+    in
+    if nested then Dist.Net.post_work net timed else timed ();
+    let deadline = Unix.gettimeofday () +. 1. in
+    while Atomic.get took < 0 && Unix.gettimeofday () < deadline do
+      Thread.delay 0.0005
+    done;
+    if Atomic.get took < 0 then Alcotest.fail "posted work never ran";
+    float_of_int (Atomic.get took) /. 1e6
+  in
+  let tries = List.sort compare (List.init 5 (fun _ -> once ())) in
+  List.nth tries 3
+
+let test_wake_nested () =
+  let ms = post_latency ~nested:true in
+  if ms > 5. then Alcotest.failf "work posted on the loop ran after %.2f ms" ms
+
+let test_wake_other_thread () =
+  let ms = post_latency ~nested:false in
+  if ms > 5. then
+    Alcotest.failf "work posted from another thread ran after %.2f ms" ms
 
 (* The non-blocking connect over TCP: node 0 dials node 1 before node 1
    listens (refused, then in progress once it does), and a message node
@@ -807,6 +848,10 @@ let suites =
           test_client_reads_nothing;
         Alcotest.test_case "request_stop from a signal handler" `Quick
           test_stop_from_signal;
+        Alcotest.test_case "work posted on the loop runs at once" `Quick
+          test_wake_nested;
+        Alcotest.test_case "work posted from another thread wakes the loop"
+          `Quick test_wake_other_thread;
         Alcotest.test_case "tcp dial before the peer listens" `Quick
           test_tcp_late_listener;
       ] );

@@ -223,6 +223,80 @@ let test_rt_stamps_sound () =
   Alcotest.(check bool) "matched send/deliver pairs in the window" true
     (!pairs > 100)
 
+(* Each rt message is recorded once, in the causal log: the flight
+   recorder's rings hold no [net.msg] event, and the exported trace
+   draws the arrows from the log — one flow start per retained [Send]
+   on the sender's track, one flow end per retained [Deliver] whose
+   [Send] is retained on the receiver's, paired by flow id, no end
+   without its start. *)
+let test_arrows_from_causal_log () =
+  let s = Rt.Service.create ~online:true ~algo:Rt.Service.Eq_aso ~n:3 ~f:1 () in
+  Rt.Service.start s;
+  for i = 1 to 300 do
+    let node = i mod 3 in
+    let ok =
+      if i mod 5 = 0 then
+        match Rt.Service.scan s ~node with `Snap _ -> true | _ -> false
+      else Rt.Service.update s ~node i = `Done
+    in
+    if not ok then Alcotest.failf "op %d at n%d did not complete" i node
+  done;
+  Rt.Service.stop s;
+  let rc = Option.get (Rt.Service.recorder s) in
+  let vr = Option.get (Rt.Net.causal (Rt.Service.net s)) in
+  List.iter
+    (fun (ev : Obs.Recorder.event) ->
+      if Obs.Recorder.code_name rc ev.e_code = "net.msg" then
+        Alcotest.fail "a net.msg event in the recorder rings")
+    (Obs.Recorder.events rc);
+  let sends = Hashtbl.create 4096 in
+  let log = Obs.Vclock.events vr in
+  List.iter
+    (fun (ev : Obs.Vclock.event) ->
+      match ev.kind with
+      | Obs.Vclock.Send _ -> Hashtbl.replace sends ev.flow ()
+      | _ -> ())
+    log;
+  let expect keep =
+    List.filter_map
+      (fun (ev : Obs.Vclock.event) ->
+        if keep ev then Some (ev.flow, ev.node) else None)
+      log
+    |> List.sort compare
+  in
+  let tr = Rt.Telem.to_trace ~causal:vr rc in
+  let drawn kind =
+    List.filter_map
+      (fun (ev : Obs.Trace.event) ->
+        match List.assoc_opt "id" ev.args with
+        | Some (Obs.Trace.Int id) when ev.name = "net.msg" && ev.kind = kind ->
+            Some (id, ev.pid)
+        | _ -> None)
+      (Obs.Trace.events tr)
+    |> List.sort compare
+  in
+  let starts = drawn Obs.Trace.Flow_start
+  and ends = drawn Obs.Trace.Flow_end in
+  Alcotest.(check (list (pair int int)))
+    "one flow start per causal send, on the sender's track"
+    (expect (fun ev ->
+         match ev.kind with Obs.Vclock.Send _ -> true | _ -> false))
+    starts;
+  Alcotest.(check (list (pair int int)))
+    "one flow end per causal deliver whose send is retained, on the \
+     receiver's track"
+    (expect (fun ev ->
+         match ev.kind with
+         | Obs.Vclock.Deliver _ -> Hashtbl.mem sends ev.flow
+         | _ -> false))
+    ends;
+  Alcotest.(check bool) "hundreds of arrows drawn" true
+    (List.length ends > 300);
+  Alcotest.(check bool) "the rings' op spans are in the trace too" true
+    (List.exists
+       (fun (ev : Obs.Trace.event) -> ev.name = "op.update")
+       (Obs.Trace.events tr))
+
 (* ------------------------------------------------------------------ *)
 (* Bounded lag: throttle the monitor domain so it provably falls behind
    the service, then verify (a) no false positive appears under lag,
@@ -309,6 +383,8 @@ let suites =
           test_crash_restart_online;
         case "rt stamps: one send/deliver per flow, deliver dominates"
           test_rt_stamps_sound;
+        case "rt arrows drawn from the causal log, none in the rings"
+          test_arrows_from_causal_log;
         slow "skip-write-tag caught live, mid-run"
           test_skip_write_tag_live;
         slow "stale-renewal caught live, mid-run" test_stale_renewal_live;
