@@ -102,8 +102,9 @@ val run :
     is used and the schedule is identical to an uninstrumented run.
 
     [causal] attaches a caller-owned {!Obs.Vclock.recorder} to the
-    engine before construction: every network send/deliver is stamped
-    with vector clocks for ShiViz export and causal-cone queries.
+    engine before construction: every network send/deliver is logged
+    with its flow id, and the log's readers compute vector clocks for
+    ShiViz export and causal-cone queries.
 
     [monitor] attaches an online {!Obs.Monitor}: the history's own
     invoke/respond/abort stream ({!History.create}[ ~observe]) plus

@@ -7,9 +7,23 @@
    reads the hashtable — it walks [order], which registration replaces
    with one pointer write — so it may run while another thread
    registers (the load driver registers its instruments when a run
-   starts, while the telemetry endpoint may be serving). *)
+   starts, while the telemetry endpoint may be serving).
 
-type counter = { c_name : string; count : int Atomic.t }
+   A counter registered with [~writers:k] also has [k] per-writer
+   cells, each alone on its own cache lines of one int array: writer
+   [w]'s bump is a plain load and store to a line no other domain
+   writes, and a read sums the cells. An OCaml 5 race on an int field
+   returns some value that was written, so a read mid-run sees each
+   cell's count as of some recent bump. *)
+
+type counter = {
+  c_name : string;
+  count : int Atomic.t;
+  cells : int array; (* writer w's cell at (w + 1) * stride; [||] if none *)
+}
+
+let stride = 16 (* words: two 64-byte cache lines *)
+
 type gauge = { g_name : string; level : float Atomic.t }
 
 type histogram = {
@@ -53,12 +67,22 @@ let register t name make describe =
       t.order <- (name, m) :: t.order;
       v
 
-let counter t name =
-  register t name
-    (fun () ->
-      let c = { c_name = name; count = Atomic.make 0 } in
-      (c, C c))
-    (function C c -> Some c | _ -> None)
+let counter ?(writers = 0) t name =
+  if writers < 0 then invalid_arg "Obs.Metrics.counter: writers < 0";
+  let cells = if writers = 0 then 0 else (writers + 2) * stride in
+  let c =
+    register t name
+      (fun () ->
+        let c =
+          { c_name = name; count = Atomic.make 0; cells = Array.make cells 0 }
+        in
+        (c, C c))
+      (function C c -> Some c | _ -> None)
+  in
+  if Array.length c.cells <> cells then
+    invalid_arg
+      (Printf.sprintf "Obs.Metrics: counter %S has another writer count" name);
+  c
 
 let gauge t name =
   register t name
@@ -83,7 +107,18 @@ let log_histogram t name =
 
 let incr c = Atomic.incr c.count
 let add c n = ignore (Atomic.fetch_and_add c.count n : int)
-let count c = Atomic.get c.count
+
+let incr_at c w =
+  let i = (w + 1) * stride in
+  c.cells.(i) <- c.cells.(i) + 1
+
+let count c =
+  let sum = ref (Atomic.get c.count) in
+  for w = 1 to (Array.length c.cells / stride) - 2 do
+    sum := !sum + c.cells.(w * stride)
+  done;
+  !sum
+
 let counter_name c = c.c_name
 
 let set g v = Atomic.set g.level v
@@ -117,7 +152,7 @@ let snapshot t =
     (fun (name, m) ->
       ( name,
         match m with
-        | C c -> Count (Atomic.get c.count)
+        | C c -> Count (count c)
         | G g -> Level (Atomic.get g.level)
         | H h -> Samples (List.rev (Atomic.get h.samples))
         | L l -> Dist (Hdr.snapshot l.hdr) ))

@@ -19,7 +19,12 @@
     domain — instrument state lives in [Atomic] cells (the rt backend
     updates them from every node's domain). Registration itself is not:
     register from one thread at a time. A {!snapshot} may run while
-    another thread registers. *)
+    another thread registers.
+
+    A counter bumped from many domains on a hot path can instead give
+    each writer its own cell ([counter ~writers] and {!incr_at}): no
+    shared read-modify-write, and {!count}, {!snapshot} and the
+    exposition read the sum. *)
 
 type t
 (** A registry. *)
@@ -31,9 +36,11 @@ type log_histogram
 
 val create : unit -> t
 
-val counter : t -> string -> counter
-(** Find-or-create. @raise Invalid_argument if [name] is registered as a
-    different kind. *)
+val counter : ?writers:int -> t -> string -> counter
+(** Find-or-create. [writers] (default 0) adds that many per-writer
+    cells for {!incr_at}, each on its own cache lines.
+    @raise Invalid_argument if [name] is registered as a different kind
+    or with a different [writers]. *)
 
 val gauge : t -> string -> gauge
 val histogram : t -> string -> histogram
@@ -46,7 +53,15 @@ val log_histogram : t -> string -> log_histogram
 
 val incr : counter -> unit
 val add : counter -> int -> unit
+
+val incr_at : counter -> int -> unit
+(** [incr_at c w] bumps writer [w]'s cell ([0 <= w < writers]) with a
+    plain load and store. Each cell must have one writer at a time;
+    two threads bumping one cell concurrently can lose counts. *)
+
 val count : counter -> int
+(** The shared count plus every writer cell. *)
+
 val counter_name : counter -> string
 
 val set : gauge -> float -> unit

@@ -4,7 +4,7 @@
    do in its last N thousand events" telemetry for the rt backend.
 
    Memory model (see DESIGN.md section 6b). Each ring has exactly one
-   writer (the domain that owns it) and two cursors:
+   writer (the domain that owns it) and two cursors ({!Cursor}):
 
      resv : the writer bumps this BEFORE filling a slot,
      head : and this AFTER — slots with index < head are complete.
@@ -17,12 +17,37 @@
    slot, which is the flight-recorder contract (keep the freshest
    [capacity] events).
 
-   The collector reads slots in [head - capacity, head) and then
+   The collector copies slots in [head - capacity, head) and then
    re-reads [resv]: any slot whose index is below [resv - capacity] may
    have been rewritten (possibly mid-read — torn) while it was being
    copied, so it is discarded. Because the writer reserves before it
    writes, this validation catches the in-progress overwrite the
-   single-cursor scheme would miss. *)
+   single-cursor scheme would miss. [Obs.Vclock]'s causal shards use
+   the same cursors. *)
+
+module Cursor = struct
+  (* Padded: every node domain bumps its own cursors on every event, and
+     two rings' cursors packed into one cache line would make the
+     domains contend on it. *)
+  type t = { resv : int Atomic.t; head : int Atomic.t }
+
+  let create () =
+    {
+      resv = Padding.copy_as_padded (Atomic.make 0);
+      head = Padding.copy_as_padded (Atomic.make 0);
+    }
+
+  (* Single writer, so the read-modify-write needs no CAS. From here
+     the collector treats the slot this index aliases as suspect. *)
+  let reserve c =
+    let i = Atomic.get c.resv in
+    Atomic.set c.resv (i + 1);
+    i
+
+  let publish c i = Atomic.set c.head (i + 1)
+  let published c = Atomic.get c.head
+  let intact_from c ~cap = Atomic.get c.resv - cap
+end
 
 type kind =
   | Span_begin
@@ -48,8 +73,7 @@ type ring = {
   ts : floatarray;
   packed : int array; (* (code lsl 3) lor kind *)
   value : floatarray;
-  resv : int Atomic.t;
-  head : int Atomic.t;
+  cur : Cursor.t;
 }
 
 type t = {
@@ -73,8 +97,7 @@ let create ?(capacity = default_capacity) ~n () =
             ts = Float.Array.make capacity 0.;
             packed = Array.make capacity 0;
             value = Float.Array.make capacity 0.;
-            resv = Atomic.make 0;
-            head = Atomic.make 0;
+            cur = Cursor.create ();
           });
     vocab = [||];
   }
@@ -105,23 +128,20 @@ let code_cat t code =
 (* ---- writer path (owning domain only) ------------------------------- *)
 
 let emit r ~kind ~code ~ts ~value =
-  let i = Atomic.get r.resv in
-  (* Reserve: from here the collector treats the aliased old slot as
-     suspect. Single writer, so the read-modify-write needs no CAS. *)
-  Atomic.set r.resv (i + 1);
+  let i = Cursor.reserve r.cur in
   let s = i mod r.cap in
   Float.Array.set r.ts s ts;
   r.packed.(s) <- (code lsl 3) lor kind_to_int kind;
   Float.Array.set r.value s value;
-  Atomic.set r.head (i + 1)
+  Cursor.publish r.cur i
 
 let span_begin r ~code ~ts = emit r ~kind:Span_begin ~code ~ts ~value:0.
 let span_end r ~code ~ts = emit r ~kind:Span_end ~code ~ts ~value:0.
 let instant r ~code ~ts ~value = emit r ~kind:Instant ~code ~ts ~value
 let counter r ~code ~ts ~value = emit r ~kind:Counter ~code ~ts ~value
 
-let emitted r = Atomic.get r.head
-let overwritten r = max 0 (Atomic.get r.head - r.cap)
+let emitted r = Cursor.published r.cur
+let overwritten r = max 0 (Cursor.published r.cur - r.cap)
 
 (* ---- collector ------------------------------------------------------- *)
 
@@ -135,29 +155,27 @@ type event = {
 }
 
 let drain_ring r =
-  let head = Atomic.get r.head in
+  let head = Cursor.published r.cur in
   let lo = max 0 (head - r.cap) in
   let acc = ref [] in
   for i = head - 1 downto lo do
     let s = i mod r.cap in
-    let ts = Float.Array.get r.ts s in
     let packed = r.packed.(s) in
-    let value = Float.Array.get r.value s in
-    (* Validate after the copy: if the writer has reserved past
-       [i + cap], the slot may have been overwritten under us. *)
-    if i >= Atomic.get r.resv - r.cap then
-      acc :=
-        {
-          e_seq = i;
-          e_pid = r.pid;
-          e_ts = ts;
-          e_kind = kind_of_int (packed land 7);
-          e_code = packed lsr 3;
-          e_value = value;
-        }
-        :: !acc
+    acc :=
+      {
+        e_seq = i;
+        e_pid = r.pid;
+        e_ts = Float.Array.get r.ts s;
+        e_kind = kind_of_int (packed land 7);
+        e_code = packed lsr 3;
+        e_value = Float.Array.get r.value s;
+      }
+      :: !acc
   done;
-  !acc
+  (* Validate after the copy: slots the writer has lapped since may have
+     been overwritten under us. *)
+  let floor = Cursor.intact_from r.cur ~cap:r.cap in
+  List.filter (fun ev -> ev.e_seq >= floor) !acc
 
 let events t =
   let all = Array.to_list t.rings |> List.concat_map drain_ring in

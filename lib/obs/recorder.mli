@@ -17,6 +17,34 @@
     ({!intern}), before concurrent execution starts — the hot path
     carries only the code. *)
 
+(** {2 Single-writer cursors}
+
+    The reserve / publish pair every ring uses, exposed so other
+    single-writer logs ({!Vclock}'s causal shards) share it. The writer
+    calls [let i = reserve c in] ... fill slot [i mod cap] ...
+    [publish c i]; a reader copies indices [[max 0 (published c - cap),
+    published c)] and then keeps only those [>= intact_from c ~cap]. *)
+module Cursor : sig
+  type t
+
+  val create : unit -> t
+  (** Both cursors at 0, each on its own cache lines. *)
+
+  val reserve : t -> int
+  (** Writer only: claim the next index. From this call on, readers
+      treat the slot it aliases as suspect. *)
+
+  val publish : t -> int -> unit
+  (** Writer only: index [i] (from {!reserve}) is complete. *)
+
+  val published : t -> int
+  (** Completed indices so far (any thread). *)
+
+  val intact_from : t -> cap:int -> int
+  (** Any thread, {e after} copying: indices below this may have been
+      overwritten while they were copied. *)
+end
+
 type t
 type ring
 

@@ -64,90 +64,140 @@ type event = {
   label : string;
 }
 
-(* The recorder is sharded per node: node [i]'s clock and log live in
-   their own shard under their own lock. On the rt backend every node
-   domain (and every in-flight client operation) stamps concurrently —
-   a single recorder-wide mutex serialises the whole message plane
-   through one cache line and, on a loaded box, parks domains in the
-   kernel on every message. A shard is only ever contended by the few
-   threads acting {e as} that node (its handler domain and its single
-   outstanding operation), so the common case is an uncontended lock.
-   Cross-shard event ordering is preserved by drawing [idx] from one
-   atomic counter while holding the shard lock: per-shard log order
-   agrees with [idx] order, and a deliver always draws a larger [idx]
-   than the send it answers.
+(* One shard per node, with exactly one writer: the node's own domain
+   on rt, the engine on the sim. A shard stores only what the event is
+   — kind, peer, flow id, time — in flat arrays behind the
+   {!Recorder.Cursor} reserve / publish pair, so a record is a few
+   plain stores and two atomic stores: no lock, no shared counter, no
+   allocation. Flow ids are numbered per sender ([k·n + src + 1] for
+   its k-th send), unique and positive without a shared counter.
 
-   Capped shards keep their window in flat preallocated arrays (one
-   slot per event, clocks blitted into a flattened [cap × n] block):
-   the rt backend stamps >100k events/s, and per-event heap records —
-   all retained until truncation, hence all promoted to the major
-   heap — cost more in allocation and GC than the stamping itself.
-   The flat ring makes the stamp hot path allocation-free; [event]
-   records are materialised only at dump time. *)
-type ring = {
-  rg_cap : int;
-  mutable rg_len : int; (* total pushed; the slot cursor is len mod cap *)
-  rg_idx : int array;
-  rg_kind : int array; (* 0 send / 1 deliver / 2 drop / 3 local *)
-  rg_peer : int array;
-  rg_flow : int array;
-  rg_at : float array;
-  rg_vc : int array; (* slot s's clock at rg_vc.[s*n .. s*n+n-1] *)
-  mutable rg_labels : (int * string) list;
-      (* (idx, label) for the rare labelled events — rt stamps carry no
-         labels, sim labelled runs use unbounded shards *)
+   No clock is kept while recording. The readers ([events], [clock],
+   [slice], [cone], [to_shiviz]) copy every shard's published window
+   and replay it in a causal order, rebuilding each event's clock and
+   index; they may run on another domain while the nodes write. *)
+type shard = {
+  cur : Recorder.Cursor.t;
+  cap : int; (* retained slots; [max_int] when unbounded *)
+  mutable ints : int array;
+      (* slot s: [(peer lsl 2) lor kind] at 2s, flow id at 2s + 1 *)
+  mutable ats : floatarray;
+  mutable labels : string array; (* "" unless labelled (sim only) *)
+  mutable sends : int; (* this node's sends so far: numbers its flows *)
 }
 
-type store =
-  | Unbounded of { mutable log : event list (* newest first *) }
-  | Ring of ring
+type recorder = { n : int; shards : shard array }
 
-type shard = { s_lock : Mutex.t; s_clock : t; s_store : store }
-
-type recorder = {
-  n : int;
-  shards : shard array;
-  next_flow : int Atomic.t;
-  next_idx : int Atomic.t;
-}
+let initial_slots = 64
 
 let recorder ?cap ~n () =
   if n <= 0 then invalid_arg "Obs.Vclock.recorder: n must be positive";
-  let store () =
+  let cap, slots =
     match cap with
-    | None -> Unbounded { log = [] }
+    | None -> (max_int, initial_slots)
     | Some c ->
         if c <= 0 then invalid_arg "Obs.Vclock.recorder: cap must be positive";
-        Ring
-          {
-            rg_cap = c;
-            rg_len = 0;
-            rg_idx = Array.make c 0;
-            rg_kind = Array.make c 0;
-            rg_peer = Array.make c 0;
-            rg_flow = Array.make c 0;
-            rg_at = Array.make c 0.0;
-            rg_vc = Array.make (c * n) 0;
-            rg_labels = [];
-          }
+        (c, c)
   in
-  {
-    n;
-    shards =
-      Array.init n (fun _ ->
-          { s_lock = Mutex.create (); s_clock = make n; s_store = store () });
-    next_flow = Atomic.make 1;
-    next_idx = Atomic.make 0;
-  }
+  let shard _ =
+    {
+      cur = Recorder.Cursor.create ();
+      cap;
+      ints = Array.make (2 * slots) 0;
+      ats = Float.Array.make slots 0.;
+      labels = Array.make slots "";
+      sends = 0;
+    }
+  in
+  { n; shards = Array.init n shard }
 
 let nodes r = r.n
 
-let clock r i =
-  let s = r.shards.(i) in
-  Mutex.lock s.s_lock;
-  let c = copy s.s_clock in
-  Mutex.unlock s.s_lock;
-  c
+(* Unbounded shards double when full. A reader that has seen index [i]
+   published also sees the arrays holding it: the swap happens before
+   the publish of any index stored in the new arrays. *)
+let grow sh =
+  let slots = Float.Array.length sh.ats in
+  let ints = Array.make (4 * slots) 0 in
+  Array.blit sh.ints 0 ints 0 (2 * slots);
+  let ats = Float.Array.make (2 * slots) 0. in
+  Float.Array.blit sh.ats 0 ats 0 slots;
+  let labels = Array.make (2 * slots) "" in
+  Array.blit sh.labels 0 labels 0 slots;
+  sh.ints <- ints;
+  sh.ats <- ats;
+  sh.labels <- labels
+
+let code_send = 0
+and code_deliver = 1
+and code_drop = 2
+and code_local = 3
+
+let push sh ~code ~peer ~flow ~at ~label =
+  let i = Recorder.Cursor.reserve sh.cur in
+  let s = i mod sh.cap in
+  if s >= Float.Array.length sh.ats then grow sh;
+  sh.ints.(2 * s) <- (peer lsl 2) lor code;
+  sh.ints.((2 * s) + 1) <- flow;
+  Float.Array.set sh.ats s at;
+  (* rt records no labels: leave the (empty) slot untouched *)
+  if String.length label > 0 || String.length sh.labels.(s) > 0 then
+    sh.labels.(s) <- label;
+  Recorder.Cursor.publish sh.cur i
+
+let record_send r ~src ~dst ~at ?(label = "") () =
+  let sh = r.shards.(src) in
+  let flow = (sh.sends * r.n) + src + 1 in
+  sh.sends <- sh.sends + 1;
+  push sh ~code:code_send ~peer:dst ~flow ~at ~label;
+  flow
+
+let record_deliver r ~dst ~src ~flow ~at ?(label = "") () =
+  push r.shards.(dst) ~code:code_deliver ~peer:src ~flow ~at ~label
+
+let record_drop r ~dst ~src ~flow ~at ?(label = "") () =
+  push r.shards.(dst) ~code:code_drop ~peer:src ~flow ~at ~label
+
+let record_local r ~node ~at name =
+  push r.shards.(node) ~code:code_local ~peer:0 ~flow:0 ~at ~label:name
+
+let length r =
+  Array.fold_left
+    (fun acc sh -> acc + Recorder.Cursor.published sh.cur)
+    0 r.shards
+
+(* ---- reading: replay the shards into clocks ------------------------- *)
+
+type raw = {
+  r_code : int;
+  r_peer : int;
+  r_flow : int;
+  r_at : float;
+  r_label : string;
+}
+
+(* Node [i]'s retained window, oldest first, without the slots its
+   writer lapped while they were copied. *)
+let copy_shard sh =
+  let head = Recorder.Cursor.published sh.cur in
+  let ints = sh.ints and ats = sh.ats and labels = sh.labels in
+  let lo = max 0 (head - sh.cap) in
+  let raw =
+    Array.init (head - lo) (fun k ->
+        let s = (lo + k) mod sh.cap in
+        let packed = ints.(2 * s) in
+        {
+          r_code = packed land 3;
+          r_peer = packed lsr 2;
+          r_flow = ints.((2 * s) + 1);
+          r_at = Float.Array.get ats s;
+          r_label = labels.(s);
+        })
+  in
+  (* A reader descheduled mid-copy may find every copied slot lapped. *)
+  let n = Array.length raw in
+  let lapped = min n (Recorder.Cursor.intact_from sh.cur ~cap:sh.cap - lo) in
+  if lapped <= 0 then raw else Array.sub raw lapped (n - lapped)
 
 let kind_of_code code peer =
   match code with
@@ -156,148 +206,107 @@ let kind_of_code code peer =
   | 2 -> Drop { src = peer }
   | _ -> Local
 
-(* Callers hold [s.s_lock]. The kind travels as its ring code and peer,
-   so a capped shard builds no [kind] value on the hot path. *)
-let push r s ~node ~code ~peer ~flow ~at ~label =
-  let idx = Atomic.fetch_and_add r.next_idx 1 in
-  match s.s_store with
-  | Unbounded u ->
-      let kind = kind_of_code code peer in
-      u.log <- { idx; node; kind; flow; at; vc = copy s.s_clock; label } :: u.log
-  | Ring rg ->
-      let slot = rg.rg_len mod rg.rg_cap in
-      rg.rg_idx.(slot) <- idx;
-      rg.rg_kind.(slot) <- code;
-      rg.rg_peer.(slot) <- peer;
-      rg.rg_flow.(slot) <- flow;
-      rg.rg_at.(slot) <- at;
-      Array.blit s.s_clock 0 rg.rg_vc (slot * r.n) r.n;
-      rg.rg_len <- rg.rg_len + 1;
-      if label <> "" then begin
-        rg.rg_labels <- (idx, label) :: rg.rg_labels;
-        (* keep only labels still inside the retained window *)
-        let floor_idx = idx - rg.rg_cap in
-        if List.length rg.rg_labels > rg.rg_cap then
-          rg.rg_labels <-
-            List.filter (fun (i, _) -> i > floor_idx) rg.rg_labels
-      end
-
-(* A stamp is one array: the sender's clock after the send, then the
-   flow id. Manual loops: the closure-based [Array.iteri] costs on a
-   path run once per delivered message. Caller holds the shard lock. *)
-let merge_tick clk ~(stamp : int array) ~me =
-  let n = Array.length clk in
-  for i = 0 to n - 1 do
-    if stamp.(i) > clk.(i) then clk.(i) <- stamp.(i)
-  done;
-  clk.(me) <- clk.(me) + 1
-
-let stamp_flow stamp = stamp.(Array.length stamp - 1)
-
-let record_send r ~src ~dst ~at ?(label = "") () =
-  let s = r.shards.(src) in
-  Mutex.lock s.s_lock;
-  tick s.s_clock src;
-  let flow = Atomic.fetch_and_add r.next_flow 1 in
-  push r s ~node:src ~code:0 ~peer:dst ~flow ~at ~label;
-  let stamp = Array.make (r.n + 1) flow in
-  Array.blit s.s_clock 0 stamp 0 r.n;
-  Mutex.unlock s.s_lock;
-  stamp
-
-let record_deliver r ~dst ~src ~stamp ~at ?(label = "") () =
-  let s = r.shards.(dst) in
-  Mutex.lock s.s_lock;
-  merge_tick s.s_clock ~stamp ~me:dst;
-  push r s ~node:dst ~code:1 ~peer:src ~flow:(stamp_flow stamp) ~at ~label;
-  Mutex.unlock s.s_lock
-
-let record_drop r ~dst ~src ~stamp ~at ?(label = "") () =
-  let s = r.shards.(dst) in
-  Mutex.lock s.s_lock;
-  push r s ~node:dst ~code:2 ~peer:src ~flow:(stamp_flow stamp) ~at ~label;
-  Mutex.unlock s.s_lock
-
-let record_local r ~node ~at name =
-  let s = r.shards.(node) in
-  Mutex.lock s.s_lock;
-  tick s.s_clock node;
-  push r s ~node ~code:3 ~peer:0 ~flow:0 ~at ~label:name;
-  Mutex.unlock s.s_lock
-
-(* Snapshot every shard's log (each under its lock, ring slots
-   materialised back into [event] records), then merge by the global
-   index. Dump-time only — never on the message hot path. *)
-let gather r =
-  let materialise node s =
-    match s.s_store with
-    | Unbounded u -> u.log
-    | Ring rg ->
-        let count = min rg.rg_len rg.rg_cap in
-        let evs = ref [] in
-        for k = rg.rg_len - count to rg.rg_len - 1 do
-          let slot = k mod rg.rg_cap in
-          let idx = rg.rg_idx.(slot) in
-          let label =
-            match rg.rg_labels with
-            | [] -> ""
-            | ls -> Option.value ~default:"" (List.assoc_opt idx ls)
-          in
-          evs :=
-            {
-              idx;
-              node;
-              kind = kind_of_code rg.rg_kind.(slot) rg.rg_peer.(slot);
-              flow = rg.rg_flow.(slot);
-              at = rg.rg_at.(slot);
-              vc = Array.sub rg.rg_vc (slot * r.n) r.n;
-              label;
-            }
-            :: !evs
-        done;
-        !evs
+(* Replay the windows in a causal order: each node's events in program
+   order, a [Deliver] after its [Send] when that [Send] is retained,
+   ties broken by (at, node). Every event but a [Drop] ticks its node's
+   clock, and a [Deliver] first merges the clock its sender had at the
+   [Send]. A [Drop] happens at a crashed node, off its timeline: it
+   neither ticks nor merges, so the clocks do not depend on whether the
+   substrate logs the drop (the ideal sim does, the lossy one drops at
+   the door). A [Deliver] whose [Send] fell out of the window
+   merges nothing: happened-before is exact within the window. Returns
+   the events in replay order (their [idx]) and each node's final
+   clock. *)
+let replay r =
+  let logs = Array.map copy_shard r.shards in
+  let sent = Hashtbl.create 1024 in
+  Array.iter
+    (Array.iter (fun ev ->
+         if ev.r_code = code_send then Hashtbl.replace sent ev.r_flow None))
+    logs;
+  let clocks = Array.init r.n (fun _ -> make r.n) in
+  let pos = Array.make r.n 0 in
+  let ready i =
+    let ev = logs.(i).(pos.(i)) in
+    ev.r_code <> code_deliver
+    || match Hashtbl.find_opt sent ev.r_flow with
+       | Some None -> false
+       | Some (Some _) | None -> true
   in
-  let acc = ref [] in
-  Array.iteri
-    (fun i s ->
-      Mutex.lock s.s_lock;
-      let l = materialise i s in
-      Mutex.unlock s.s_lock;
-      acc := List.rev_append l !acc)
-    r.shards;
-  !acc
+  (* The earliest head by (at, node), among the ready ones if [strict];
+     program order plus send -> deliver edges form a DAG, so some head
+     is always ready. *)
+  let pick strict =
+    let best = ref (-1) in
+    for i = 0 to r.n - 1 do
+      if pos.(i) < Array.length logs.(i) && ((not strict) || ready i) then
+        match !best with
+        | -1 -> best := i
+        | b ->
+            if logs.(i).(pos.(i)).r_at < logs.(b).(pos.(b)).r_at then best := i
+    done;
+    !best
+  in
+  let out = ref [] in
+  let idx = ref 0 in
+  let rec loop () =
+    let i = match pick true with -1 -> pick false | i -> i in
+    if i >= 0 then begin
+      let ev = logs.(i).(pos.(i)) in
+      pos.(i) <- pos.(i) + 1;
+      let clk = clocks.(i) in
+      if ev.r_code = code_deliver then
+        Option.iter
+          (fun src -> merge_into ~src ~dst:clk)
+          (Option.join (Hashtbl.find_opt sent ev.r_flow));
+      if ev.r_code <> code_drop then tick clk i;
+      let vc = copy clk in
+      if ev.r_code = code_send then Hashtbl.replace sent ev.r_flow (Some vc);
+      out :=
+        {
+          idx = !idx;
+          node = i;
+          kind = kind_of_code ev.r_code ev.r_peer;
+          flow = ev.r_flow;
+          at = ev.r_at;
+          vc;
+          label = ev.r_label;
+        }
+        :: !out;
+      incr idx;
+      loop ()
+    end
+  in
+  loop ();
+  (List.rev !out, clocks)
 
-let events r =
-  List.sort (fun a b -> Int.compare a.idx b.idx) (gather r)
-
-let length r = Atomic.get r.next_idx
+let events r = fst (replay r)
+let clock r i = (snd (replay r)).(i)
 
 let happened_before a b = leq a.vc b.vc && not (equal a.vc b.vc)
 
-let slice r ~vc =
-  List.sort
-    (fun a b -> Int.compare a.idx b.idx)
-    (List.filter
-       (fun ev ->
-         match ev.kind with
-         | Send _ | Deliver _ -> leq ev.vc vc
-         | _ -> false)
-       (gather r))
+let messages_below evs ~vc =
+  List.filter
+    (fun ev ->
+      match ev.kind with
+      | Send _ | Deliver _ -> leq ev.vc vc
+      | Drop _ | Local -> false)
+    evs
 
+let slice r ~vc = messages_below (events r) ~vc
+
+(* One replay serves both the clock and the events, so they come from
+   the same window even while the nodes keep writing. *)
 let cone r ~node =
+  let evs, clocks = replay r in
   let vc =
-    if node >= 0 && node < r.n then clock r node
-    else begin
+    if node >= 0 && node < r.n then clocks.(node)
+    else
       (* No single timeline to blame: the join of all clocks, the whole
-         causal past of the system so far. *)
-      let acc = make r.n in
-      for i = 0 to r.n - 1 do
-        merge_into ~src:(clock r i) ~dst:acc
-      done;
-      acc
-    end
+         causal past of the window. *)
+      Array.fold_left join (make r.n) clocks
   in
-  slice r ~vc
+  messages_below evs ~vc
 
 let pp_kind ppf = function
   | Send { dst } -> Format.fprintf ppf "send->n%d" dst
@@ -314,8 +323,8 @@ let pp_event ppf ev =
 
 (* ShiViz format: one "<host> <clock-json> <description>" line per
    event; hosts must appear as keys of their own clocks, which they do
-   because every recorded event ticks (or at least has ticked) the
-   acting node's own component. *)
+   because every event ticks (or at least has ticked) the acting
+   node's own component. *)
 let to_shiviz r =
   let buf = Buffer.create 4096 in
   List.iter

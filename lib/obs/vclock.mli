@@ -6,13 +6,15 @@
     happened-before order: [leq a b] iff the event stamped [a] causally
     precedes (or equals) the event stamped [b].
 
-    {!recorder} maintains one clock per node and a (optionally
-    retention-bounded) log of stamped network events (send / deliver /
-    drop / local). The
-    simulator's network layer records into it; the log exports as a
-    ShiViz-compatible causal log ({!to_shiviz}) and supports causal-cone
-    queries ({!slice}) — the provenance of an online monitor violation
-    is exactly the slice at the violating node's clock. *)
+    {!recorder} keeps a (optionally retention-bounded) log of network
+    events (send / deliver / drop / local) per node, each tied to its
+    message by a flow id. No clock is kept while recording: the readers
+    rebuild every event's clock by replaying the log. The simulator's
+    network layer and the rt backend record into it; the log exports as
+    a ShiViz-compatible causal log ({!to_shiviz}) and supports
+    causal-cone queries ({!slice}, {!cone}) — the provenance of an
+    online monitor violation is exactly the cone at the violating
+    node's clock. *)
 
 type t
 (** A vector clock. Immutable from the outside; {!tick} and {!merge_into}
@@ -62,12 +64,14 @@ type kind =
   | Local  (** node-local milestone: crash, op begin/end, ... *)
 
 type event = {
-  idx : int;  (** position in the log, 0-based *)
+  idx : int;  (** position in the replay order, 0-based *)
   node : int;  (** node on whose timeline the event occurred *)
   kind : kind;
-  flow : int;  (** message id tying a [Send] to its [Deliver]/[Drop];
-                   [0] for [Local] events *)
-  at : float;  (** virtual time *)
+  flow : int;  (** message id tying a [Send] to its [Deliver]/[Drop]:
+                   [k·n + src + 1] for the sender's [k]-th send, so
+                   [(flow - 1) mod n] names the sender; [0] for [Local]
+                   events *)
+  at : float;  (** virtual time on the sim, wall seconds on rt *)
   vc : t;  (** the node's clock {e after} the event (private copy) *)
   label : string;  (** message kind / milestone name *)
 }
@@ -75,80 +79,96 @@ type event = {
 type recorder
 
 val recorder : ?cap:int -> n:int -> unit -> recorder
-(** Fresh recorder over nodes [0..n-1], all clocks zero. The recorder is
-    thread-safe and sharded per node: node [i]'s clock and log segment
-    live under their own lock, so rt-backend domains recording for
-    different nodes never contend (the sim pays one uncontended lock
-    per event — negligible). Cross-node event order is preserved by a
-    global index drawn under the shard lock.
+(** Fresh recorder over nodes [0..n-1]. One shard per node, each with
+    {b one writer at a time}: node [i]'s events must all be recorded by
+    the thread acting as node [i] (its domain on rt, the engine on the
+    sim). A record takes no lock, touches no other shard and allocates
+    nothing on a capped recorder; the readers below may run on any
+    other thread while the writers write (the {!Recorder.Cursor}
+    reserve / publish scheme discards slots overwritten mid-read).
 
-    [cap] bounds how many events each node's log segment retains
-    (newest win); omitted means unbounded. An rt load run records
-    hundreds of thousands of events per second — retaining them all
-    turns the recorder into a major-heap leak, and the violation
-    forensics ({!slice}) only ever need the recent causal window.
+    [cap] bounds how many events each node's shard retains (newest
+    win); omitted means unbounded. An rt load run records hundreds of
+    thousands of events per second — retaining them all turns the
+    recorder into a major-heap leak, and the violation forensics
+    ({!cone}) only ever need the recent causal window.
     @raise Invalid_argument if [n <= 0] or [cap <= 0]. *)
 
 val nodes : recorder -> int
 
-val clock : recorder -> int -> t
-(** Copy of node [i]'s current clock. *)
-
 val record_send :
-  recorder -> src:int -> dst:int -> at:float -> ?label:string -> unit ->
-  int array
-(** Tick [src]'s clock and log the send. Returns the stamp that must
-    travel with the message and be handed back to {!record_deliver} (or
-    {!record_drop}): one fresh array of [nodes r + 1] ints, the sender's
-    clock after the send followed by the flow id (positive, unique
-    within the recorder). One array keeps the per-message cost of
-    stamping to a single small allocation. *)
-
-val stamp_flow : int array -> int
-(** The flow id of a stamp from {!record_send}: its last component. *)
+  recorder -> src:int -> dst:int -> at:float -> ?label:string -> unit -> int
+(** Log the send on [src]'s shard and return its flow id (positive,
+    unique within the recorder), which travels with the message and is
+    handed back to {!record_deliver} (or {!record_drop}). *)
 
 val record_deliver :
-  recorder -> dst:int -> src:int -> stamp:int array -> at:float ->
+  recorder -> dst:int -> src:int -> flow:int -> at:float ->
   ?label:string -> unit -> unit
-(** Merge the clock part of [stamp] into [dst]'s clock, tick, and log the
-    delivery under the stamp's flow id. Allocates nothing on a capped
-    recorder. *)
+(** Log the delivery of message [flow] on [dst]'s shard. *)
 
 val record_drop :
-  recorder -> dst:int -> src:int -> stamp:int array -> at:float ->
+  recorder -> dst:int -> src:int -> flow:int -> at:float ->
   ?label:string -> unit -> unit
-(** Log a suppressed delivery (crashed receiver) under the stamp's flow
-    id. Does not touch the receiver's clock: a dropped message is
-    causally inert. *)
+(** Log a suppressed delivery (crashed receiver) of message [flow] on
+    [dst]'s shard. A dropped message is causally inert: the replay
+    neither merges nor ticks for it (the event happens at a crashed
+    node, off its timeline). *)
 
 val record_local :
   recorder -> node:int -> at:float -> string -> unit
-(** Tick [node]'s clock and log a local milestone named by the string. *)
-
-val events : recorder -> event list
-(** The log, oldest first (the retained window, when [cap] was given). *)
+(** Log a local milestone named by the string on [node]'s shard. *)
 
 val length : recorder -> int
-(** Events recorded so far. *)
+(** Events recorded so far (including those no longer retained). *)
+
+(** {2 Reading}
+
+    Every reader copies each shard's retained window and replays the
+    windows in a causal order: each node's events in the order it
+    recorded them, a [Deliver] after its [Send] whenever that [Send] is
+    retained, ties broken by ([at], node). The replay rebuilds the
+    clocks: every event but a [Drop] ticks its node's component, and a
+    [Deliver] first merges the clock its sender had at the matching
+    [Send].
+
+    On an unbounded recorder (the sim) the clocks are exact: [leq] on
+    them is happened-before over the whole run. On a capped recorder
+    they are computed within the retained window: clocks start at zero
+    at the window's start, and a [Deliver] whose [Send] is no longer
+    retained merges nothing, so [happened_before] is exact for the
+    graph of retained events (program order plus retained
+    send-to-deliver edges), not for the whole run. In both cases
+    [Drop]s are off the graph: a [Drop] carries the clock of its node's
+    previous event. Each call replays
+    afresh, so [idx] and [vc] from two calls on a recorder that is
+    still being written may differ; {!cone} takes its clock and its
+    events from one replay. *)
+
+val clock : recorder -> int -> t
+(** Node [i]'s clock after its last retained event. *)
+
+val events : recorder -> event list
+(** The retained log in replay order ([idx] = 0, 1, ...). *)
 
 val happened_before : event -> event -> bool
-(** [happened_before a b] iff [a]'s stamp is strictly below [b]'s —
+(** [happened_before a b] iff [a]'s clock is strictly below [b]'s —
     irreflexive (qcheck'd in [test/test_causal.ml]). *)
 
 val slice : recorder -> vc:t -> event list
-(** The causal cone at [vc]: every [Send]/[Deliver] event whose stamp is
-    pointwise [<= vc], oldest first. For a monitor violation observed at
-    node [i], [slice r ~vc:(clock r i)] is the happened-before message
-    chain into the violating op — the provenance handed to [lib/mc]
-    shrink/replay. [Local] and [Drop] events are elided: they carry no
+(** The causal cone at [vc]: every [Send]/[Deliver] event whose clock
+    is pointwise [<= vc], in replay order. [vc] must come from the same
+    log (e.g. {!clock}) with no writes in between, which always holds
+    on the sim. [Local] and [Drop] events are elided: they carry no
     inter-node causality. *)
 
 val cone : recorder -> node:int -> event list
 (** The provenance of a monitor violation attached to [node]: {!slice}
-    at [node]'s clock, or, when [node] is out of range (a violation
-    with no single timeline, e.g. [node = -1]), at the join of every
-    node's clock. Both online monitors (the sim runner's and rt's live
-    one) build their violation slices with this. *)
+    at [node]'s clock, both from one replay, or, when [node] is out of
+    range (a violation with no single timeline, e.g. [node = -1]), at
+    the join of every node's clock. Both online monitors (the sim
+    runner's and rt's live one) build their violation slices with this;
+    rt's calls it on the monitor domain while the nodes still write. *)
 
 val pp_event : Format.formatter -> event -> unit
 

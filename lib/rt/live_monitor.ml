@@ -17,8 +17,8 @@
    them out of order.
 
    On violation the monitor trips: it captures the verdict (the
-   violation plus a causal-cone slice at the violating node's current
-   vector clock, when causal stamping is on), stops consuming, and the
+   violation plus a causal-cone slice at the violating node's latest
+   clock, when the causal log is on), stops consuming, and the
    deployment's [halted] — which [Load.run]'s clients poll — reports it,
    so intake stops and the serve run fails mid-flight rather than at
    the final batch check. *)
@@ -27,7 +27,7 @@ type verdict = {
   violation : Obs.Monitor.violation;
   slice : Obs.Vclock.event list;
       (* happened-before message cone into the violating op; [] when
-         causal stamping is off *)
+         the causal log is off *)
   lag_events : int; (* feed depth when the monitor tripped *)
   at : float; (* service clock when the monitor tripped *)
 }

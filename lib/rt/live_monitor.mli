@@ -13,9 +13,9 @@
     latency, never soundness (DESIGN.md §6d).
 
     On violation the monitor {e trips}: it records a {!verdict} — the
-    violation plus, when the network runs with causal stamping
+    violation plus, when the network runs with the causal log
     ({!Net.create}[ ~causal:true]), the happened-before causal-cone
-    slice at the violating node's vector clock ({!Obs.Vclock.cone}) —
+    slice at the violating node's clock ({!Obs.Vclock.cone}) —
     and stops consuming. {!Service.deployment}'s [halted] reports
     {!tripped}, which {!Load.run}'s clients poll to halt intake,
     failing the serve run mid-flight instead of at the final batch
@@ -32,7 +32,7 @@ type verdict = {
   violation : Obs.Monitor.violation;
   slice : Obs.Vclock.event list;
       (** happened-before message cone into the violating op, oldest
-          first; [[]] when causal stamping is off *)
+          first; [[]] when the causal log is off *)
   lag_events : int;  (** feed depth when the monitor tripped *)
   at : float;  (** service clock when the monitor tripped *)
 }

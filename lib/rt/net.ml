@@ -35,27 +35,30 @@ let create ?(recorder = true) ?(causal = false) ~n () =
     if causal then Some (Obs.Vclock.recorder ~cap:16_384 ~n ()) else None
   in
   (* Receive side of the causal wiring: the delivery observer runs on
-     the receiving node's own domain just before the handler and merges
-     the piggy-backed stamp into the receiver's clock. This log entry is
-     the message's only record: the flight-recorder arrows are drawn
-     from it at export ({!Telem.to_trace}). *)
+     the receiving node's own domain just before the handler and logs
+     the delivery under the piggy-backed flow id, in the receiver's
+     shard (whose single writer that domain is). With the send, this
+     is the message's only record: the flight-recorder arrows are drawn
+     from the log at export ({!Telem.to_trace}). *)
   (match causal with
   | Some vr ->
       Array.iteri
         (fun dst nd ->
-          Node.set_on_deliver nd (fun ~src stamp ->
-              Obs.Vclock.record_deliver vr ~dst ~src ~stamp ~at:(now ()) ()))
+          Node.set_on_deliver nd (fun ~src flow ->
+              Obs.Vclock.record_deliver vr ~dst ~src ~flow ~at:(now ()) ()))
         nodes
   | None -> ());
   {
     nodes;
     metrics;
     (* Same instrument names as the simulator's network, so bench and
-       campaign aggregation treat both backends uniformly. *)
-    c_sent = Obs.Metrics.counter metrics "net.sent";
-    c_delivered = Obs.Metrics.counter metrics "net.delivered";
-    c_dropped = Obs.Metrics.counter metrics "net.dropped";
-    c_broadcasts = Obs.Metrics.counter metrics "net.broadcasts";
+       campaign aggregation treat both backends uniformly. One cell per
+       sending node: [send] runs on [src]'s domain, so no two domains
+       bump one cell. *)
+    c_sent = Obs.Metrics.counter ~writers:n metrics "net.sent";
+    c_delivered = Obs.Metrics.counter ~writers:n metrics "net.delivered";
+    c_dropped = Obs.Metrics.counter ~writers:n metrics "net.dropped";
+    c_broadcasts = Obs.Metrics.counter ~writers:n metrics "net.broadcasts";
     t0;
     telem;
     causal;
@@ -74,30 +77,29 @@ let now t = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t.t0) *. 1e-9
 let cut_link t ~src ~dst = t.cut.((src * size t) + dst) <- true
 let heal_link t ~src ~dst = t.cut.((src * size t) + dst) <- false
 
+(* Runs on [src]'s domain: its causal shard and counter cells have no
+   other writer. A post refused by a crashed receiver leaves the [Send]
+   unmatched rather than logging a [Drop] into the receiver's shard
+   from here. *)
 let send t ~src ~dst msg =
   if not (Node.is_crashed t.nodes.(src)) then begin
-    if t.cut.((src * size t) + dst) then Obs.Metrics.incr t.c_dropped
+    if t.cut.((src * size t) + dst) then Obs.Metrics.incr_at t.c_dropped src
     else begin
-      Obs.Metrics.incr t.c_sent;
-      let stamp =
+      Obs.Metrics.incr_at t.c_sent src;
+      let flow =
         match t.causal with
-        | None -> [||]
+        | None -> 0
         | Some vr -> Obs.Vclock.record_send vr ~src ~dst ~at:(now t) ()
       in
-      if Node.post t.nodes.(dst) (Node.Net { src; msg; stamp }) then
-        Obs.Metrics.incr t.c_delivered
-      else begin
-        Obs.Metrics.incr t.c_dropped;
-        match t.causal with
-        | Some vr -> Obs.Vclock.record_drop vr ~dst ~src ~stamp ~at:(now t) ()
-        | None -> ()
-      end
+      if Node.post t.nodes.(dst) (Node.Net { src; msg; flow }) then
+        Obs.Metrics.incr_at t.c_delivered src
+      else Obs.Metrics.incr_at t.c_dropped src
     end
   end
 
 let broadcast t ~src msg =
   if not (Node.is_crashed t.nodes.(src)) then begin
-    Obs.Metrics.incr t.c_broadcasts;
+    Obs.Metrics.incr_at t.c_broadcasts src;
     for dst = 0 to size t - 1 do
       send t ~src ~dst msg
     done

@@ -24,14 +24,18 @@ val create : ?recorder:bool -> ?causal:bool -> n:int -> unit -> 'm t
     {!start}. [recorder] (default [true]) attaches a flight-recorder
     ring to every node ({!Telem}); pass [false] to measure its absence
     (the bench overhead rows). [causal] (default [false]) attaches an
-    {!Obs.Vclock.recorder} and stamps every message: {!send} records the
-    send, piggy-backs the stamp (the sender's clock, then the flow id,
-    in one array) next to the untouched payload, and the delivery
-    observer on the receiving domain merges the stamp — mirroring the
-    sim wiring, so rt violations get the same causal-cone slices. That
-    log is each message's only record: the flight-recorder rings hold no
-    per-message event, and {!Telem.to_trace} draws the [net.msg] arrows
-    from the log when a trace is exported. *)
+    {!Obs.Vclock.recorder} and logs every message: {!send} records the
+    send on the sender's domain and piggy-backs its flow id next to the
+    untouched payload, and the delivery observer records the delivery
+    on the receiving domain — mirroring the sim wiring, so rt
+    violations get the same causal-cone slices (clocks are rebuilt
+    when the log is read). That log is each message's only record: the
+    flight-recorder rings hold no per-message event, and
+    {!Telem.to_trace} draws the [net.msg] arrows from the log when a
+    trace is exported.
+
+    The [net.*] counters have one cell per sending node, summed when
+    read, so node domains never write a shared cell. *)
 
 val size : _ t -> int
 val metrics : _ t -> Obs.Metrics.t
@@ -51,7 +55,9 @@ val now : _ t -> float
 val send : 'm t -> src:int -> dst:int -> 'm -> unit
 (** Drop silently if [src] crashed (a crashed node sends nothing) or
     [dst] crashed (a crashed node receives nothing); counted under
-    [net.dropped] in the latter case. *)
+    [net.dropped] in the latter case, where the causal log keeps the
+    [Send] with no [Deliver]. Call it as node [src]: from its domain,
+    or from one thread while that domain does not send. *)
 
 val cut_link : _ t -> src:int -> dst:int -> unit
 (** Fault injection (tests): silently drop every message on the

@@ -1,12 +1,11 @@
 exception Crashed
 
-(* [stamp] is the causal stamp piggy-backed on a network message (an
-   {!Obs.Vclock} stamp: the sender's clock, then the flow id), empty
-   when stamping is off. Rides next to the payload — protocol message
-   types stay untouched, mirroring how the sim's transport carries
-   stamps out of band. *)
+(* [flow] is the {!Obs.Vclock} flow id of a network message, 0 when
+   causal logging is off. Rides next to the payload — protocol message
+   types stay untouched, mirroring how the sim's transport carries flow
+   ids out of band. *)
 type 'm item =
-  | Net of { src : int; msg : 'm; stamp : int array }
+  | Net of { src : int; msg : 'm; flow : int }
   | Work of (unit -> unit)
   | Stop
 
@@ -20,10 +19,10 @@ type 'm t = {
   poisoned : bool Atomic.t;
   mutable handler : src:int -> 'm -> unit;
   (* Delivery observer: runs on this node's domain just before the
-     handler, for every Net item carrying a causal stamp. Installed
-     before [start] (like the handler); the vclock merge and the
-     receive-side flow event live here. *)
-  mutable on_deliver : src:int -> int array -> unit;
+     handler, for every Net item carrying a flow id. Installed before
+     [start] (like the handler); it logs the delivery in the causal
+     log. *)
+  mutable on_deliver : src:int -> int -> unit;
   (* Work items that arrived while an operation was blocked in [await]:
      they must not run in the middle of that operation (nodes are
      sequential), so the pump parks them here and the run loop drains
@@ -35,6 +34,9 @@ type 'm t = {
      (receive-side events), matching the recorder's single-writer
      contract. Installed before [start], like the handler. *)
   mutable telem : Telem.node option;
+  (* Pops since start, for the depth sampling period; node domain
+     only. *)
+  mutable pops : int;
 }
 
 (* How long the consumer spins (polling the mailbox, [cpu_relax]ing)
@@ -42,6 +44,11 @@ type 'm t = {
    item arrives within the spin and the park machinery is never
    touched; idle, 64 relaxes cost ~100ns before the real sleep. *)
 let spin_budget = 64
+
+(* The mailbox depth is sampled after every park and on every
+   [depth_every]-th pop: [Queue.length] walks the queue, and a sample
+   per pop would put a ring event and a clock read on every message. *)
+let depth_every = 64
 
 let create id =
   {
@@ -55,14 +62,15 @@ let create id =
     stop = false;
     domain = None;
     telem = None;
+    pops = 0;
   }
 
 let id t = t.id
 let set_handler t h = t.handler <- h
 let set_on_deliver t f = t.on_deliver <- f
 
-let deliver t ~src ~stamp msg =
-  if Array.length stamp > 0 then t.on_deliver ~src stamp;
+let deliver t ~src ~flow msg =
+  if flow > 0 then t.on_deliver ~src flow;
   t.handler ~src msg
 let set_telem t tl = t.telem <- tl
 let is_crashed t = Atomic.get t.poisoned
@@ -89,16 +97,19 @@ let crash t =
    prepare/re-check/wait dance from [Park]; the poisoned flag is
    re-checked after every registration so a crash (which bumps the
    eventcount unconditionally) unwinds a sleeping node. Telemetry rides
-   the receive side: after every pop we sample the remaining mailbox
-   depth, and a slow-path pop additionally records how long the domain
-   was parked — both written to this node's own ring (we are its single
-   writer). *)
+   the receive side: a slow-path pop records how long the domain was
+   parked and the remaining mailbox depth, and every [depth_every]-th
+   fast-path pop samples the depth — all written to this node's own
+   ring (we are its single writer). *)
 let next t =
   if Atomic.get t.poisoned then raise Crashed;
   match Queue.pop_opt t.mbox with
   | Some item ->
       (match t.telem with
-      | Some nd -> Telem.depth nd ~n:(Queue.length t.mbox)
+      | Some nd ->
+          t.pops <- t.pops + 1;
+          if t.pops mod depth_every = 0 then
+            Telem.depth nd ~n:(Queue.length t.mbox)
       | None -> ());
       item
   | None ->
@@ -150,7 +161,7 @@ let next t =
 let await t pred =
   while not (pred ()) do
     match next t with
-    | Net { src; msg; stamp } -> deliver t ~src ~stamp msg
+    | Net { src; msg; flow } -> deliver t ~src ~flow msg
     | Work f -> t.deferred_rev <- f :: t.deferred_rev
     | Stop -> t.stop <- true
   done
@@ -167,7 +178,7 @@ let run t =
   try
     while not t.stop do
       match next t with
-      | Net { src; msg; stamp } -> deliver t ~src ~stamp msg
+      | Net { src; msg; flow } -> deliver t ~src ~flow msg
       | Work f ->
           f ();
           drain_deferred t

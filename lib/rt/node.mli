@@ -21,12 +21,11 @@ exception Crashed
     the operation running on the node's domain. *)
 
 type 'm item =
-  | Net of { src : int; msg : 'm; stamp : int array }
-      (** [stamp] is the causal stamp riding next to the payload: the
-          {!Obs.Vclock.record_send} array (the sender's clock, then the
-          flow id pairing this send with its delivery), or [[||]] when
-          stamping is off. Protocol message types stay untouched — this
-          mirrors the sim transport's out-of-band stamping. *)
+  | Net of { src : int; msg : 'm; flow : int }
+      (** [flow] rides next to the payload: the {!Obs.Vclock.record_send}
+          flow id pairing this send with its delivery, or [0] when
+          causal logging is off. Protocol message types stay untouched —
+          this mirrors the sim transport's out-of-band flow ids. *)
   | Work of (unit -> unit)
   | Stop
 
@@ -42,17 +41,19 @@ val id : _ t -> int
 val set_handler : 'm t -> (src:int -> 'm -> unit) -> unit
 (** Install the message handler. Must happen before {!start}. *)
 
-val set_on_deliver : 'm t -> (src:int -> int array -> unit) -> unit
+val set_on_deliver : 'm t -> (src:int -> int -> unit) -> unit
 (** Install the delivery observer: called on the node's own domain just
-    before the handler, for every [Net] item with a non-empty stamp. Must
-    happen before {!start}. {!Net} uses it to merge the piggy-backed
-    vector-clock stamp and emit the receive-side flow event. *)
+    before the handler, for every [Net] item with a flow id ([> 0]),
+    with that id. Must happen before {!start}. {!Net} uses it to log
+    the delivery in the causal log, from the receiver's domain (the
+    shard's single writer). *)
 
 val set_telem : 'm t -> Telem.node option -> unit
 (** Attach this node's flight-recorder ring. Must happen before
-    {!start}: the ring is written from the node's domain (depth samples
-    after each receive, park-wait instants on the slow path), honouring
-    the recorder's single-writer contract. *)
+    {!start}: the ring is written from the node's domain (park-wait
+    instants and depth samples after each park, a depth sample every
+    64th receive besides), honouring the recorder's single-writer
+    contract. *)
 
 val post : 'm t -> 'm item -> bool
 (** Enqueue from any domain; wakes the node if parked. [false] if the

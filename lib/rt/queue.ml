@@ -38,27 +38,17 @@ module Make (A : Verif.Atomic_intf.S) = struct
   type 'a t = {
     tail : 'a node A.t;  (* producers swap here, then link *)
     mutable head : 'a node;  (* consumer-only: current stub *)
-    (* Approximate occupancy for telemetry: bumped after the push's
-       exchange, dropped after a successful pop. Racy by design — a
-       reader can observe the count before the element is linked or
-       after it was popped, so at any instant it is off by at most the
-       number of in-flight pushes plus in-flight pops — but never
-       drifts (every push is matched by one pop), which is all a
-       mailbox-depth gauge needs. *)
-    depth : int A.t;
     mutation : mutation option;
   }
 
   let create ?mutation () =
     let stub = { value = None; next = A.make None } in
     {
-      (* [tail] and [depth] are written from every producing domain;
-         padding gives each its own cache lines so producer traffic on
-         one does not invalidate the other (or the record block holding
-         the consumer's [head]). *)
+      (* [tail] is written from every producing domain; padding gives it
+         its own cache lines so producer traffic does not invalidate the
+         record block holding the consumer's [head]. *)
       tail = A.make_padded stub;
       head = stub;
-      depth = A.make_padded 0;
       mutation;
     }
 
@@ -73,8 +63,7 @@ module Make (A : Verif.Atomic_intf.S) = struct
        visible. *)
     (match t.mutation with
     | Some Skip_link -> ()
-    | _ -> A.set prev.next (Some n));
-    A.incr t.depth
+    | _ -> A.set prev.next (Some n))
 
   let pop_opt t =
     match A.get t.head.next with
@@ -86,7 +75,6 @@ module Make (A : Verif.Atomic_intf.S) = struct
         | _ ->
             n.value <- None;
             t.head <- n);
-        A.decr t.depth;
         v
 
   let is_empty t = A.get t.head.next = None
@@ -96,7 +84,13 @@ module Make (A : Verif.Atomic_intf.S) = struct
      production [A.spy = A.get], so this is exactly [not is_empty]. *)
   let nonempty_spy t = A.spy t.head.next <> None
 
-  let length t = max 0 (A.spy t.depth)
+  (* A walk from [head]: no occupancy counter for every push and pop to
+     bump. Untraced reads, like [nonempty_spy]. *)
+  let length t =
+    let rec walk k nd =
+      match A.spy nd.next with None -> k | Some nx -> walk (k + 1) nx
+    in
+    walk 0 t.head
 end
 
 include Make (Verif.Atomic_intf.Plain)

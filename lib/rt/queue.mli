@@ -61,12 +61,12 @@ module type S = sig
       telemetry only. *)
 
   val length : 'a t -> int
-  (** Approximate occupancy, safe from any domain. Exact whenever no
-      push or pop is in flight; at any instant off by at most the
-      number of in-flight operations (bounded by the producer count +
-      1), because each push/pop moves it by exactly one after its
-      linearization. Telemetry-grade — never use it to decide emptiness
-      (see {!is_empty}'s caveat). *)
+  (** Consumer only: the linked elements, counted by a walk from the
+      consumer's head — O(length), so sample it, do not call it per
+      element. Pushes past their tail exchange but not yet linked are
+      not counted ({!is_empty}'s caveat). Telemetry-grade; the queue
+      keeps no occupancy counter, so pushes and pops pay nothing for
+      it. *)
 end
 
 module Make (A : Verif.Atomic_intf.S) : S

@@ -350,8 +350,8 @@ let restart_node s i =
 
 let create ?(batch = false) ?(recorder = true) ?(online = false)
     ?monitor_throttle ?mutation ?wal_dir ~algo ~n ~f () =
-  (* Causal stamping rides with the online monitor: the verdict's slice
-     is built from the network's vector-clock log. *)
+  (* The causal log rides with the online monitor: the verdict's slice
+     is replayed from it. *)
   let net = Net.create ~recorder ~causal:online ~n () in
   (* Every node gets a durable store: file-backed WALs under [wal_dir]
      when given (the real crash-recovery path — survives the process),

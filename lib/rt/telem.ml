@@ -82,10 +82,10 @@ let rejoin_end nd =
    each send and delivery with its node, time and flow id, so the export
    draws the [net.msg] arrows from it. Every retained [Send] opens a
    flow; a [Deliver] closes one only when its [Send] is retained too, so
-   no arrow is drawn to a head without a tail. The log comes in index
-   order, and [at] is read just before the shard lock, so it is sorted
-   by [at] here; then one merge with the (sorted) ring events keeps the
-   trace in timestamp order. *)
+   no arrow is drawn to a head without a tail. The log comes in a
+   causal replay order, not sorted by [at], so it is sorted here; then
+   one merge with the (sorted) ring events keeps the trace in
+   timestamp order. *)
 let to_trace ?causal rc =
   let ms = 1e3 (* wall seconds -> Trace units, 1 s renders as 1000 *) in
   let rings = Obs.Trace.events (Obs.Recorder.to_trace ~mul:ms rc) in

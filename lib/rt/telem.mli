@@ -10,7 +10,8 @@
       node's domain;
     - [park.wait] — instant, value = seconds the node slept before the
       mailbox refilled;
-    - [mailbox.depth] — counter, sampled after each blocking receive;
+    - [mailbox.depth] — counter, sampled after each park and on every
+      64th receive;
     - [batch.fuse] — counter, value = UPDATEs fused into one quorum
       write;
     - [recover.replay], [recover.rejoin] — spans around the WAL replay

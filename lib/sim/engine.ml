@@ -8,7 +8,7 @@ type t = {
   mutable time_advances : int;
   mutable trace : Obs.Trace.t;
   (* Vector-clock recorder: when installed (before networks are built),
-     every network send/deliver is stamped and logged for causal
+     every network send/deliver is logged with its flow id for causal
      analysis. *)
   mutable causal : Obs.Vclock.recorder option;
   (* Controllable scheduler: when installed, same-timestamp event-queue

@@ -43,7 +43,7 @@ val set_trace : t -> Obs.Trace.t -> unit
 
 val causal : t -> Obs.Vclock.recorder option
 (** The attached vector-clock recorder, if any. Networks capture it at
-    creation time and stamp every send/deliver into it; like tracing it
+    creation time and log every send/deliver into it; like tracing it
     is passive — recording never perturbs the schedule. *)
 
 val set_causal : t -> Obs.Vclock.recorder option -> unit

@@ -37,15 +37,15 @@ type 'm t = {
   broadcasts : Obs.Metrics.counter;
   obs : Obs.Trace.t;
   (* Vector-clock recorder captured from the engine at creation; when
-     present every logical send/deliver is stamped into it. *)
+     present every logical send/deliver is logged into it. *)
   causal : Obs.Vclock.recorder option;
-  (* Stamps in flight over the transport stack, one FIFO per (src, dst)
-     channel. The transport delivers each channel's messages exactly
-     once, in send order (a prefix under loss), so the head of the
-     queue is always the stamp of the message being delivered. The
-     direct backend and the loopback path capture stamps in the
+  (* Flow ids in flight over the transport stack, one FIFO per (src,
+     dst) channel. The transport delivers each channel's messages
+     exactly once, in send order (a prefix under loss), so the head of
+     the queue is always the flow of the message being delivered. The
+     direct backend and the loopback path capture flows in the
      scheduled closure instead. *)
-  stamps : int array Queue.t array array option;
+  flows : int Queue.t array array option;
   (* Payload-free message label for trace events; algorithms install
      their wire-protocol kind function ({!set_msg_label}). *)
   mutable msg_label : ('m -> string) option;
@@ -73,21 +73,19 @@ let obs_msg t ~name ~pid ~src ~dst msg =
       name
 
 (* Logical delivery point, shared by both backends: the destination's
-   crash is checked at delivery time. [stamp] is the {!Obs.Vclock}
-   stamp (clock, then flow id) recorded at send time, empty when causal
-   recording is off. *)
-let deliver ~stamp t ~src ~dst msg =
+   crash is checked at delivery time. [flow] is the {!Obs.Vclock} flow
+   id recorded at send time, 0 when causal recording is off. *)
+let deliver ~flow t ~src ~dst msg =
   let now = Engine.now t.engine in
   if not t.crashed.(dst) then begin
     Obs.Metrics.incr t.delivered;
     obs_msg t ~name:"recv" ~pid:dst ~src ~dst msg;
     (match t.causal with
-    | Some r when Array.length stamp > 0 ->
-        Obs.Vclock.record_deliver r ~dst ~src ~stamp ~at:now
+    | Some r when flow > 0 ->
+        Obs.Vclock.record_deliver r ~dst ~src ~flow ~at:now
           ~label:(label t msg) ();
         if Obs.Trace.enabled t.obs then
-          Obs.Trace.flow_end t.obs ~ts:now ~pid:dst
-            ~id:(Obs.Vclock.stamp_flow stamp) (label t msg)
+          Obs.Trace.flow_end t.obs ~ts:now ~pid:dst ~id:flow (label t msg)
     | _ -> ());
     trace t (Delivered { src; dst; at = now; msg });
     t.handlers.(dst) ~src msg
@@ -96,19 +94,19 @@ let deliver ~stamp t ~src ~dst msg =
     Obs.Metrics.incr t.dropped;
     obs_msg t ~name:"drop" ~pid:dst ~src ~dst msg;
     (match t.causal with
-    | Some r when Array.length stamp > 0 ->
-        Obs.Vclock.record_drop r ~dst ~src ~stamp ~at:now ~label:(label t msg)
+    | Some r when flow > 0 ->
+        Obs.Vclock.record_drop r ~dst ~src ~flow ~at:now ~label:(label t msg)
           ()
     | _ -> ());
     trace t (Dropped { src; dst; at = now; msg })
   end
 
-(* Pop the in-flight stamp for the transport delivery about to happen
-   on channel (src, dst); empty when causal recording is off. *)
-let pop_stamp t ~src ~dst =
-  match t.stamps with
-  | None -> [||]
-  | Some q -> if Queue.is_empty q.(src).(dst) then [||]
+(* Pop the in-flight flow id for the transport delivery about to
+   happen on channel (src, dst); 0 when causal recording is off. *)
+let pop_flow t ~src ~dst =
+  match t.flows with
+  | None -> 0
+  | Some q -> if Queue.is_empty q.(src).(dst) then 0
               else Queue.pop q.(src).(dst)
 
 let create ?substrate engine ~n ~delay =
@@ -135,7 +133,7 @@ let create ?substrate engine ~n ~delay =
       delay;
       backend;
       causal;
-      stamps =
+      flows =
         (match (causal, backend) with
         | Some _, Stack _ ->
             Some (Array.init n (fun _ -> Array.init n (fun _ -> Queue.create ())))
@@ -160,7 +158,7 @@ let create ?substrate engine ~n ~delay =
   | Stack tr ->
       for i = 0 to n - 1 do
         Transport.set_handler tr i (fun ~src msg ->
-            deliver ~stamp:(pop_stamp t ~src ~dst:i) t ~src ~dst:i msg)
+            deliver ~flow:(pop_flow t ~src ~dst:i) t ~src ~dst:i msg)
       done);
   t
 
@@ -200,7 +198,7 @@ let on_restart t f = Queue.push f t.restart_hooks
 
 (* Restart = the same node id comes back up with empty volatile state.
    On the lossy stack the transport starts a new incarnation, and the
-   stamps of messages the dead one sent or was sent will never be
+   flow ids of messages the dead one sent or was sent will never be
    delivered, so they go too. *)
 let restart t i =
   if t.crashed.(i) then begin
@@ -214,7 +212,7 @@ let restart t i =
               Queue.clear q.(i).(j);
               Queue.clear q.(j).(i)
             done)
-          t.stamps);
+          t.flows);
     t.crashed.(i) <- false;
     t.pending_bcast_crash.(i) <- None;
     (match t.causal with
@@ -236,22 +234,21 @@ let send t ~src ~dst msg =
     Obs.Metrics.incr t.sent;
     obs_msg t ~name:"send" ~pid:src ~src ~dst msg;
     let now = Engine.now t.engine in
-    (* Stamp at logical-send time: tick the sender's clock, log the
-       send, open the Perfetto flow arrow. The stamp rides with the
-       message — captured in the delivery closure (direct/loopback) or
-       queued per channel (transport stack, which may retransmit the
-       packet but delivers the message once). *)
-    let stamp =
+    (* Log the send at logical-send time and open the Perfetto flow
+       arrow. The flow id rides with the message — captured in the
+       delivery closure (direct/loopback) or queued per channel
+       (transport stack, which may retransmit the packet but delivers
+       the message once). *)
+    let flow =
       match t.causal with
-      | None -> [||]
+      | None -> 0
       | Some r ->
-          let stamp =
+          let flow =
             Obs.Vclock.record_send r ~src ~dst ~at:now ~label:(label t msg) ()
           in
           if Obs.Trace.enabled t.obs then
-            Obs.Trace.flow_start t.obs ~ts:now ~pid:src
-              ~id:(Obs.Vclock.stamp_flow stamp) (label t msg);
-          stamp
+            Obs.Trace.flow_start t.obs ~ts:now ~pid:src ~id:flow (label t msg);
+          flow
     in
     trace t (Sent { src; dst; at = now; msg });
     match t.backend with
@@ -260,17 +257,17 @@ let send t ~src ~dst msg =
         let at = Float.max (now +. d) last_delivery.(src).(dst) in
         last_delivery.(src).(dst) <- at;
         Engine.schedule ~label:(Label.Deliver dst) t.engine ~delay:(at -. now)
-          (fun () -> deliver ~stamp t ~src ~dst msg)
+          (fun () -> deliver ~flow t ~src ~dst msg)
     | Stack tr ->
         if src = dst then
           (* Loopback needs no reliability protocol; deliver at the
              current time via the event queue, as the ideal network
              does, to preserve handler atomicity. *)
           Engine.schedule ~label:(Label.Deliver dst) t.engine ~delay:0.
-            (fun () -> deliver ~stamp t ~src ~dst msg)
+            (fun () -> deliver ~flow t ~src ~dst msg)
         else begin
-          (match t.stamps with
-          | Some q -> Queue.push stamp q.(src).(dst)
+          (match t.flows with
+          | Some q -> Queue.push flow q.(src).(dst)
           | None -> ());
           Transport.send tr ~src ~dst msg
         end

@@ -14,7 +14,7 @@ module type S = sig
 
   val make_padded : 'a -> 'a t
   (** Like [make], but the cell is padded out to its own cache lines.
-      Used for long-lived hot atomics ([tail], [depth], eventcount
+      Used for long-lived hot atomics ([tail], eventcount
       words); transient per-node cells use plain [make]. Under the
       traced implementation this is just [make]. *)
 
@@ -37,7 +37,7 @@ module Plain : S = struct
   type 'a t = 'a Atomic.t
 
   let make = Atomic.make
-  let make_padded v = Padding.copy_as_padded (Atomic.make v)
+  let make_padded v = Obs.Padding.copy_as_padded (Atomic.make v)
   let get = Atomic.get
   let set = Atomic.set
   let exchange = Atomic.exchange

@@ -55,7 +55,8 @@ let prop_leq_order =
 
 (* ---- the recorder against a real run -------------------------------- *)
 
-let recorded_run ?(n = 4) ~substrate seed =
+let recorded_run ?(n = 4) ?(adversary = Harness.Adversary.No_faults)
+    ~substrate seed =
   let config =
     { Harness.Runner.n; f = 1; delay = Harness.Runner.Fixed_d 1.0; seed }
   in
@@ -68,7 +69,7 @@ let recorded_run ?(n = 4) ~substrate seed =
   let outcome =
     Harness.Runner.run ~workload_seed:seed ~substrate ~causal
       ~watchdog:Harness.Runner.default_watchdog ~make:eq_aso.make config
-      ~workload ~adversary:Harness.Adversary.No_faults
+      ~workload ~adversary
   in
   (causal, outcome)
 
@@ -119,6 +120,209 @@ let test_hb_lossy () =
       7L
   in
   check_hb_vs_delivery r
+
+(* Exact causality: happened-before computed in the test by
+   reachability over the log's own graph — each node's events in the
+   order it recorded them, plus an edge from each [Send] to the
+   [Deliver] with the same flow id when both are in the log — must equal
+   [happened_before] on the replayed clocks, for every ordered pair. A
+   [Drop] (a delivery suppressed at a crashed node) is off the graph:
+   it must carry exactly the clock of its node's previous event.
+   Returns the number of events checked, drops included. *)
+let check_exact_hb (log : V.event list) =
+  let prev = Hashtbl.create 8 in
+  List.iteri
+    (fun k (ev : V.event) ->
+      Alcotest.(check int) "idx is the position in the log" k ev.idx;
+      match ev.kind with
+      | V.Drop _ ->
+          let before =
+            Option.value ~default:(V.make (V.size ev.vc))
+              (Hashtbl.find_opt prev ev.node)
+          in
+          if not (V.equal ev.vc before) then
+            Alcotest.failf "drop #%d ticked or merged: %a after %a" ev.idx V.pp
+              ev.vc V.pp before
+      | _ -> Hashtbl.replace prev ev.node ev.vc)
+    log;
+  let evs =
+    Array.of_list
+      (List.filter
+         (fun (ev : V.event) ->
+           match ev.kind with V.Drop _ -> false | _ -> true)
+         log)
+  in
+  let e = Array.length evs in
+  let sent = Hashtbl.create 256 in
+  Array.iter
+    (fun (ev : V.event) ->
+      match ev.kind with V.Send _ -> Hashtbl.replace sent ev.flow () | _ -> ())
+    evs;
+  let words = (e + 7) / 8 in
+  let reach = Array.make e Bytes.empty in
+  let last = Hashtbl.create 8 and send_at = Hashtbl.create 256 in
+  Array.iteri
+    (fun b (ev : V.event) ->
+      let bits = Bytes.make words '\000' in
+      let add p =
+        for w = 0 to words - 1 do
+          Bytes.set bits w
+            (Char.chr
+               (Char.code (Bytes.get bits w)
+               lor Char.code (Bytes.get reach.(p) w)))
+        done;
+        Bytes.set bits (p / 8)
+          (Char.chr (Char.code (Bytes.get bits (p / 8)) lor (1 lsl (p mod 8))))
+      in
+      Option.iter add (Hashtbl.find_opt last ev.node);
+      (match ev.kind with
+      | V.Deliver _ when Hashtbl.mem sent ev.flow -> (
+          match Hashtbl.find_opt send_at ev.flow with
+          | Some p -> add p
+          | None -> Alcotest.failf "deliver #%d precedes its send" ev.idx)
+      | V.Send _ -> Hashtbl.replace send_at ev.flow b
+      | _ -> ());
+      Hashtbl.replace last ev.node b;
+      reach.(b) <- bits)
+    evs;
+  for b = 0 to e - 1 do
+    for a = 0 to e - 1 do
+      let reachable =
+        Char.code (Bytes.get reach.(b) (a / 8)) land (1 lsl (a mod 8)) <> 0
+      in
+      if V.happened_before evs.(a) evs.(b) <> reachable then
+        Alcotest.failf "#%d -> #%d: clocks say %b, the graph says %b"
+          evs.(a).idx evs.(b).idx (not reachable) reachable
+    done
+  done;
+  List.length log
+
+let test_hb_exact_sim () =
+  let drops = ref 0 in
+  List.iter
+    (fun (n, substrate, seed) ->
+      (* One crash mid-run: deliveries to it become [Drop]s, the crash a
+         [Local]. *)
+      let adversary = Harness.Adversary.Crash_at [ (3.0, n - 1) ] in
+      let r, _ = recorded_run ~n ~adversary ~substrate seed in
+      let evs = V.events r in
+      drops :=
+        !drops
+        + List.length
+            (List.filter
+               (fun (ev : V.event) ->
+                 match ev.kind with V.Drop _ -> true | _ -> false)
+               evs);
+      Alcotest.(check int) "the whole run is in the log" (V.length r)
+        (check_exact_hb evs))
+    [
+      (3, Sim.Network.Ideal, 1L);
+      (4, Sim.Network.Ideal, 2L);
+      (5, Sim.Network.Ideal, 3L);
+      (3, Sim.Network.Lossy { Chan.drop = 0.2; dup = 0.1; reorder = 0.1 }, 4L);
+      (4, Sim.Network.Lossy { Chan.drop = 0.2; dup = 0.1; reorder = 0.1 }, 5L);
+      (5, Sim.Network.Lossy { Chan.drop = 0.2; dup = 0.1; reorder = 0.1 }, 6L);
+    ];
+  Alcotest.(check bool) "drops were exercised" true (!drops > 0)
+
+(* The same on rt nodes (one domain each, real mailboxes) with a capped
+   log: three tokens hop between the nodes, fanning out now and then,
+   until 801 messages are delivered — far more than the 48 events each
+   shard retains. Within the retained window the clocks must be exact
+   for the window's graph. *)
+let test_hb_exact_rt_window () =
+  let n = 3 and cap = 48 in
+  let vr = V.recorder ~cap ~n () in
+  let t0 = Unix.gettimeofday () in
+  let now () = Unix.gettimeofday () -. t0 in
+  let nodes = Array.init n Rt.Node.create in
+  let delivered = Atomic.make 0 in
+  (* Called on [src]'s domain only: its shard has one writer. *)
+  let send ~src ~dst h =
+    let flow = V.record_send vr ~src ~dst ~at:(now ()) () in
+    let item = Rt.Node.Net { src; msg = h; flow } in
+    ignore (Rt.Node.post nodes.(dst) item : bool)
+  in
+  Array.iteri
+    (fun i nd ->
+      Rt.Node.set_on_deliver nd (fun ~src flow ->
+          V.record_deliver vr ~dst:i ~src ~flow ~at:(now ()) ());
+      Rt.Node.set_handler nd (fun ~src:_ h ->
+          Atomic.incr delivered;
+          if h > 0 then begin
+            send ~src:i ~dst:((i + h) mod n) (h - 1);
+            if h mod 3 = 0 then send ~src:i ~dst:((i + 1) mod n) 0
+          end))
+    nodes;
+  Array.iter Rt.Node.start nodes;
+  Array.iteri
+    (fun i nd ->
+      ignore
+        (Rt.Node.post nd
+           (Rt.Node.Work (fun () -> send ~src:i ~dst:((i + 1) mod n) 200))
+          : bool))
+    nodes;
+  (* per token: 201 hops plus 66 fan-outs *)
+  let total = n * (201 + 66) in
+  let deadline = Unix.gettimeofday () +. 20. in
+  while Atomic.get delivered < total && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
+  Array.iter (fun nd -> ignore (Rt.Node.post nd Rt.Node.Stop : bool)) nodes;
+  Array.iter Rt.Node.join nodes;
+  Alcotest.(check int) "every message delivered" total (Atomic.get delivered);
+  Alcotest.(check int) "every send and delivery recorded" (2 * total)
+    (V.length vr);
+  Alcotest.(check int) "each shard retains its cap" (n * cap)
+    (check_exact_hb (V.events vr))
+
+(* The replay places a [Deliver] after its [Send] even when the times
+   disagree (two hosts' clocks skewed), and then orders by time: node 1
+   logs a local event at 0.5 and the delivery at 1.0 of a message node
+   0 sent at 5.0. *)
+let test_replay_orders_skewed_times () =
+  let r = V.recorder ~n:2 () in
+  let flow = V.record_send r ~src:0 ~dst:1 ~at:5.0 () in
+  V.record_local r ~node:1 ~at:0.5 "boot";
+  V.record_deliver r ~dst:1 ~src:0 ~flow ~at:1.0 ();
+  let evs = V.events r in
+  Alcotest.(check (list (pair int int)))
+    "(node, flow) in replay order"
+    [ (1, 0); (0, flow); (1, flow) ]
+    (List.map (fun (ev : V.event) -> (ev.node, ev.flow)) evs);
+  match evs with
+  | [ _; snd; dlv ] ->
+      Alcotest.(check bool) "send happened-before its delivery" true
+        (V.happened_before snd dlv);
+      Alcotest.(check (array int)) "the delivery merged the send's clock"
+        [| 1; 2 |] (V.to_array dlv.vc)
+  | _ -> Alcotest.fail "three events expected"
+
+(* Reads racing a writer that laps a tiny capped shard: every event a
+   read returns is whole (its time and flow id come from one record),
+   and a read never fails when every slot it copied was overwritten. *)
+let test_reads_race_lapping_writer () =
+  let r = V.recorder ~cap:2 ~n:1 () in
+  let per = 200_000 in
+  let writer =
+    Domain.spawn (fun () ->
+        for k = 0 to per - 1 do
+          ignore (V.record_send r ~src:0 ~dst:0 ~at:(float_of_int k) () : int)
+        done)
+  in
+  let torn = ref 0 and seen = ref 0 in
+  while V.length r < per do
+    List.iter
+      (fun (ev : V.event) ->
+        incr seen;
+        (* the k-th send of node 0 of 1 has flow k + 1 *)
+        if ev.flow <> int_of_float ev.at + 1 then incr torn)
+      (V.events r)
+  done;
+  Domain.join writer;
+  Alcotest.(check int) "no torn event" 0 !torn;
+  Alcotest.(check bool) "reads returned events" true (!seen > 0);
+  Alcotest.(check int) "the shard keeps its cap" 2 (List.length (V.events r))
 
 let test_slice_monotone () =
   let r, _ = recorded_run ~substrate:Sim.Network.Ideal 11L in
@@ -531,6 +735,14 @@ let suites =
         qcase prop_leq_order;
         case "hb vs delivery (ideal)" test_hb_ideal;
         case "hb vs delivery (lossy)" test_hb_lossy;
+        case "hb exact: clocks = reachability (sim, n = 3..5)"
+          test_hb_exact_sim;
+        case "hb exact within the window (rt nodes, capped log)"
+          test_hb_exact_rt_window;
+        case "replay puts a delivery after its send despite skewed times"
+          test_replay_orders_skewed_times;
+        case "reads racing a lapping writer: whole events, no failure"
+          test_reads_race_lapping_writer;
         case "causal slice is monotone" test_slice_monotone;
         case "shiviz export shape" test_shiviz_export;
         case "perfetto flow events" test_perfetto_flows;

@@ -297,6 +297,82 @@ let test_arrows_from_causal_log () =
        (fun (ev : Obs.Trace.event) -> ev.name = "op.update")
        (Obs.Trace.events tr))
 
+(* Reads concurrent with the writers: while a deployment serves 300+
+   operations, another domain replays the causal log ([events], and
+   [cone] at each node) in a loop, as the monitor domain does when it
+   trips. Every returned event must be well-formed — a send or a
+   delivery (rt records no drop), node and peer in range, a positive
+   flow id naming its sender — and every [Deliver] whose [Send] was
+   returned with it must dominate that [Send]. *)
+let test_concurrent_log_reads () =
+  let n = 3 in
+  let s = Rt.Service.create ~online:true ~algo:Rt.Service.Eq_aso ~n ~f:1 () in
+  let vr = Option.get (Rt.Net.causal (Rt.Service.net s)) in
+  let check_read (evs : Obs.Vclock.event list) =
+    let sends = Hashtbl.create 4096 in
+    List.iter
+      (fun (ev : Obs.Vclock.event) ->
+        let sender =
+          match ev.kind with
+          | Obs.Vclock.Send { dst } ->
+              if dst < 0 || dst >= n then Alcotest.failf "send to n%d" dst;
+              Hashtbl.replace sends ev.flow ev;
+              ev.node
+          | Obs.Vclock.Deliver { src } ->
+              if src < 0 || src >= n then Alcotest.failf "deliver from n%d" src;
+              src
+          | Obs.Vclock.Drop _ | Obs.Vclock.Local ->
+              Alcotest.failf "#%d: rt logged a drop or local event" ev.idx
+        in
+        if ev.node < 0 || ev.node >= n then
+          Alcotest.failf "event on n%d" ev.node;
+        if ev.flow <= 0 || (ev.flow - 1) mod n <> sender then
+          Alcotest.failf "#%d: flow %d does not name sender n%d" ev.idx ev.flow
+            sender)
+      evs;
+    List.iter
+      (fun (d : Obs.Vclock.event) ->
+        match (d.kind, Hashtbl.find_opt sends d.flow) with
+        | Obs.Vclock.Deliver _, Some snd ->
+            if not (Obs.Vclock.happened_before snd d) then
+              Alcotest.failf "flow %d: deliver %a does not dominate send %a"
+                d.flow Obs.Vclock.pp d.vc Obs.Vclock.pp snd.vc
+        | _ -> ())
+      evs
+  in
+  let stop = Atomic.make false and reads = Atomic.make 0 in
+  Rt.Service.start s;
+  let reader =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          let k = Atomic.get reads in
+          check_read
+            (if k mod (n + 1) = n then Obs.Vclock.events vr
+             else Obs.Vclock.cone vr ~node:(k mod (n + 1)));
+          Atomic.incr reads
+        done)
+  in
+  let ops = ref 0 in
+  (* At least 300 operations, and enough for several reads to overlap
+     them. *)
+  while (!ops < 300 || Atomic.get reads < 4) && !ops < 100_000 do
+    incr ops;
+    let node = !ops mod n in
+    let ok =
+      if !ops mod 5 = 0 then
+        match Rt.Service.scan s ~node with `Snap _ -> true | _ -> false
+      else Rt.Service.update s ~node !ops = `Done
+    in
+    if not ok then Alcotest.failf "op %d at n%d did not complete" !ops node
+  done;
+  Atomic.set stop true;
+  let outcome = try Ok (Domain.join reader) with e -> Error e in
+  Rt.Service.stop s;
+  (match outcome with Ok () -> () | Error e -> raise e);
+  Alcotest.(check bool) "reads overlapped the operations" true
+    (Atomic.get reads >= 4);
+  check_read (Obs.Vclock.events vr)
+
 (* ------------------------------------------------------------------ *)
 (* Bounded lag: throttle the monitor domain so it provably falls behind
    the service, then verify (a) no false positive appears under lag,
@@ -385,6 +461,9 @@ let suites =
           test_rt_stamps_sound;
         case "rt arrows drawn from the causal log, none in the rings"
           test_arrows_from_causal_log;
+        case "causal log read while the nodes write: well-formed, \
+              deliver dominates"
+          test_concurrent_log_reads;
         slow "skip-write-tag caught live, mid-run"
           test_skip_write_tag_live;
         slow "stale-renewal caught live, mid-run" test_stale_renewal_live;

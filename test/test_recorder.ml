@@ -263,6 +263,34 @@ let expo_prometheus_shape () =
   Alcotest.(check bool) "no dotted names" true
     (not (has "net.sent"))
 
+(* Per-writer counter cells: k domains each bump their own cell m
+   times; every read path (count, snapshot, exposition) sees the sum,
+   under the counter's one exported name. *)
+let metrics_per_writer_counter () =
+  let k = 4 and m = 100_000 in
+  let reg = Obs.Metrics.create () in
+  let c = Obs.Metrics.counter ~writers:k reg "net.sent" in
+  List.init k (fun w ->
+      Domain.spawn (fun () ->
+          for _ = 1 to m do
+            Obs.Metrics.incr_at c w
+          done))
+  |> List.iter Domain.join;
+  Alcotest.(check int) "count sums the cells" (k * m) (Obs.Metrics.count c);
+  let snap = Obs.Metrics.snapshot reg in
+  Alcotest.(check (option int)) "snapshot sums the cells" (Some (k * m))
+    (Obs.Metrics.find_count snap "net.sent");
+  let text = Obs.Expo.to_prometheus snap in
+  Alcotest.(check string) "exposition unchanged"
+    (Printf.sprintf "# TYPE aso_net_sent counter\naso_net_sent %d\n" (k * m))
+    text;
+  Alcotest.(check bool) "find-or-create returns the same counter" true
+    (Obs.Metrics.counter ~writers:k reg "net.sent" == c);
+  Alcotest.(check bool) "another writer count is refused" true
+    (match Obs.Metrics.counter reg "net.sent" with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
 let suites =
   [
     ( "recorder",
@@ -283,5 +311,7 @@ let suites =
         Alcotest.test_case "expo rejects garbage" `Quick expo_rejects_garbage;
         Alcotest.test_case "prometheus exposition shape" `Quick
           expo_prometheus_shape;
+        Alcotest.test_case "per-writer counter: k domains, one sum" `Quick
+          metrics_per_writer_counter;
       ] );
   ]

@@ -31,6 +31,25 @@ let queue_sequential_model =
         ops
       && Q.is_empty q = Stdlib.Queue.is_empty model)
 
+(* [length] walks from the consumer's head: after any sequence of
+   pushes and pops it is the model's size, p - q after p pushes and q
+   successful pops. *)
+let queue_length_model =
+  QCheck.Test.make ~count:300 ~name:"queue length = pushes - pops"
+    QCheck.(list (option small_int))
+    (fun ops ->
+      let q = Q.create () in
+      let size = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Some v ->
+              Q.push q v;
+              incr size
+          | None -> if Q.pop_opt q <> None then decr size);
+          Q.length q = !size)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Queue: the MPSC laws under 2-4 real producer domains. Each producer
    pushes its own tagged sequence (p, 0), (p, 1), ...; the test domain
@@ -211,6 +230,7 @@ let suites =
     ( "rt",
       [
         qcase queue_sequential_model;
+        qcase queue_length_model;
         qcase queue_mpsc_laws;
         Alcotest.test_case "parked node wakes on post" `Quick
           test_node_parked_wakeup;
