@@ -900,9 +900,13 @@ let serve_impl algo_name n clients secs batch scan_fraction seed crash
              ())
     | _ -> None
   in
+  (* Minor collections stop every domain, so their rate sets the rt
+     tail; [quick_stat] sums all domains' allocation. *)
+  let gc0 = Gc.quick_stat () in
   let report =
     Load.run ?faults deployment ~clients ~secs ~scan_fraction ~seed
   in
+  let gc1 = Gc.quick_stat () in
   Rt.Service.stop svc;
   Atomic.set sampler_stop true;
   Option.iter Thread.join sampler;
@@ -948,6 +952,17 @@ let serve_impl algo_name n clients secs batch scan_fraction seed crash
     clients;
   Format.printf "algorithm   : %s@." (Aso_core.Handle.algo_name algo);
   Format.printf "%a@." Load.pp_report report;
+  (let ops =
+     float_of_int (max 1 (report.completed_updates + report.completed_scans))
+   in
+   let minors = gc1.minor_collections - gc0.minor_collections in
+   Format.printf
+     "gc          : %d minor collections, %.2f per 1000 ops, %.0f minor \
+      words/op, %.0f promoted words/op@."
+     minors
+     (1000. *. float_of_int minors /. ops)
+     ((gc1.minor_words -. gc0.minor_words) /. ops)
+     ((gc1.promoted_words -. gc0.promoted_words) /. ops));
   Format.printf "pending     : %d@." (List.length (History.pending history));
   if batch then
     Format.printf "batching    : %d updates fused into group commits@."

@@ -27,13 +27,20 @@ let create ~n ~me ~forward ~changed =
 
 let me t = t.me
 
+(* Bumps view [j]'s count in every pending await whose bound admits
+   [tag]; top-level, so an insert builds no closure. *)
+let rec bump j tag = function
+  | [] -> ()
+  | w :: rest ->
+      if tag <= w.bound then w.counts.(j) <- w.counts.(j) + 1;
+      bump j tag rest
+
 let add_to_view t j ts =
-  if not (View.mem ts t.v.(j)) then begin
-    t.v.(j) <- View.add ts t.v.(j);
-    let tag = Timestamp.tag ts in
-    List.iter
-      (fun w -> if tag <= w.bound then w.counts.(j) <- w.counts.(j) + 1)
-      t.waiting
+  let v = View.add ts t.v.(j) in
+  (* [add] hands back its argument when [ts] is already a member. *)
+  if v != t.v.(j) then begin
+    t.v.(j) <- v;
+    bump j (Timestamp.tag ts) t.waiting
   end
 
 let local_insert t ts value = Hashtbl.replace t.store ts value
@@ -61,27 +68,43 @@ let eq_holds t ~quorum ~max_tag =
   done;
   !matching >= quorum
 
+(* Top-level, so the predicate below, run once per delivered message,
+   builds no closure. *)
+let rec mem_all v = function
+  | [] -> true
+  | ts :: rest -> View.mem ts v && mem_all v rest
+
+(* [w] out of the pending list; it is the head unless awaits nest. *)
+let rec unregister w = function
+  | [] -> []
+  | x :: rest when x == w -> rest
+  | x :: rest -> x :: unregister w rest
+
 let await_eq ?(must_contain = []) t ~quorum ~max_tag =
   (* Since V.(j) ⊆ V.(me), set equality below the tag bound is exactly
      cardinality equality. The starting counts are cheap [count_le]
      calls; from then on [add_to_view] keeps them current. *)
   let bound = Option.value max_tag ~default:max_int in
-  let w =
-    { counts = Array.init t.n (fun j -> View.count_le t.v.(j) ~max_tag:bound);
-      bound }
-  in
+  let counts = Array.make t.n 0 in
+  for j = 0 to t.n - 1 do
+    counts.(j) <- View.count_le t.v.(j) ~max_tag:bound
+  done;
+  let w = { counts; bound } in
   let predicate () =
-    List.for_all (fun ts -> View.mem ts t.v.(t.me)) must_contain
+    mem_all t.v.(t.me) must_contain
     &&
-    let mine = w.counts.(t.me) in
+    let mine = counts.(t.me) in
     let matching = ref 0 in
     for j = 0 to t.n - 1 do
-      if w.counts.(j) = mine then incr matching
+      if counts.(j) = mine then incr matching
     done;
     !matching >= quorum
   in
   t.waiting <- w :: t.waiting;
-  Fun.protect
-    ~finally:(fun () -> t.waiting <- List.filter (fun x -> x != w) t.waiting)
-    (fun () -> t.changed.Backend.await predicate);
+  (match t.changed.Backend.await predicate with
+  | () -> t.waiting <- unregister w t.waiting
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.waiting <- unregister w t.waiting;
+      Printexc.raise_with_backtrace e bt);
   restricted t.v.(t.me) max_tag

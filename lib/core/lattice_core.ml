@@ -111,8 +111,22 @@ let trace t = t.obs
 
 (* Protocol-phase span around a blocking section, on the node's track.
    A crashed node's fiber simply never resumes, leaving an open span —
-   which is exactly what its track should show. *)
-let span t nd = Obs.Trace.span t.obs ~now:(fun () -> now t) ~pid:nd.id
+   which is exactly what its track should show. The clock closure and
+   the [span_tag] argument list are built only when tracing is on: rt's
+   trace is {!Obs.Trace.noop}, and these run several times per
+   operation. *)
+let span t nd ?cat name f =
+  if Obs.Trace.enabled t.obs then
+    Obs.Trace.span t.obs ~now:(fun () -> now t) ~pid:nd.id ?cat name f
+  else f ()
+
+(* A phase span whose begin carries the phase's tag. *)
+let span_tag t nd name tag f =
+  if Obs.Trace.enabled t.obs then
+    Obs.Trace.span t.obs ~now:(fun () -> now t) ~pid:nd.id
+      ~args:[ ("tag", Obs.Trace.Int tag) ]
+      name f
+  else f ()
 
 (* Handlers run atomically (single engine step on sim, single mailbox
    item on rt) and end with one signal, matching the "all event handlers
@@ -283,7 +297,7 @@ let read_tag t nd =
   tag
 
 let write_tag t nd tag =
-  span t nd ~args:[ ("tag", Obs.Trace.Int tag) ] "writeTag" @@ fun () ->
+  span_tag t nd "writeTag" tag @@ fun () ->
   let req = Collector.fresh nd.writes in
   t.b.Backend.broadcast ~src:nd.id (Msg.Write_tag { req; tag });
   nd.changed.Backend.await (fun () ->
@@ -311,7 +325,7 @@ let lattice t nd r =
   t.stats.lattice_ops <- t.stats.lattice_ops + 1;
   Obs.Metrics.incr t.c_lattice_ops;
   nd.lattice_count <- nd.lattice_count + 1;
-  span t nd ~args:[ ("tag", Obs.Trace.Int r) ] "lattice" @@ fun () ->
+  span_tag t nd "lattice" r @@ fun () ->
   if t.mutation <> Some Skip_write_tag then write_tag t nd r;
   let v_star = Eq_kernel.await_eq nd.kernel ~quorum:(quorum t) ~max_tag:(Some r) in
   (* Lines 16-21 run without suspension: atomic w.r.t. handlers. *)
@@ -324,7 +338,7 @@ let lattice t nd r =
   else (false, View.empty)
 
 let lattice_renewal t nd r0 =
-  span t nd ~args:[ ("tag", Obs.Trace.Int r0) ] "latticeRenewal" @@ fun () ->
+  span_tag t nd "latticeRenewal" r0 @@ fun () ->
   let rec phases phase r =
     let ok, view = lattice t nd r in
     if ok then `Direct view
@@ -347,7 +361,7 @@ let lattice_renewal t nd r0 =
          argument of Section III-E), so a "goodLA" for it arrives —
          possibly it already did, hence awaiting on the table, not on
          the message. *)
-      span t nd ~args:[ ("tag", Obs.Trace.Int r) ] "borrowWait" (fun () ->
+      span_tag t nd "borrowWait" r (fun () ->
           nd.changed.Backend.await (fun () -> Hashtbl.mem nd.borrowed r));
       t.stats.indirect_views <- t.stats.indirect_views + 1;
       Obs.Metrics.incr t.c_indirect_views;

@@ -105,12 +105,15 @@ val now : _ t -> float
     deployment start on rt — for stamping trace events and histories. *)
 
 val span :
-  'v t -> 'v node -> ?cat:string -> ?args:(string * Obs.Trace.value) list ->
-  string -> (unit -> 'a) -> 'a
+  'v t -> 'v node -> ?cat:string -> string -> (unit -> 'a) -> 'a
 (** [span t nd name f] runs [f] inside a trace span on [nd]'s track
     (default [cat] is ["phase"]; operations pass [~cat:"op"]). A no-op
     wrapper when tracing is disabled; the span is closed on exceptions
     too. *)
+
+val span_tag : 'v t -> 'v node -> string -> int -> (unit -> 'a) -> 'a
+(** [span_tag t nd name tag f]: {!span} with [("tag", Int tag)] on its
+    begin, the argument list built only when tracing is on. *)
 
 val begin_op : _ node -> unit
 (** Marks the node busy. @raise Invalid_argument if an operation is

@@ -14,6 +14,7 @@ let connect ?(attempts = 50) ?(rcv_timeout = 30.) ep =
           (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO rcv_timeout
            with Unix.Unix_error _ -> ());
           Some { fd; reader = Conn.reader fd; next_rid = 0; dead = false }
+      | Error _ when k = 1 -> None
       | Error _ ->
           Thread.delay 0.02;
           go (k - 1)

@@ -11,7 +11,9 @@ type t
 val connect :
   ?attempts:int -> ?rcv_timeout:float -> Conn.endpoint -> t option
 (** Try [attempts] (default 50) times, 20 ms apart — nodes take a
-    moment to bind their listeners. [rcv_timeout] (default 30 s) bounds
+    moment to bind their listeners. [None] comes right after the last
+    failed attempt, with no trailing sleep: a caller polling with
+    [~attempts:1] sets its own pace. [rcv_timeout] (default 30 s) bounds
     every response wait: a node that dies mid-operation can leave the
     stream open but silent. *)
 

@@ -47,6 +47,21 @@ and role =
 
 type verdict = Pass | Drop | Duplicate | Hold of float
 
+(* Resolved once at [create]: a frame bumps three or four of these, and
+   a registry lookup by name per bump would hash the name each time. *)
+type counters = {
+  sent : Obs.Metrics.counter;
+  delivered : Obs.Metrics.counter;
+  broadcasts : Obs.Metrics.counter;
+  data_sent : Obs.Metrics.counter;
+  retransmits : Obs.Metrics.counter;
+  acks_sent : Obs.Metrics.counter;
+  reconnects : Obs.Metrics.counter;
+  wire_lost : Obs.Metrics.counter;
+  duplicated : Obs.Metrics.counter;
+  reordered : Obs.Metrics.counter;
+}
+
 type t = {
   me : int;
   boot : int;
@@ -54,6 +69,7 @@ type t = {
   links : link array;  (* [links.(me)] is unused *)
   dice : (Chan.faults * Random.State.t) option;
   metrics : Obs.Metrics.t;
+  c : counters;
   mutable handler : src:int -> msg -> unit;
   mutable client_handler : Wire.frame -> reply:(Wire.frame -> unit) -> unit;
   loopback : msg Queue.t;  (* sends to self, delivered by [pump] *)
@@ -69,12 +85,21 @@ type t = {
   mutable next_tick : float;
 }
 
-let counters =
-  [ "net.sent"; "net.delivered"; "net.broadcasts"; "dist.data_sent";
-    "dist.retransmits"; "dist.acks_sent"; "dist.reconnects";
-    "link.wire_lost"; "link.duplicated"; "link.reordered" ]
-
-let count t name = Obs.Metrics.incr (Obs.Metrics.counter t.metrics name)
+(* Registration order is exposition order. *)
+let counters metrics =
+  let c = Obs.Metrics.counter metrics in
+  let sent = c "net.sent" in
+  let delivered = c "net.delivered" in
+  let broadcasts = c "net.broadcasts" in
+  let data_sent = c "dist.data_sent" in
+  let retransmits = c "dist.retransmits" in
+  let acks_sent = c "dist.acks_sent" in
+  let reconnects = c "dist.reconnects" in
+  let wire_lost = c "link.wire_lost" in
+  let duplicated = c "link.duplicated" in
+  let reordered = c "link.reordered" in
+  { sent; delivered; broadcasts; data_sent; retransmits; acks_sent;
+    reconnects; wire_lost; duplicated; reordered }
 
 let create ?(faults = Chan.no_faults) ?(seed = 1) ~me ~eps () =
   let n = Array.length eps in
@@ -88,7 +113,7 @@ let create ?(faults = Chan.no_faults) ?(seed = 1) ~me ~eps () =
     | Ok f -> Some (f, Random.State.make [| seed; me |])
   in
   let metrics = Obs.Metrics.create () in
-  List.iter (fun c -> ignore (Obs.Metrics.counter metrics c)) counters;
+  let c = counters metrics in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
@@ -100,7 +125,7 @@ let create ?(faults = Chan.no_faults) ?(seed = 1) ~me ~eps () =
   (* The incarnation id must differ across restarts of one node id:
      monotonic nanoseconds xor pid, kept positive. *)
   let boot = now_ns () lxor (Unix.getpid () lsl 24) land max_int in
-  { me; boot; eps = Array.copy eps; links = Array.init n link; dice; metrics;
+  { me; boot; eps = Array.copy eps; links = Array.init n link; dice; metrics; c;
     handler = (fun ~src:_ _ -> ()); client_handler = (fun _ ~reply:_ -> ());
     loopback = Queue.create (); posted = Atomic.make []; loop_thread = -1;
     stopping = Atomic.make false; woken = Atomic.make false; wake_r; wake_w;
@@ -184,10 +209,10 @@ let put_data t l seq m =
       let bytes = Wire.encode (Wire.Data { seq; msg = m }) in
       match judge t with
       | Pass -> write s bytes
-      | Drop -> count t "link.wire_lost"
-      | Duplicate -> count t "link.duplicated"; write s (bytes ^ bytes)
+      | Drop -> Obs.Metrics.incr t.c.wire_lost
+      | Duplicate -> Obs.Metrics.incr t.c.duplicated; write s (bytes ^ bytes)
       | Hold d ->
-          count t "link.reordered";
+          Obs.Metrics.incr t.c.reordered;
           t.holds <- (now () +. d, s, bytes) :: t.holds)
   | _ -> ()
 
@@ -199,7 +224,7 @@ let send_ack t l ~due =
   | Some s when l.ack_due && idle s ->
       l.acked <- Chan.rx_expected l.irx;
       l.ack_due <- false;
-      count t "dist.acks_sent";
+      Obs.Metrics.incr t.c.acks_sent;
       write s (Wire.encode (Wire.Ack { upto = l.acked }))
   | _ -> ()
 
@@ -224,7 +249,7 @@ and on_frame t s frame =
   match (s.role, frame) with
   | Greeting l, Wire.Welcome { boot; rx_expected } ->
       let rebooted = Option.fold ~none:false ~some:(( <> ) boot) l.peer_boot in
-      if l.peer_boot <> None then count t "dist.reconnects";
+      if l.peer_boot <> None then Obs.Metrics.incr t.c.reconnects;
       l.peer_boot <- Some boot;
       l.backoff <- backoff0;
       s.role <- Out l;
@@ -253,7 +278,7 @@ and on_frame t s frame =
          a gap — means its sender is retransmitting: ack it at once. *)
       let next = seq = Chan.rx_expected l.irx && Chan.rx_buffered l.irx = 0 in
       Chan.rx_data l.irx ~seq msg
-      |> List.iter (fun m -> count t "net.delivered"; t.handler ~src:l.id m);
+      |> List.iter (fun m -> Obs.Metrics.incr t.c.delivered; t.handler ~src:l.id m);
       send_ack t l
         ~due:((not next) || Chan.rx_expected l.irx - l.acked >= ack_every)
   | Accepted, Wire.Req _ ->
@@ -289,7 +314,7 @@ let on_tick t now_ =
       (match l.out with
       | Some { role = Out _; _ } ->
           Chan.tx_due l.ptx ~now:now_
-          |> List.iter (fun (seq, m) -> count t "dist.retransmits"; put_data t l seq m)
+          |> List.iter (fun (seq, m) -> Obs.Metrics.incr t.c.retransmits; put_data t l seq m)
       | _ -> ());
       send_ack t l ~due:(Chan.rx_expected l.irx > l.acked))
     t.links
@@ -412,13 +437,13 @@ let stop t =
 
 let send t ~src ~dst m =
   if src = t.me && dst >= 0 && dst < Array.length t.links then begin
-    count t "net.sent";
+    Obs.Metrics.incr t.c.sent;
     if dst = t.me then (
-      count t "net.delivered";
+      Obs.Metrics.incr t.c.delivered;
       Queue.push m t.loopback)
     else
       let l = t.links.(dst) in
-      count t "dist.data_sent";
+      Obs.Metrics.incr t.c.data_sent;
       put_data t l (Chan.tx_send l.ptx ~now:(now ()) m) m
   end
 
@@ -431,7 +456,7 @@ let backend t =
     send = send t;
     broadcast =
       (fun ~src m ->
-        if src = t.me then count t "net.broadcasts";
+        if src = t.me then Obs.Metrics.incr t.c.broadcasts;
         for dst = 0 to n - 1 do
           send t ~src ~dst m
         done);

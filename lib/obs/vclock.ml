@@ -97,7 +97,7 @@ let recorder ?cap ~n () =
     | None -> (max_int, initial_slots)
     | Some c ->
         if c <= 0 then invalid_arg "Obs.Vclock.recorder: cap must be positive";
-        (c, c)
+        (c, min c initial_slots)
   in
   let shard _ =
     {
@@ -113,16 +113,20 @@ let recorder ?cap ~n () =
 
 let nodes r = r.n
 
-(* Unbounded shards double when full. A reader that has seen index [i]
-   published also sees the arrays holding it: the swap happens before
-   the publish of any index stored in the new arrays. *)
+(* Shards start small. An unbounded one doubles when full; a capped one
+   takes its full size at its first overflow, so a deployment's set-up
+   allocates no ring before events need it, and growth leaves one small
+   array behind rather than a ladder of large ones. A reader that has
+   seen index [i] published also sees the arrays holding it: the swap
+   happens before the publish of any index stored in the new arrays. *)
 let grow sh =
   let slots = Float.Array.length sh.ats in
-  let ints = Array.make (4 * slots) 0 in
+  let slots' = if sh.cap = max_int then 2 * slots else sh.cap in
+  let ints = Array.make (2 * slots') 0 in
   Array.blit sh.ints 0 ints 0 (2 * slots);
-  let ats = Float.Array.make (2 * slots) 0. in
+  let ats = Float.Array.make slots' 0. in
   Float.Array.blit sh.ats 0 ats 0 slots;
-  let labels = Array.make (2 * slots) "" in
+  let labels = Array.make slots' "" in
   Array.blit sh.labels 0 labels 0 slots;
   sh.ints <- ints;
   sh.ats <- ats;
@@ -133,27 +137,53 @@ and code_deliver = 1
 and code_drop = 2
 and code_local = 3
 
-let push sh ~code ~peer ~flow ~at ~label =
+(* Reserves the next slot and writes all of it but the time; the
+   caller stores the time and publishes. Split so that a time computed
+   by [record_*_ns] reaches its float array without crossing a call,
+   where it would be boxed. *)
+let reserve sh ~code ~peer ~flow ~label =
   let i = Recorder.Cursor.reserve sh.cur in
   let s = i mod sh.cap in
   if s >= Float.Array.length sh.ats then grow sh;
   sh.ints.(2 * s) <- (peer lsl 2) lor code;
   sh.ints.((2 * s) + 1) <- flow;
-  Float.Array.set sh.ats s at;
   (* rt records no labels: leave the (empty) slot untouched *)
   if String.length label > 0 || String.length sh.labels.(s) > 0 then
     sh.labels.(s) <- label;
+  i
+
+let push sh ~code ~peer ~flow ~at ~label =
+  let i = reserve sh ~code ~peer ~flow ~label in
+  Float.Array.set sh.ats (i mod sh.cap) at;
   Recorder.Cursor.publish sh.cur i
+
+let next_flow r sh src =
+  let flow = (sh.sends * r.n) + src + 1 in
+  sh.sends <- sh.sends + 1;
+  flow
 
 let record_send r ~src ~dst ~at ?(label = "") () =
   let sh = r.shards.(src) in
-  let flow = (sh.sends * r.n) + src + 1 in
-  sh.sends <- sh.sends + 1;
+  let flow = next_flow r sh src in
   push sh ~code:code_send ~peer:dst ~flow ~at ~label;
   flow
 
 let record_deliver r ~dst ~src ~flow ~at ?(label = "") () =
   push r.shards.(dst) ~code:code_deliver ~peer:src ~flow ~at ~label
+
+let record_send_ns r ~src ~dst ~ns =
+  let sh = r.shards.(src) in
+  let flow = next_flow r sh src in
+  let i = reserve sh ~code:code_send ~peer:dst ~flow ~label:"" in
+  Float.Array.set sh.ats (i mod sh.cap) (Float.of_int ns *. 1e-9);
+  Recorder.Cursor.publish sh.cur i;
+  flow
+
+let record_deliver_ns r ~dst ~src ~flow ~ns =
+  let sh = r.shards.(dst) in
+  let i = reserve sh ~code:code_deliver ~peer:src ~flow ~label:"" in
+  Float.Array.set sh.ats (i mod sh.cap) (Float.of_int ns *. 1e-9);
+  Recorder.Cursor.publish sh.cur i
 
 let record_drop r ~dst ~src ~flow ~at ?(label = "") () =
   push r.shards.(dst) ~code:code_drop ~peer:src ~flow ~at ~label

@@ -82,8 +82,10 @@ val recorder : ?cap:int -> n:int -> unit -> recorder
 (** Fresh recorder over nodes [0..n-1]. One shard per node, each with
     {b one writer at a time}: node [i]'s events must all be recorded by
     the thread acting as node [i] (its domain on rt, the engine on the
-    sim). A record takes no lock, touches no other shard and allocates
-    nothing on a capped recorder; the readers below may run on any
+    sim). A record takes no lock and touches no other shard. A shard
+    starts small; on a capped recorder it takes all [cap] slots at its
+    first overflow, and from then on a record allocates nothing.
+    The readers below may run on any
     other thread while the writers write (the {!Recorder.Cursor}
     reserve / publish scheme discards slots overwritten mid-read).
 
@@ -106,6 +108,15 @@ val record_deliver :
   recorder -> dst:int -> src:int -> flow:int -> at:float ->
   ?label:string -> unit -> unit
 (** Log the delivery of message [flow] on [dst]'s shard. *)
+
+val record_send_ns : recorder -> src:int -> dst:int -> ns:int -> int
+(** {!record_send} at [at = float ns *. 1e-9] seconds, unlabelled. A
+    float argument is boxed on every call; an int is not, which is what
+    rt's per-message path wants. *)
+
+val record_deliver_ns :
+  recorder -> dst:int -> src:int -> flow:int -> ns:int -> unit
+(** {!record_deliver} at [float ns *. 1e-9] seconds, unlabelled. *)
 
 val record_drop :
   recorder -> dst:int -> src:int -> flow:int -> at:float ->

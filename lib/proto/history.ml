@@ -58,16 +58,24 @@ let begin_scan t ~now ~node = begin_op t ~now ~node (Scan None)
 (* A finish that arrives after a restart aborted the op is dropped: the
    op stays aborted, with no response, and emits nothing (restart is not
    resurrection). *)
-let finish t ~now op ~kind =
-  if op.aborted = None then begin
-    assert (op.resp = None);
-    op.kind <- kind;
-    op.resp <- Some now;
-    Option.iter t.observe (close_event op)
-  end
+let respond ~now op ~kind =
+  op.aborted = None
+  && begin
+       assert (op.resp = None);
+       op.kind <- kind;
+       op.resp <- Some now;
+       true
+     end
 
-let finish_update t ~now op = finish t ~now op ~kind:op.kind
-let finish_scan t ~now op ~snap = finish t ~now op ~kind:(Scan (Some snap))
+(* The close events are built here rather than through [close_event],
+   whose option would cost every operation two more words. *)
+let finish_update t ~now op =
+  if respond ~now op ~kind:op.kind then
+    t.observe (Obs.Monitor.Respond_update { id = op.id; at = now })
+
+let finish_scan t ~now op ~snap =
+  if respond ~now op ~kind:(Scan (Some snap)) then
+    t.observe (Obs.Monitor.Respond_scan { id = op.id; at = now; snap })
 
 let abort t ~now op =
   if op.resp = None && op.aborted = None then begin

@@ -6,15 +6,22 @@
     comparison (the heart of the equivalence-quorum technique) a pure
     set operation, independent of the value type.
 
-    Representation: one set of int tags per writer, with its cardinality
-    cached beside it, a cached total, and a lazy tag bound set by
-    {!restrict}. With [H] members and [w] writers, the queries an
-    operation makes ({!count_le}, {!cardinal}, {!max_tag},
+    Representation: per writer, a sorted run of int tags in an array
+    that successive versions share (each version sees its own prefix),
+    plus a persistent set of the tags inserted below the run's newest
+    one; cardinalities are cached beside them, with a cached total and
+    a lazy tag bound set by {!restrict}. Views are immutable values:
+    a version once returned never changes, whatever is added to it or
+    to its successors later. With [H] members and [w] writers, the
+    queries an operation makes ({!count_le}, {!cardinal}, {!max_tag},
     {!latest_per_writer}, {!extract}) cost O(w · log H) and allocate
     nothing per member, so their cost does not grow with the history.
     Costs below name [k], the members above a tag bound; on the
     protocol's queries the bound is at or near the newest tag, so [k]
-    is the handful of concurrent updates. *)
+    is the handful of concurrent updates.
+
+    Do not compare or hash views with the polymorphic primitives: the
+    shared arrays hold cells a version does not own. Use {!equal}. *)
 
 type t
 
@@ -27,8 +34,15 @@ val cardinal : t -> int
 (** O(1) on an unrestricted view, else as {!count_le}. *)
 
 val add : Timestamp.t -> t -> t
-(** O(log H); adding above the bound of a restricted view first
-    materialises it, O(w · log H + k). *)
+(** [add ts v] is [v] itself (physically) when [ts] is a member.
+    Adding a writer's tag above its newest one to the version that
+    extended that writer last allocates O(w) words: a fresh per-writer
+    entry, the entries array and the view record, no copy of the
+    members. An insert below a writer's newest tag is a set insert,
+    O(log H), plus an occasional merge of those stragglers into the
+    run: O(1) words amortized. Extending a version that another version
+    has already extended copies that writer's run once, O(H). Adding above the bound of a restricted view
+    first materialises it, O(w · log H + k). *)
 
 val mem : Timestamp.t -> t -> bool
 (** O(log H). *)
@@ -37,10 +51,11 @@ val union : t -> t -> t
 (** O(H): restricted arguments are materialised first. *)
 
 val equal : t -> t -> bool
-(** O(H), as {!union}. *)
+(** O(H), as {!union}, plus O(log H) per straggler; on unrestricted
+    views it allocates nothing per member. *)
 
 val subset : t -> t -> bool
-(** O(H), as {!union}. *)
+(** As {!equal}. *)
 
 val elements : t -> Timestamp.t list
 (** Ascending [(tag, writer)] order, O(w · H). {!fold} and {!iter}

@@ -5,7 +5,7 @@ type 'm t = {
   c_delivered : Obs.Metrics.counter;
   c_dropped : Obs.Metrics.counter;
   c_broadcasts : Obs.Metrics.counter;
-  t0 : int64;
+  t0 : int;  (* monotonic nanoseconds at creation *)
   telem : Telem.t option;
   causal : Obs.Vclock.recorder option;
   (* Link-level fault injection (tests only): [cut.(src * n + dst)]
@@ -19,8 +19,9 @@ type 'm t = {
 let create ?(recorder = true) ?(causal = false) ~n () =
   if n <= 0 then invalid_arg "Rt.Net.create: n must be positive";
   let metrics = Obs.Metrics.create () in
-  let t0 = Monotonic_clock.now () in
-  let now () = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9 in
+  let t0 = Int64.to_int (Monotonic_clock.now ()) in
+  let now_ns () = Int64.to_int (Monotonic_clock.now ()) - t0 in
+  let now () = Float.of_int (now_ns ()) *. 1e-9 in
   let telem = if recorder then Some (Telem.create ~n ~now ()) else None in
   let nodes = Array.init n Node.create in
   Option.iter
@@ -45,7 +46,7 @@ let create ?(recorder = true) ?(causal = false) ~n () =
       Array.iteri
         (fun dst nd ->
           Node.set_on_deliver nd (fun ~src flow ->
-              Obs.Vclock.record_deliver vr ~dst ~src ~flow ~at:(now ()) ()))
+              Obs.Vclock.record_deliver_ns vr ~dst ~src ~flow ~ns:(now_ns ())))
         nodes
   | None -> ());
   {
@@ -72,7 +73,10 @@ let telem t = t.telem
 let recorder t = Option.map Telem.recorder t.telem
 let causal t = t.causal
 
-let now t = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t.t0) *. 1e-9
+(* Nanoseconds since creation: an int, so the per-message causal
+   records take the time unboxed. *)
+let now_ns t = Int64.to_int (Monotonic_clock.now ()) - t.t0
+let now t = Float.of_int (now_ns t) *. 1e-9
 
 let cut_link t ~src ~dst = t.cut.((src * size t) + dst) <- true
 let heal_link t ~src ~dst = t.cut.((src * size t) + dst) <- false
@@ -89,7 +93,7 @@ let send t ~src ~dst msg =
       let flow =
         match t.causal with
         | None -> 0
-        | Some vr -> Obs.Vclock.record_send vr ~src ~dst ~at:(now t) ()
+        | Some vr -> Obs.Vclock.record_send_ns vr ~src ~dst ~ns:(now_ns t)
       in
       if Node.post t.nodes.(dst) (Node.Net { src; msg; flow }) then
         Obs.Metrics.incr_at t.c_delivered src

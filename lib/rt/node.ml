@@ -45,6 +45,11 @@ type 'm t = {
    touched; idle, 64 relaxes cost ~100ns before the real sleep. *)
 let spin_budget = 64
 
+(* What [Queue.pop_or] returns on an empty mailbox: this block is never
+   posted, so a physical comparison tells it apart from every item, and
+   a pop allocates no option. *)
+let empty : _ item = Work (fun () -> ())
+
 (* The mailbox depth is sampled after every park and on every
    [depth_every]-th pop: [Queue.length] walks the queue, and a sample
    per pop would put a ring event and a clock read on every message. *)
@@ -103,55 +108,55 @@ let crash t =
    ring (we are its single writer). *)
 let next t =
   if Atomic.get t.poisoned then raise Crashed;
-  match Queue.pop_opt t.mbox with
-  | Some item ->
-      (match t.telem with
-      | Some nd ->
-          t.pops <- t.pops + 1;
-          if t.pops mod depth_every = 0 then
-            Telem.depth nd ~n:(Queue.length t.mbox)
-      | None -> ());
-      item
-  | None ->
-      let t_park = match t.telem with Some nd -> Telem.now nd | None -> 0. in
-      let item =
-        let rec slow spins =
-          if Atomic.get t.poisoned then raise Crashed;
-          match Queue.pop_opt t.mbox with
-          | Some item -> item
-          | None ->
-              if spins > 0 then begin
-                Domain.cpu_relax ();
-                slow (spins - 1)
-              end
-              else begin
-                let ticket = Park.prepare t.park in
-                if Atomic.get t.poisoned then begin
-                  Park.cancel t.park;
-                  raise Crashed
-                end;
-                (* Mandatory re-check between registering and
-                   sleeping: a push that raced our registration
-                   either is visible here or saw our waiter count
-                   and will bump the sequence. *)
-                match Queue.pop_opt t.mbox with
-                | Some item ->
-                    Park.cancel t.park;
-                    item
-                | None ->
-                    Park.wait t.park ticket;
-                    Park.finish t.park;
-                    slow spin_budget
-              end
-        in
-        slow spin_budget
-      in
-      (match t.telem with
-      | Some nd ->
-          Telem.park nd ~secs:(Telem.now nd -. t_park);
+  let item = Queue.pop_or t.mbox empty in
+  if item != empty then begin
+    (match t.telem with
+    | Some nd ->
+        t.pops <- t.pops + 1;
+        if t.pops mod depth_every = 0 then
           Telem.depth nd ~n:(Queue.length t.mbox)
-      | None -> ());
-      item
+    | None -> ());
+    item
+  end
+  else begin
+    let t_park = match t.telem with Some nd -> Telem.now nd | None -> 0. in
+    let rec slow spins =
+      if Atomic.get t.poisoned then raise Crashed;
+      let item = Queue.pop_or t.mbox empty in
+      if item != empty then item
+      else if spins > 0 then begin
+        Domain.cpu_relax ();
+        slow (spins - 1)
+      end
+      else begin
+        let ticket = Park.prepare t.park in
+        if Atomic.get t.poisoned then begin
+          Park.cancel t.park;
+          raise Crashed
+        end;
+        (* Mandatory re-check between registering and sleeping: a push
+           that raced our registration either is visible here or saw our
+           waiter count and will bump the sequence. *)
+        let item = Queue.pop_or t.mbox empty in
+        if item != empty then begin
+          Park.cancel t.park;
+          item
+        end
+        else begin
+          Park.wait t.park ticket;
+          Park.finish t.park;
+          slow spin_budget
+        end
+      end
+    in
+    let item = slow spin_budget in
+    (match t.telem with
+    | Some nd ->
+        Telem.park nd ~secs:(Telem.now nd -. t_park);
+        Telem.depth nd ~n:(Queue.length t.mbox)
+    | None -> ());
+    item
+  end
 
 (* The operation-context wait: pump the node's own mailbox until [pred]
    holds. Message handlers run inline (that is what makes the predicate

@@ -52,6 +52,11 @@ module type S = sig
   (** Consumer only. [None] when the (linked part of the) queue is
       empty. *)
 
+  val pop_or : 'a t -> 'a -> 'a
+  (** [pop_or q default]: {!pop_opt} without the option — the front
+      element, or [default] when the queue is empty. For consumers that
+      pop per message and have a value no producer ever pushes. *)
+
   val is_empty : 'a t -> bool
   (** Consumer only; same transient-emptiness caveat as {!pop_opt}. *)
 

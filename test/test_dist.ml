@@ -811,6 +811,18 @@ let test_tcp_late_listener () =
   Alcotest.(check bool) "delivered once, from node 0" true
     (Atomic.get got = [ (0, msg) ])
 
+(* A connect that finds nobody listening returns at once after its last
+   attempt: pollers use [~attempts:1] and set their own pace. *)
+let test_connect_fails_fast () =
+  with_dir "no-listener" @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let ep = Dist.Conn.Unix_ep (Filename.concat dir "nobody.sock") in
+  let t0 = Unix.gettimeofday () in
+  let c = Dist.Client.connect ~attempts:1 ep in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "no connection" true (Option.is_none c);
+  if dt > 0.005 then Alcotest.failf "a failed connect took %.1f ms" (dt *. 1e3)
+
 (* ---- suites ---------------------------------------------------------- *)
 
 let suites =
@@ -854,5 +866,7 @@ let suites =
           `Quick test_wake_other_thread;
         Alcotest.test_case "tcp dial before the peer listens" `Quick
           test_tcp_late_listener;
+        Alcotest.test_case "a failed connect does not sleep" `Quick
+          test_connect_fails_fast;
       ] );
   ]

@@ -32,4 +32,5 @@ let () =
          Test_configs.suites;
          Test_chan.suites;
          Test_dist.suites;
+         Test_alloc.suites;
        ])

@@ -156,11 +156,11 @@ let view_program_arb =
     QCheck.Gen.(list_size (int_range 1 40) view_step_gen)
     ~print:(fun steps -> String.concat "; " (List.map pp_step steps))
 
-let agrees v r =
+let agrees ?(top = 9) v r =
   let all_ts =
     List.concat_map
       (fun tag -> List.init 5 (fun writer -> ts ~tag ~writer))
-      (List.init 9 (fun k -> k + 1))
+      (List.init top (fun k -> k + 1))
   in
   let ts_list_eq a b =
     List.length a = List.length b && List.for_all2 Timestamp.equal a b
@@ -176,7 +176,7 @@ let agrees v r =
   && List.for_all (fun t -> View.mem t v = Ref.S.mem t r) all_ts
   && List.for_all
        (fun m -> View.count_le v ~max_tag:m = Ref.count_le r ~max_tag:m)
-       (List.init 11 (fun k -> k - 1))
+       (List.init (top + 2) (fun k -> k - 1))
   && List.for_all
        (fun n ->
          View.latest_per_writer v ~n = Ref.latest_per_writer r ~n
@@ -224,6 +224,90 @@ let prop_view_model =
           Array.for_all2 agrees vs rs && pairs_agree ())
         steps)
 
+(* Versions are values: a version once returned never changes, whatever
+   is later added to it or to its successors. Every step derives a new
+   version from any earlier one — so adds land on old versions after
+   newer ones exist, and on restricted and united ones — and every
+   version ever produced is checked against its model at the end. The
+   [Next] steps add a writer's next larger tag, the in-place append
+   path; the [Any] steps mostly land below it, the straggler path. *)
+type pool_step =
+  | Any of int * Timestamp.t
+  | Next of int * int * int  (* version, writer, gap above its newest *)
+  | Cut of int * int
+  | Join of int * int
+
+let pp_pool_step = function
+  | Any (i, t) -> Printf.sprintf "v%d + %s" i (Timestamp.to_string t)
+  | Next (i, w, g) -> Printf.sprintf "v%d + next(w%d)+%d" i w g
+  | Cut (i, r) -> Printf.sprintf "v%d^{<=%d}" i r
+  | Join (i, j) -> Printf.sprintf "v%d u v%d" i j
+
+let pool_step_gen =
+  QCheck.Gen.(
+    let ver = int_bound 1_000 in
+    frequency
+      [
+        ( 2,
+          map2
+            (fun i (tag, writer) -> Any (i, ts ~tag ~writer))
+            ver
+            (pair (int_range 1 30) (int_range 0 3)) );
+        ( 5,
+          map3 (fun i w g -> Next (i, w, g)) ver (int_range 0 3)
+            (int_range 1 2) );
+        (1, map2 (fun i r -> Cut (i, r)) ver (int_range 0 30));
+        (1, map2 (fun i j -> Join (i, j)) ver ver);
+      ])
+
+let prop_versions_persist =
+  QCheck.Test.make ~name:"every version keeps its members" ~count:300
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 40) pool_step_gen)
+       ~print:(fun steps -> String.concat "; " (List.map pp_pool_step steps)))
+    (fun steps ->
+      let pool = ref [| (View.empty, Ref.S.empty) |] in
+      let pick i = !pool.(i mod Array.length !pool) in
+      List.iter
+        (fun step ->
+          let next =
+            match step with
+            | Any (i, t) ->
+                let v, r = pick i in
+                (View.add t v, Ref.S.add t r)
+            | Next (i, w, gap) ->
+                let v, r = pick i in
+                let newest =
+                  Ref.S.fold
+                    (fun t m ->
+                      if Timestamp.writer t = w then max m (Timestamp.tag t)
+                      else m)
+                    r 0
+                in
+                let t = ts ~tag:(newest + gap) ~writer:w in
+                (View.add t v, Ref.S.add t r)
+            | Cut (i, bound) ->
+                let v, r = pick i in
+                (View.restrict v ~max_tag:bound, Ref.restrict r ~max_tag:bound)
+            | Join (i, j) ->
+                let (va, ra), (vb, rb) = (pick i, pick j) in
+                (View.union va vb, Ref.S.union ra rb)
+          in
+          pool := Array.append !pool [| next |])
+        steps;
+      let top =
+        Array.fold_left (fun m (_, r) -> max m (Ref.max_tag r)) 0 !pool + 1
+      in
+      Array.for_all (fun (v, r) -> agrees ~top v r) !pool
+      && Array.for_all
+           (fun (a, ra) ->
+             Array.for_all
+               (fun (b, rb) ->
+                 View.subset a b = Ref.S.subset ra rb
+                 && View.equal a b = Ref.S.equal ra rb)
+               !pool)
+           !pool)
+
 let test_collector_basics () =
   let c = Collector.create () in
   let r1 = Collector.fresh c in
@@ -239,6 +323,20 @@ let test_collector_basics () =
   Collector.forget c ~req:r1;
   Collector.record c ~req:r1 ~sender:2 ~payload:1;
   Alcotest.(check int) "forgotten req ignores acks" 0 (Collector.count c ~req:r1)
+
+(* Senders past the bitmask's 62 bits are counted by the fallback
+   table, deduplicated like the rest. *)
+let test_collector_wide () =
+  let c = Collector.create () in
+  let req = Collector.fresh c in
+  for round = 1 to 2 do
+    for sender = 0 to 99 do
+      Collector.record c ~req ~sender ~payload:(sender * round)
+    done
+  done;
+  Alcotest.(check int) "100 distinct senders" 100 (Collector.count c ~req);
+  Alcotest.(check int) "first ack's payload per sender" 99
+    (Collector.max_payload c ~req)
 
 let test_history_recording () =
   let h = History.create () in
@@ -301,10 +399,12 @@ let suites =
         qcase prop_restrict_distributes_union;
         qcase prop_count_le;
         qcase prop_view_model;
+        qcase prop_versions_persist;
       ] );
     ( "proto.misc",
       [
         case "collector" test_collector_basics;
+        case "collector past 62 senders" test_collector_wide;
         case "history" test_history_recording;
         case "quorum" test_quorum;
         case "vec" test_vec;
