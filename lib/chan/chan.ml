@@ -51,63 +51,69 @@ let tx_due t ~now =
     List.of_seq (Queue.to_seq t.unacked)
   end
 
-let tx_reconnect t ~now ~peer_rebooted ~rx_expected =
+let tx_reconnect t ~now ~rx_expected =
   (* Trim what the peer already delivered — its ack may have died with
      the old connection. *)
-  while
-    (not (Queue.is_empty t.unacked)) && fst (Queue.peek t.unacked) < rx_expected
-  do
-    ignore (Queue.pop t.unacked)
-  done;
-  if peer_rebooted then begin
-    (* Fresh incarnation: its rx state is gone, so the channel restarts
-       at 0. Renumber the survivors contiguously — their original
-       numbers would sit in the new rx's out-of-order buffer forever,
-       waiting for predecessors that no longer exist. *)
-    let fresh = Queue.create () in
-    let n = ref 0 in
-    Queue.iter
-      (fun (_, m) ->
-        Queue.push (!n, m) fresh;
-        incr n)
-      t.unacked;
-    t.unacked <- fresh;
-    t.next_seq <- !n
-  end;
+  ignore (tx_ack t ~now ~upto:rx_expected : bool);
   t.rto <- t.rto0;
   t.deadline <-
     (if Queue.is_empty t.unacked then infinity else now +. t.rto);
   List.of_seq (Queue.to_seq t.unacked)
+
+let tx_fence t =
+  Queue.clear t.unacked;
+  t.next_seq <- 0;
+  t.rto <- t.rto0;
+  t.deadline <- infinity
 
 let tx_unacked t = Queue.length t.unacked
 let tx_next_seq t = t.next_seq
 let tx_rto t = t.rto
 
 (* Receiver side: [expected] is the next in-order sequence number;
-   later frames wait in [ooo]. *)
-type 'm rx = { mutable expected : int; ooo : (int, 'm) Hashtbl.t }
+   later frames wait in [ooo]. [acked] is the last ack taken. *)
+type 'm rx = {
+  mutable expected : int;
+  ooo : (int, 'm) Hashtbl.t;
+  ack_every : int;
+  mutable acked : int;
+  mutable due : bool;
+}
 
-let rx () = { expected = 0; ooo = Hashtbl.create 8 }
+let rx ~ack_every () =
+  assert (ack_every >= 1);
+  { expected = 0; ooo = Hashtbl.create 8; ack_every; acked = 0; due = false }
 
 let rx_data t ~seq m =
+  let next = seq = t.expected && Hashtbl.length t.ooo = 0 in
+  let delivered = ref [] in
   if seq >= t.expected && not (Hashtbl.mem t.ooo seq) then begin
     Hashtbl.replace t.ooo seq m;
-    let delivered = ref [] in
     while Hashtbl.mem t.ooo t.expected do
       delivered := Hashtbl.find t.ooo t.expected :: !delivered;
       Hashtbl.remove t.ooo t.expected;
       t.expected <- t.expected + 1
-    done;
-    List.rev !delivered
-  end
-  else []
+    done
+  end;
+  if (not next) || t.expected - t.acked >= t.ack_every then t.due <- true;
+  List.rev !delivered
+
+let rx_tick t = if t.expected > t.acked then t.due <- true
+let rx_ack_due t = t.due
+
+let rx_ack t =
+  t.acked <- t.expected;
+  t.due <- false;
+  t.acked
 
 let rx_expected t = t.expected
 let rx_buffered t = Hashtbl.length t.ooo
 
 let rx_reset t =
   t.expected <- 0;
-  Hashtbl.reset t.ooo
+  Hashtbl.reset t.ooo;
+  t.acked <- 0;
+  t.due <- false
 
 type faults = { drop : float; dup : float; reorder : float }
 

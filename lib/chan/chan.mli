@@ -3,20 +3,16 @@
     paper's Section II-A channel assumption. Pure state, no clock, no
     I/O: the caller owns the timers and the wire and passes time in.
     Two drivers feed it — {!Sim.Transport} (virtual time, engine
-    timers, a lossy [Sim.Link]) and [Dist.Net] (wall-clock time, a
-    polling thread, stream sockets under one lock per peer). One [tx]
-    per outgoing channel, one [rx] per incoming channel.
+    timers, a lossy [Sim.Link]) and [Dist.Net] (wall-clock time, one
+    event loop over stream sockets). One [tx] per outgoing channel, one
+    [rx] per incoming channel.
 
-    {e Reconnection}: a stream can die and come back, and either end
-    can be a whole new process. {!tx_reconnect} re-synchronizes the
-    sender after a handshake — trimming what the peer already delivered
-    and, when the peer is a fresh incarnation (its volatile [rx] state
-    is gone), renumbering the survivors from zero. Between stable
-    incarnations this gives exactly-once in-order delivery; across a
-    crash it degrades to at-least-once, which the protocol absorbs
-    (collectors dedup by sender, the kernel is idempotent, and the lost
-    messages a dead incarnation had acked are recovered by the quorum
-    state pull). *)
+    {e One re-delivery rule.} Between two incarnations a channel is
+    exactly-once and in order, across reconnects too ({!tx_reconnect}).
+    A message to a crashed process is lost, as in the paper's model:
+    when the peer is a new incarnation, both drivers call {!tx_fence}
+    and {!rx_reset}, and the new incarnation's quorum state pull
+    recovers what was lost. *)
 
 type 'm tx
 
@@ -37,14 +33,14 @@ val tx_due : 'm tx -> now:float -> (int * 'm) list
     nothing is unacked). A non-empty result backs the RTO off (doubling
     up to the cap) and re-arms. *)
 
-val tx_reconnect :
-  'm tx -> now:float -> peer_rebooted:bool -> rx_expected:int ->
-  (int * 'm) list
-(** Post-handshake resync: drop unacked frames the peer already
-    delivered ([seq < rx_expected]); if [peer_rebooted], renumber the
-    survivors from 0 (the new incarnation expects a fresh channel).
-    Returns every surviving frame for immediate retransmission, RTO
-    reset and re-armed. *)
+val tx_reconnect : 'm tx -> now:float -> rx_expected:int -> (int * 'm) list
+(** Post-handshake resync with the same incarnation: drop unacked
+    frames the peer already delivered ([seq < rx_expected]) and return
+    the rest for immediate retransmission, RTO reset and re-armed. *)
+
+val tx_fence : 'm tx -> unit
+(** The peer is a new incarnation: forget every unacked frame and
+    number from 0, as a fresh {!tx}. *)
 
 val tx_unacked : 'm tx -> int
 val tx_next_seq : 'm tx -> int
@@ -56,16 +52,26 @@ val tx_rto : 'm tx -> float
 
 type 'm rx
 
-val rx : unit -> 'm rx
+val rx : ack_every:int -> unit -> 'm rx
+(** The ack policy: an ack is owed at once on a duplicate or a gap (the
+    sender is retransmitting), else once [ack_every] in-order frames
+    are unacked, else at the driver's next {!rx_tick}. [Sim.Transport]
+    passes 1, [Dist.Net] 64. *)
 
 val rx_data : 'm rx -> seq:int -> 'm -> 'm list
-(** One incoming data frame: returns the messages that just became
-    deliverable, in order (empty on duplicates and gaps). The caller
-    acks cumulatively with {!rx_expected}; when is its policy, but a
-    duplicate must be re-acked, since the lost packet may have been
-    the ack. {!Sim.Transport} acks after every data frame. [Dist.Net]
-    acks at once on a duplicate or a gap, otherwise every 64 frames or
-    20 ms. *)
+(** One incoming data frame: the messages that just became deliverable,
+    in order (empty on duplicates and gaps). *)
+
+val rx_tick : 'm rx -> unit
+(** Owe an ack if anything was delivered since the last one. *)
+
+val rx_ack_due : 'm rx -> bool
+(** An ack is owed. It stays owed, as one cumulative ack, until
+    {!rx_ack}. *)
+
+val rx_ack : 'm rx -> int
+(** Take the owed ack: the [upto] to send (every [seq < upto] is
+    delivered). A handshake's [rx_expected] is taken this way too. *)
 
 val rx_expected : 'm rx -> int
 
@@ -73,8 +79,8 @@ val rx_buffered : 'm rx -> int
 (** Frames held out of order, waiting for a gap to fill. *)
 
 val rx_reset : 'm rx -> unit
-(** The peer is a fresh incarnation: expect a channel renumbered
-    from 0. *)
+(** The peer is a new incarnation: expect a channel numbered from 0,
+    the counterpart of {!tx_fence}. *)
 
 (** {2 Link faults}
 

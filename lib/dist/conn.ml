@@ -22,8 +22,6 @@ let endpoint_of_string s =
           | _ -> Error "tcp endpoint has a bad port"))
   | _ -> Error (Printf.sprintf "bad endpoint %S (unix:PATH or tcp:HOST:PORT)" s)
 
-let pp_endpoint ppf ep = Format.pp_print_string ppf (endpoint_to_string ep)
-
 let sockaddr = function
   | Unix_ep path -> Unix.ADDR_UNIX path
   | Tcp_ep (host, port) ->

@@ -11,7 +11,6 @@ type endpoint = Unix_ep of string | Tcp_ep of string * int
 
 val endpoint_to_string : endpoint -> string
 val endpoint_of_string : string -> (endpoint, string) result
-val pp_endpoint : Format.formatter -> endpoint -> unit
 
 val listen : endpoint -> Unix.file_descr
 (** Bind + listen (unlinking a stale unix socket file first).

@@ -3,28 +3,26 @@ type msg = Wire.msg
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-(* In-order data frames are acked once [ack_every] are unacked, or else
-   on the next [tick] — 5x inside Chan's 0.1 s initial RTO. Redials back
-   off from [backoff0], doubling, until a handshake. *)
-let ack_every, tick = (64, 0.02)
+(* Acks are owed by [Chan]'s policy, with 64 for [ack_every] and [tick]
+   5x inside Chan's 0.1 s initial RTO. Redials back off from
+   [backoff0], doubling, until a handshake. *)
+let tick = 0.02
 let backoff0, backoff_max = (0.01, 0.5)
 let reorder_window = 0.005
 
-(* Both channels between this node and node [id], and the connection
-   each rides: [out] dialed by us, [isock] by [id]. [out] is redialed
+(* Both channels between this node and node [id], the connection each
+   rides ([out] dialed by us, [isock] by [id]) and [id]'s incarnation,
+   from the first [Hello] or [Welcome] that named it. [out] is redialed
    only once closed, so what arrives on it is of the current numbering. *)
 type link = {
   id : int;
   ptx : msg Chan.tx;
+  irx : msg Chan.rx;
   mutable peer_boot : int option;
   mutable out : sock option;
   mutable dial_at : float;
   mutable backoff : float;
-  irx : msg Chan.rx;
-  mutable iboot : int option;
   mutable isock : sock option;
-  mutable acked : int;
-  mutable ack_due : bool;
 }
 
 (* A non-blocking socket: its decoder and out-buffer [obuf.(olo..ohi)]. *)
@@ -118,9 +116,8 @@ let create ?(faults = Chan.no_faults) ?(seed = 1) ~me ~eps () =
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
   let link id =
-    { id; ptx = Chan.tx (); peer_boot = None; out = None;
-      dial_at = 0.; backoff = backoff0; irx = Chan.rx (); iboot = None;
-      isock = None; acked = 0; ack_due = false }
+    { id; ptx = Chan.tx (); irx = Chan.rx ~ack_every:64 (); peer_boot = None;
+      out = None; dial_at = 0.; backoff = backoff0; isock = None }
   in
   (* The incarnation id must differ across restarts of one node id:
      monotonic nanoseconds xor pid, kept positive. *)
@@ -216,17 +213,30 @@ let put_data t l seq m =
           t.holds <- (now () +. d, s, bytes) :: t.holds)
   | _ -> ()
 
-(* The channel's one waiting ack goes out once its connection has
-   written all else: a peer that stops reading acks costs nothing. *)
-let send_ack t l ~due =
-  l.ack_due <- l.ack_due || due;
+(* The ack [Chan] says the channel owes goes out once its connection
+   has written all else: a peer that stops reading acks costs nothing. *)
+let send_ack t l =
   match l.isock with
-  | Some s when l.ack_due && idle s ->
-      l.acked <- Chan.rx_expected l.irx;
-      l.ack_due <- false;
+  | Some s when Chan.rx_ack_due l.irx && idle s ->
       Obs.Metrics.incr t.c.acks_sent;
-      write s (Wire.encode (Wire.Ack { upto = l.acked }))
+      write s (Wire.encode (Wire.Ack { upto = Chan.rx_ack l.irx }))
   | _ -> ()
+
+(* [boot] names [l]'s peer, in a [Hello] or [Welcome] on [s]. The first
+   sighting of a new incarnation fences the dead one (DESIGN §7): drop
+   what was queued for it, expect a channel from 0, close its sockets
+   and redial at once. A peer never seen before keeps its backlog. *)
+let meet l s boot =
+  if l.peer_boot <> None && l.peer_boot <> Some boot then begin
+    Chan.tx_fence l.ptx;
+    Chan.rx_reset l.irx;
+    List.iter
+      (fun s' -> if s' != s then close_sock s')
+      (Option.to_list l.out @ Option.to_list l.isock);
+    l.dial_at <- now ();
+    l.backoff <- backoff0
+  end;
+  l.peer_boot <- Some boot
 
 (* ---- Frames in. ---------------------------------------------------- *)
 
@@ -248,39 +258,29 @@ let rec drain t s =
 and on_frame t s frame =
   match (s.role, frame) with
   | Greeting l, Wire.Welcome { boot; rx_expected } ->
-      let rebooted = Option.fold ~none:false ~some:(( <> ) boot) l.peer_boot in
       if l.peer_boot <> None then Obs.Metrics.incr t.c.reconnects;
-      l.peer_boot <- Some boot;
+      meet l s boot;
       l.backoff <- backoff0;
       s.role <- Out l;
       List.iter
         (fun (seq, m) -> put_data t l seq m)
-        (Chan.tx_reconnect l.ptx ~now:(now ()) ~peer_rebooted:rebooted
-           ~rx_expected)
+        (Chan.tx_reconnect l.ptx ~now:(now ()) ~rx_expected)
   | Out l, Wire.Ack { upto } -> ignore (Chan.tx_ack l.ptx ~now:(now ()) ~upto)
   | Accepted, Wire.Hello { src; boot }
     when src >= 0 && src < Array.length t.links && src <> t.me ->
       (* A new connection from [src] means its old one is dead: what we
          did not deliver from it, [Welcome] asks for again. *)
       let l = t.links.(src) in
+      meet l s boot;
       Option.iter close_sock l.isock;
-      if l.iboot <> Some boot then begin
-        Chan.rx_reset l.irx;
-        l.iboot <- Some boot
-      end;
       s.role <- In l;
       l.isock <- Some s;
-      l.acked <- Chan.rx_expected l.irx;
-      l.ack_due <- false;
-      write s (Wire.encode (Wire.Welcome { boot = t.boot; rx_expected = l.acked }))
+      write s
+        (Wire.encode (Wire.Welcome { boot = t.boot; rx_expected = Chan.rx_ack l.irx }))
   | In l, Wire.Data { seq; msg } ->
-      (* A frame that is not simply the next one — a duplicate, or one at
-         a gap — means its sender is retransmitting: ack it at once. *)
-      let next = seq = Chan.rx_expected l.irx && Chan.rx_buffered l.irx = 0 in
       Chan.rx_data l.irx ~seq msg
       |> List.iter (fun m -> Obs.Metrics.incr t.c.delivered; t.handler ~src:l.id m);
       send_ack t l
-        ~due:((not next) || Chan.rx_expected l.irx - l.acked >= ack_every)
   | Accepted, Wire.Req _ ->
       s.role <- Client { inflight = 0 };
       on_frame t s frame
@@ -316,7 +316,8 @@ let on_tick t now_ =
           Chan.tx_due l.ptx ~now:now_
           |> List.iter (fun (seq, m) -> Obs.Metrics.incr t.c.retransmits; put_data t l seq m)
       | _ -> ());
-      send_ack t l ~due:(Chan.rx_expected l.irx > l.acked))
+      Chan.rx_tick l.irx;
+      send_ack t l)
     t.links
 
 (* A ready socket: write what it can, read what came, act on every
@@ -325,7 +326,7 @@ let serve t s ~readable ~writable =
   if writable then flush s;
   if readable && (not s.closed) && Conn.fill s.rd = `Eof then close_sock s;
   drain t s;
-  match s.role with In l -> send_ack t l ~due:false | _ -> ()
+  match s.role with In l -> send_ack t l | _ -> ()
 
 (* One turn of the loop: run due timers, [select] until a socket is
    ready, a deadline passes or [wake] is called, serve the ready
@@ -381,22 +382,28 @@ let pump t =
     t.handler ~src:t.me (Queue.pop t.loopback)
   done
 
+exception Stopped
+
 (* The contract every backend honours: handlers run only in [pump], so
-   an operation meets them only at [await]; work that arrives meanwhile
-   waits until it returns, and so does a stop request. *)
+   an operation meets them only at [await], and work that arrives
+   meanwhile waits until it returns. A stop ends the wait: the
+   operation is left as a crash would leave it. *)
 let await t pred =
   while not (pred ()) do
+    if Atomic.get t.stopping then raise Stopped;
     pump t
   done
 
 let run t =
   t.loop_thread <- Thread.id (Thread.self ());
   let running () = not (Atomic.get t.stopping) in
-  while running () do
-    match Atomic.exchange t.posted [] with
-    | [] -> pump t
-    | fs -> List.iter (fun f -> if running () then f ()) (List.rev fs)
-  done
+  try
+    while running () do
+      match Atomic.exchange t.posted [] with
+      | [] -> pump t
+      | fs -> List.iter (fun f -> if running () then f ()) (List.rev fs)
+    done
+  with Stopped -> ()
 
 (* At most one byte in the pipe: [pump] clears [woken] before it empties
    the pipe, and [run] reads [posted] after that. *)

@@ -4,9 +4,10 @@
     unmodified. Node [me] listens on its endpoint and dials every peer;
     channel (me, dst) rides me's connection to dst as [Data] frames,
     acked cumulatively on the same socket. {!Chan} makes each channel
-    reliable-FIFO across drops, reconnects and restarts; the handshake
+    reliable-FIFO across drops and reconnects; the handshake
     ([Hello]/[Welcome], with boot incarnation ids) tells a reconnect
-    from a peer that came back as a new process.
+    from a peer that came back as a new process, whose channels the
+    first [Hello] or [Welcome] naming it fences ({!Chan.tx_fence}).
 
     {e One thread.} The thread in {!run} is the node's only one: {!run}
     and [await] pump one [select] loop over the listener, the sockets
@@ -22,11 +23,10 @@
     a client is read only while its last reply is written and no
     request of its runs.
 
-    {e Acks.} A duplicate, or a frame at a gap, is acked at once: its
-    sender is retransmitting. Other frames are acked once 64 are
-    unacked, or on the tick. A channel has at most one ack waiting for
-    an empty out-buffer. ["dist.data_sent"], ["dist.retransmits"] and
-    ["dist.acks_sent"] count the frames on the wire, link faults aside.
+    {e Acks.} {!Chan.rx}'s policy, [ack_every = 64] plus the tick; an
+    owed ack waits for an empty out-buffer. ["dist.data_sent"],
+    ["dist.retransmits"] and ["dist.acks_sent"] count the frames on the
+    wire, link faults aside.
 
     {e Link faults} ({!Chan.faults}) apply to the [Data] frames a node
     sends: [drop] skips one (counted in ["link.wire_lost"]), [dup]
@@ -62,10 +62,15 @@ val now_ns : unit -> int
 val start : t -> unit
 (** Bind the listener, after the protocol installed its handler. *)
 
+exception Stopped
+(** Raised by the backend's [await] after {!request_stop}: the waiting
+    operation ends as a crash ends it. {!run} catches it. *)
+
 val run : t -> unit
 (** The node's loop, on the calling thread: serve sockets and timers,
     run posted work in order, and return once {!request_stop} was
-    called. The running operation completes; queued work is dropped. *)
+    called. An operation waiting in [await] then ends ({!Stopped});
+    queued work is dropped. *)
 
 val post_work : t -> (unit -> unit) -> unit
 (** Queue a thunk for {!run}, from any thread. A post from another

@@ -43,7 +43,9 @@ let start ?telemetry ?seed cfg =
                 in
                 let t_resp = Net.now_ns () in
                 reply (Wire.Resp { rid; t_inv; t_resp; result })
-              with e ->
+              with
+              | Net.Stopped -> raise Net.Stopped
+              | e ->
                 (* Don't let a failed op kill the node loop; the client
                    times out and retries elsewhere. *)
                 Printf.eprintf "dist-node %d: op failed: %s\n%!" cfg.me

@@ -160,15 +160,19 @@ let next t =
 
 (* The operation-context wait: pump the node's own mailbox until [pred]
    holds. Message handlers run inline (that is what makes the predicate
-   progress); fresh operations are deferred; [Stop] is latched for the
-   run loop. This reproduces the simulator's atomicity contract exactly:
-   handlers interleave with operation code only at await points. *)
+   progress); fresh operations are deferred. This reproduces the
+   simulator's atomicity contract exactly: handlers interleave with
+   operation code only at await points. [Stop] is latched for the run
+   loop and ends the wait as a crash does: the peers may already have
+   stopped, so the predicate may never hold. *)
 let await t pred =
   while not (pred ()) do
     match next t with
     | Net { src; msg; flow } -> deliver t ~src ~flow msg
     | Work f -> t.deferred_rev <- f :: t.deferred_rev
-    | Stop -> t.stop <- true
+    | Stop ->
+        t.stop <- true;
+        raise Crashed
   done
 
 let rec drain_deferred t =

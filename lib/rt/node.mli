@@ -17,8 +17,9 @@
     run loop catches it and exits; the node never speaks again. *)
 
 exception Crashed
-(** Raised by a blocking receive on a poisoned (crashed) node; unwinds
-    the operation running on the node's domain. *)
+(** Raised by a blocking receive on a poisoned (crashed) node, and by
+    {!await} on a [Stop]; unwinds the operation running on the node's
+    domain. *)
 
 type 'm item =
   | Net of { src : int; msg : 'm; flow : int }
@@ -63,7 +64,8 @@ val post : 'm t -> 'm item -> bool
 val await : 'm t -> (unit -> bool) -> unit
 (** Node-domain only: block until the predicate holds, running message
     handlers and deferring [Work] in the meantime.
-    @raise Crashed if the node is poisoned while waiting. *)
+    @raise Crashed if the node is poisoned, or [Stop] arrives, while
+    waiting: the operation ends as a crash ends it. *)
 
 val crash : 'm t -> unit
 (** Poison the mailbox and wake the domain so it observes the crash even

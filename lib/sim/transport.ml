@@ -25,10 +25,6 @@ type 'm t = {
 
 let epoch t ~src ~dst = t.incarnation.(src) + t.incarnation.(dst)
 
-let fresh_tx link =
-  let d = Link.delay_bound link in
-  Chan.tx ~rto0:(2.5 *. d) ~rto_max:(16. *. d) ()
-
 (* Turn channel (src, dst)'s deadline into an engine timer. The delay is
    the machine's current RTO — the deadline it just set is now + RTO, so
    the event fires exactly at it. On expiry, resend whatever [tx_due]
@@ -71,12 +67,12 @@ let handle_data t ~me ~src ~seq payload =
         t.handlers.(me) ~src m
       end)
     (Chan.rx_data rx ~seq payload);
-  (* Always (re-)ack cumulatively — also on duplicates, since the
-     original ack may have been the packet that was lost. *)
-  if not t.dead.(src) then begin
+  (* [ack_every = 1]: every data frame, duplicates included, owes an
+     ack, and it goes out at once. *)
+  if Chan.rx_ack_due rx && not t.dead.(src) then begin
     Obs.Metrics.incr t.acks_sent;
     Link.send t.link ~src:me ~dst:src
-      (Ack { epoch = epoch t ~src:me ~dst:src; upto = Chan.rx_expected rx })
+      (Ack { epoch = epoch t ~src:me ~dst:src; upto = Chan.rx_ack rx })
   end
 
 let handle_ack t ~me ~src ~upto =
@@ -90,6 +86,8 @@ let create ?faults ?metrics engine ~n ~delay =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
   let link = Link.create ?faults ~metrics engine ~n ~delay in
+  let d = Link.delay_bound link in
+  let tx () = Chan.tx ~rto0:(2.5 *. d) ~rto_max:(16. *. d) () in
   let t =
     {
       engine;
@@ -98,8 +96,8 @@ let create ?faults ?metrics engine ~n ~delay =
       handlers = Array.make n (fun ~src:_ _ -> ());
       dead = Array.make n false;
       incarnation = Array.make n 0;
-      tx = Array.init n (fun _ -> Array.init n (fun _ -> fresh_tx link));
-      rx = Array.init n (fun _ -> Array.init n (fun _ -> Chan.rx ()));
+      tx = Array.init n (fun _ -> Array.init n (fun _ -> tx ()));
+      rx = Array.init n (fun _ -> Array.init n (fun _ -> Chan.rx ~ack_every:1 ()));
       timer_gen = Array.make_matrix n n 0;
       delivered = Obs.Metrics.counter metrics "transport.delivered";
       data_sent = Obs.Metrics.counter metrics "transport.data_sent";
@@ -145,23 +143,24 @@ let send t ~src ~dst m =
   end
 
 (* The dead flag stops every timer touching [i] while it is down, and
-   the generation bump keeps those timers dead after a restart; dropping
-   the channel state frees it and keeps [pp_state] to live traffic. *)
+   the generation bump keeps those timers dead after a restart. The
+   fence is the rule [Dist.Net] runs on a new boot id: what is queued
+   toward the dead incarnation is lost, and so is what it had queued. *)
 let kill t i =
   if not t.dead.(i) then begin
     t.dead.(i) <- true;
     for j = 0 to t.n - 1 do
-      t.tx.(i).(j) <- fresh_tx t.link;
-      t.tx.(j).(i) <- fresh_tx t.link;
+      Chan.tx_fence t.tx.(i).(j);
+      Chan.tx_fence t.tx.(j).(i);
       t.timer_gen.(i).(j) <- t.timer_gen.(i).(j) + 1;
       t.timer_gen.(j).(i) <- t.timer_gen.(j).(i) + 1;
       Chan.rx_reset t.rx.(i).(j)
     done
   end
 
-(* The reboot path [Dist.Net] runs on a fresh [Hello] boot id: every
-   peer's receiver from [i] expects a channel renumbered from 0, and the
-   new incarnation fences off whatever the dead one left on the wire. *)
+(* Every peer's receiver from [i] expects a channel numbered from 0,
+   and the new epoch discards whatever the dead incarnation left on the
+   wire. *)
 let restart t i =
   if t.dead.(i) then begin
     t.dead.(i) <- false;

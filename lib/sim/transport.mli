@@ -12,14 +12,10 @@
     and its frames into link packets.
 
     Crash handling is by simulation oracle ({!kill}): a dead node neither
-    transmits (including retransmissions — a crashed node must not keep
-    "sending") nor delivers, and peers abandon channels towards it so the
-    event queue can drain. Consequently, over a {e faulty} link, a
-    message whose sender crashes before it is acknowledged may be lost —
-    exactly the weakening the reliable-channel assumption papers over,
-    and why the chaos campaign checks safety under crash + loss.
-    {!restart} brings the node back as a new incarnation with fresh
-    channels in both directions. *)
+    transmits nor delivers, and every channel to or from it is fenced
+    by {!Chan.tx_fence}, the rule [Dist.Net] runs on a new boot id, so
+    the event queue can drain. {!restart} brings the node back as a new
+    incarnation with fresh channels in both directions. *)
 
 type 'm packet =
   | Data of { epoch : int; seq : int; payload : 'm }
@@ -57,8 +53,9 @@ val send : 'm t -> src:int -> dst:int -> 'm -> unit
     caller's business — it needs no reliability protocol). *)
 
 val kill : _ t -> int -> unit
-(** Crash node [i]: drop its send/receive state, cancel every
-    retransmission timer touching it (both directions). Idempotent. *)
+(** Crash node [i]: fence every channel to or from it, so nothing
+    queued for the dead incarnation reaches the next one, and cancel
+    every retransmission timer touching it. Idempotent. *)
 
 val restart : _ t -> int -> unit
 (** Revive killed node [i] as a new incarnation: every peer's receiver

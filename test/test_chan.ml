@@ -2,12 +2,12 @@
    simulator's transport and the socket backend drive: hand-written
    units for each operation, then one tx/rx pair checked against a
    sequential model over random drop, dup, reorder, reconnect and
-   reboot schedules. *)
+   reboot schedules, under both drivers' ack policies. *)
 
 (* ---- units ----------------------------------------------------------- *)
 
 let test_rx_order () =
-  let r = Chan.rx () in
+  let r = Chan.rx ~ack_every:1 () in
   Alcotest.(check (list string)) "in-order 0" [ "a" ] (Chan.rx_data r ~seq:0 "a");
   Alcotest.(check (list string)) "in-order 1" [ "b" ] (Chan.rx_data r ~seq:1 "b");
   Alcotest.(check (list string)) "dup dropped" [] (Chan.rx_data r ~seq:0 "a");
@@ -55,14 +55,54 @@ let test_tx_reconnect () =
   (* same incarnation: the peer already delivered seq 0 and 1 *)
   Alcotest.(check (list (pair int string)))
     "resync trims delivered" [ (2, "c") ]
-    (Chan.tx_reconnect t ~now:0.1 ~peer_rebooted:false ~rx_expected:2);
+    (Chan.tx_reconnect t ~now:0.1 ~rx_expected:2);
   Alcotest.(check int) "numbering preserved" 3 (Chan.tx_next_seq t);
-  (* peer restarted: volatile rx state gone, channel renumbers from 0 *)
+  (* peer restarted: what was queued for the dead incarnation is gone,
+     and the channel numbers from 0 *)
   ignore (Chan.tx_send t ~now:0.1 "d");
+  Chan.tx_fence t;
+  Alcotest.(check int) "fence forgets the backlog" 0 (Chan.tx_unacked t);
   Alcotest.(check (list (pair int string)))
-    "reboot renumbers survivors" [ (0, "c"); (1, "d") ]
-    (Chan.tx_reconnect t ~now:0.2 ~peer_rebooted:true ~rx_expected:0);
-  Alcotest.(check int) "next_seq follows" 2 (Chan.tx_next_seq t)
+    "nothing left to retransmit" [] (Chan.tx_due t ~now:10.);
+  Alcotest.(check int) "first send after the fence" 0 (Chan.tx_send t ~now:0.2 "e");
+  Alcotest.(check (list (pair int string)))
+    "the new incarnation gets only what follows" [ (0, "e") ]
+    (Chan.tx_reconnect t ~now:0.2 ~rx_expected:0)
+
+(* The ack policy: at once on a duplicate or a gap, else every
+   [ack_every] in-order frames or on the tick; one owed ack, never a
+   queue. *)
+let test_rx_ack_policy () =
+  let r = Chan.rx ~ack_every:3 () in
+  let feed seq = ignore (Chan.rx_data r ~seq seq) in
+  feed 0;
+  feed 1;
+  Alcotest.(check bool) "two in order: not yet" false (Chan.rx_ack_due r);
+  feed 2;
+  Alcotest.(check bool) "third in order: due" true (Chan.rx_ack_due r);
+  feed 3;
+  Alcotest.(check int) "one cumulative ack" 4 (Chan.rx_ack r);
+  Alcotest.(check bool) "taken" false (Chan.rx_ack_due r);
+  Chan.rx_tick r;
+  Alcotest.(check bool) "tick with nothing new" false (Chan.rx_ack_due r);
+  feed 4;
+  Chan.rx_tick r;
+  Alcotest.(check bool) "tick after progress" true (Chan.rx_ack_due r);
+  Alcotest.(check int) "tick ack" 5 (Chan.rx_ack r);
+  feed 4;
+  Alcotest.(check bool) "duplicate: at once" true (Chan.rx_ack_due r);
+  ignore (Chan.rx_ack r);
+  feed 6;
+  Alcotest.(check bool) "gap: at once" true (Chan.rx_ack_due r);
+  ignore (Chan.rx_ack r);
+  feed 5;
+  Alcotest.(check bool) "gap fill: at once" true (Chan.rx_ack_due r);
+  Alcotest.(check int) "fill acks both" 7 (Chan.rx_ack r);
+  feed 7;
+  Chan.rx_reset r;
+  Alcotest.(check bool) "reset owes nothing" false (Chan.rx_ack_due r);
+  Chan.rx_tick r;
+  Alcotest.(check bool) "nor after a tick" false (Chan.rx_ack_due r)
 
 (* ---- one tx/rx pair against a sequential model ---------------------- *)
 
@@ -128,27 +168,36 @@ let rec is_prefix p l =
   | _ :: _, [] -> false
 
 (* The model: what the receiver's current incarnation must deliver is
-   [epoch] — the sender's unacked survivors when that incarnation began,
-   then every message sent since, in send order. A reboot of either end
-   starts a new epoch; wires of the old connection die with it.
-   Exactly-once in order: [got] is a prefix of [epoch] after every step.
-   No stall: once the faults stop, [got] catches up with all of
-   [epoch]. *)
+   [epoch] — every message sent since that incarnation began, in send
+   order. A reboot of either end starts a new, empty epoch (the fence:
+   nothing queued for a dead incarnation reaches the next one); wires of
+   the old connection die with it. Exactly-once in order: [got] is a
+   prefix of [epoch] after every step. No stall: once the faults stop,
+   [got] catches up with all of [epoch]. The receiver acks as [Chan]'s
+   policy says, [Tick] driving its tick, and after a tick everything
+   delivered is acked; both drivers' policies run. *)
 let chan_matches_model =
   QCheck.Test.make ~name:"chan: tx/rx pair = sequential model" ~count:500
-    schedule_arb (fun steps ->
-      let tx = ref (Chan.tx ()) and rx = Chan.rx () in
+    QCheck.(pair (make ~print:string_of_int (Gen.oneofl [ 1; 64 ])) schedule_arb)
+    (fun (ack_every, steps) ->
+      let tx = ref (Chan.tx ()) and rx = Chan.rx ~ack_every () in
       let now = ref 0. and next = ref 0 in
       let data = ref [] and acks = ref [] in
-      let epoch = ref [] and got = ref [] in
+      let epoch = ref [] and got = ref [] and last_ack = ref 0 in
+      let take_ack () =
+        last_ack := Chan.rx_ack rx;
+        !last_ack
+      in
+      let ack () = if Chan.rx_ack_due rx then acks := !acks @ [ take_ack () ] in
       let arrive (seq, m) =
         got := !got @ Chan.rx_data rx ~seq m;
-        acks := !acks @ [ Chan.rx_expected rx ]
+        ack ()
       in
-      let new_epoch ~survivors =
-        data := survivors;
+      let new_epoch () =
+        last_ack := 0;
+        data := [];
         acks := [];
-        epoch := List.map snd survivors;
+        epoch := [];
         got := []
       in
       let apply = function
@@ -171,22 +220,24 @@ let chan_matches_model =
         | Ack_drop i when !acks <> [] -> acks := snd (take i !acks)
         | Tick k ->
             now := !now +. (0.01 *. float_of_int k);
-            data := !data @ Chan.tx_due !tx ~now:!now
+            data := !data @ Chan.tx_due !tx ~now:!now;
+            Chan.rx_tick rx;
+            ack ();
+            if !last_ack <> Chan.rx_expected rx then
+              QCheck.Test.fail_reportf "a tick left frames %d..%d unacked"
+                !last_ack (Chan.rx_expected rx - 1)
         | Reconnect ->
+            (* The handshake's [rx_expected] is an ack, taken as one. *)
             data :=
-              !data
-              @ Chan.tx_reconnect !tx ~now:!now ~peer_rebooted:false
-                  ~rx_expected:(Chan.rx_expected rx)
+              !data @ Chan.tx_reconnect !tx ~now:!now ~rx_expected:(take_ack ())
         | Peer_reboot ->
             Chan.rx_reset rx;
-            new_epoch
-              ~survivors:
-                (Chan.tx_reconnect !tx ~now:!now ~peer_rebooted:true
-                   ~rx_expected:0)
+            Chan.tx_fence !tx;
+            new_epoch ()
         | Sender_reboot ->
             tx := Chan.tx ();
             Chan.rx_reset rx;
-            new_epoch ~survivors:[]
+            new_epoch ()
         | Deliver _ | Drop _ | Dup _ | Ack _ | Ack_drop _ -> ()
       in
       List.iter
@@ -205,6 +256,8 @@ let chan_matches_model =
         incr rounds;
         List.iter arrive !data;
         data := [];
+        Chan.rx_tick rx;
+        ack ();
         List.iter (fun upto -> ignore (Chan.tx_ack !tx ~now:!now ~upto)) !acks;
         acks := [];
         now := !now +. 3.;
@@ -252,6 +305,7 @@ let suites =
         Alcotest.test_case "tx cumulative ack trim" `Quick test_tx_ack_trim;
         Alcotest.test_case "tx retransmit backoff" `Quick test_tx_backoff;
         Alcotest.test_case "tx reconnect resync" `Quick test_tx_reconnect;
+        Alcotest.test_case "rx ack policy" `Quick test_rx_ack_policy;
         QCheck_alcotest.to_alcotest chan_matches_model;
         Alcotest.test_case "link-fault rate parser" `Quick test_rate_parser;
       ] );

@@ -505,7 +505,7 @@ let test_stalled_peer () =
     Alcotest.fail "sends blocked on a peer that stopped reading"
   end;
   Unix.setsockopt_float sock Unix.SO_RCVTIMEO 5.;
-  let rx = Chan.rx () in
+  let rx = Chan.rx ~ack_every:1 () in
   let got = ref [] in
   while Chan.rx_expected rx < k do
     match Dist.Conn.read_frame reader with
@@ -823,6 +823,156 @@ let test_connect_fails_fast () =
   Alcotest.(check bool) "no connection" true (Option.is_none c);
   if dt > 0.005 then Alcotest.failf "a failed connect took %.1f ms" (dt *. 1e3)
 
+(* ---- the incarnation fence ------------------------------------------ *)
+
+let echo tag = LC.Msg.Echo_tag { tag }
+
+(* Node 1 played by hand, answering node 0's dial on [listener]: read
+   its Hello, answer [Welcome boot], and return the socket and its
+   reader. *)
+let answer_dial eps listener ~boot =
+  let fd = Dist.Conn.accept eps.(1) listener in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.;
+  let rd = Dist.Conn.reader fd in
+  (match Dist.Conn.read_frame rd with
+  | Ok (W.Hello { src = 0; _ }) -> ()
+  | _ -> Alcotest.fail "expected node 0's Hello");
+  if not (Dist.Conn.write_frame fd (W.Welcome { boot; rx_expected = 0 })) then
+    Alcotest.fail "Welcome not written";
+  (fd, rd)
+
+(* Node 1's incarnation [boot] dials node 0 and reads its Welcome, so
+   node 0 has seen [boot] once this returns. *)
+let dial_node0 eps ~boot =
+  let fd =
+    match Dist.Conn.connect eps.(0) with
+    | Ok fd -> fd
+    | Error e -> Alcotest.failf "connect: %s" (Printexc.to_string e)
+  in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.;
+  let rd = Dist.Conn.reader fd in
+  if not (Dist.Conn.write_frame fd (W.Hello { src = 1; boot })) then
+    Alcotest.fail "Hello not written";
+  (match Dist.Conn.read_frame rd with
+  | Ok (W.Welcome _) -> ()
+  | _ -> Alcotest.fail "expected node 0's Welcome");
+  fd
+
+let read_data rd what =
+  match Dist.Conn.read_frame rd with
+  | Ok (W.Data { seq; msg }) -> (seq, msg)
+  | Ok f -> Alcotest.failf "%s: got a %s frame" what (frame_kind f)
+  | Error _ -> Alcotest.failf "%s: nothing arrived" what
+
+(* Node 0 runs on a thread; node 1 is played by hand. Its first
+   incarnation (boot 1) answers node 0's dial and receives two messages
+   it never acks, then dies; node 0 queues a third while it is down.
+   [f] gets node 0, the endpoints and a function that makes node 1's
+   next listener (node 0's redials are refused until then). *)
+let with_dead_peer name f =
+  with_dir name @@ fun dir ->
+  let eps = sock_eps dir 2 in
+  let fds = ref [] in
+  let keep fd = fds := fd :: !fds; fd in
+  let listen () =
+    let l = keep (Dist.Conn.listen eps.(1)) in
+    (* [accept] fails after 5 s instead of hanging the suite. *)
+    Unix.setsockopt_float l Unix.SO_RCVTIMEO 5.;
+    l
+  in
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  let net = Dist.Net.create ~me:0 ~eps () in
+  let listener = listen () in
+  let stop_loop = spawn_loop net in
+  Fun.protect ~finally:(fun () -> List.iter close !fds; stop_loop ()) @@ fun () ->
+  let send tag =
+    Dist.Net.post_work net (fun () -> (Dist.Net.backend net).send ~src:0 ~dst:1 (echo tag))
+  in
+  let old, rd = answer_dial eps listener ~boot:1 in
+  send 1;
+  send 2;
+  ignore (read_data rd "first incarnation, message 1");
+  ignore (read_data rd "first incarnation, message 2");
+  close old;
+  close listener;
+  send 3;
+  Thread.delay 0.05;
+  f net eps ~send ~listen ~keep
+
+(* Frames queued toward a killed peer are lost with it: its next
+   incarnation's channel from node 0 starts with what node 0 sends
+   after meeting it, at seq 0. *)
+let test_fence_drops_backlog () =
+  with_dead_peer "fence-backlog" @@ fun _net eps ~send ~listen ~keep ->
+  ignore (keep (dial_node0 eps ~boot:2));
+  let listener = listen () in
+  let fd, rd = answer_dial eps listener ~boot:2 in
+  ignore (keep fd);
+  send 4;
+  match read_data rd "second incarnation" with
+  | 0, LC.Msg.Echo_tag { tag = 4 } -> ()
+  | seq, m ->
+      Alcotest.failf "the new incarnation got seq %d (%s) before message 4" seq
+        (LC.Msg.kind m)
+
+(* The first sighting of a new incarnation fences it, on whichever
+   connection it comes: node 1's new incarnation dials in and sends a
+   message while node 0's redial to it is still refused and backing
+   off. Node 0's reply, sent after the fence, must reach node 1 once
+   the redial gets through, as the first frame of the channel; a fence
+   that waited for the redial's Welcome would drop it. *)
+let test_fence_keeps_reply () =
+  with_dead_peer "fence-reply" @@ fun net eps ~send:_ ~listen ~keep ->
+  let b = Dist.Net.backend net in
+  Dist.Net.post_work net (fun () ->
+      b.set_handler 0 (fun ~src m ->
+          match m with
+          | LC.Msg.Echo_tag { tag } when src = 1 ->
+              b.send ~src:0 ~dst:1 (echo (tag + 100))
+          | _ -> ()));
+  let inbound = keep (dial_node0 eps ~boot:2) in
+  if not (Dist.Conn.write_frame inbound (W.Data { seq = 0; msg = echo 7 })) then
+    Alcotest.fail "node 1's message not written";
+  Thread.delay 0.2;
+  let listener = listen () in
+  let fd, rd = answer_dial eps listener ~boot:2 in
+  ignore (keep fd);
+  match read_data rd "the reply" with
+  | 0, LC.Msg.Echo_tag { tag = 107 } -> ()
+  | seq, m ->
+      Alcotest.failf "the new incarnation got seq %d (%s), not the reply" seq
+        (LC.Msg.kind m)
+
+(* [request_stop] ends an operation that waits on peers that will never
+   answer: [run] returns while the loop sits in an [await] whose
+   predicate never holds. *)
+let test_stop_ends_await () =
+  with_dir "stop-await" @@ fun dir ->
+  let net = Dist.Net.create ~me:0 ~eps:(sock_eps dir 1) () in
+  Dist.Net.start net;
+  let waiting = Atomic.make false and returned = Atomic.make false in
+  let loop =
+    Thread.create (fun () -> Dist.Net.run net; Atomic.set returned true) ()
+  in
+  let cond = (Dist.Net.backend net).new_condition ~node:0 in
+  Dist.Net.post_work net (fun () ->
+      Atomic.set waiting true;
+      cond.await (fun () -> false));
+  let within secs flag =
+    let deadline = Unix.gettimeofday () +. secs in
+    while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.005
+    done;
+    Atomic.get flag
+  in
+  if not (within 1. waiting) then Alcotest.fail "the work item never ran";
+  Dist.Net.request_stop net;
+  (* A loop that never returns is left running: nothing can end it. *)
+  if not (within 1. returned) then
+    Alcotest.fail "run did not return within 1 s of request_stop";
+  Thread.join loop;
+  Dist.Net.stop net
+
 (* ---- suites ---------------------------------------------------------- *)
 
 let suites =
@@ -868,5 +1018,11 @@ let suites =
           test_tcp_late_listener;
         Alcotest.test_case "a failed connect does not sleep" `Quick
           test_connect_fails_fast;
+        Alcotest.test_case "fence: a dead peer's backlog is lost" `Quick
+          test_fence_drops_backlog;
+        Alcotest.test_case "fence: a reply to a new incarnation survives"
+          `Quick test_fence_keeps_reply;
+        Alcotest.test_case "request_stop ends an await" `Quick
+          test_stop_ends_await;
       ] );
   ]

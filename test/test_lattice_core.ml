@@ -121,62 +121,6 @@ let test_msg_kinds () =
   Alcotest.(check string) "writeTag" "writeTag"
     (LC.Msg.kind (LC.Msg.Write_tag { req = 0; tag = 1 }))
 
-(* --- generalized lattice agreement ---------------------------------- *)
-
-module Gla = Aso_core.Generalized_la
-
-let test_gla_validity_and_comparability () =
-  let engine = Sim.Engine.create ~seed:4L () in
-  let gla = Gla.create engine ~n:4 ~f:1 ~delay:(Sim.Delay.fixed 1.0) in
-  for node = 0 to 3 do
-    Sim.Fiber.spawn engine (fun () ->
-        Gla.propose gla ~node (100 + node);
-        Gla.propose gla ~node (200 + node);
-        (* own proposals are in the learned set immediately *)
-        let mine = Gla.learned gla ~node in
-        Alcotest.(check bool) "own first command" true
-          (List.mem (100 + node) mine);
-        Alcotest.(check bool) "own second command" true
-          (List.mem (200 + node) mine))
-  done;
-  Sim.Engine.run_until_quiescent engine;
-  (* comparability across all nodes at quiescence + after refresh all
-     nodes converge *)
-  for i = 0 to 3 do
-    for j = 0 to 3 do
-      Alcotest.(check bool) "learned views comparable" true
-        (View.comparable (Gla.learned_view gla ~node:i)
-           (Gla.learned_view gla ~node:j))
-    done
-  done;
-  Sim.Fiber.spawn engine (fun () ->
-      Gla.refresh gla ~node:2;
-      Alcotest.(check int) "refresh catches all eight commands" 8
-        (List.length (Gla.learned gla ~node:2)));
-  Sim.Engine.run_until_quiescent engine
-
-let test_gla_monotone () =
-  let engine = Sim.Engine.create ~seed:5L () in
-  let gla = Gla.create engine ~n:3 ~f:1 ~delay:(Sim.Delay.fixed 1.0) in
-  let snapshots = ref [] in
-  Sim.Fiber.spawn engine (fun () ->
-      for i = 1 to 5 do
-        Gla.propose gla ~node:0 i;
-        snapshots := Gla.learned_view gla ~node:0 :: !snapshots
-      done);
-  Sim.Fiber.spawn engine (fun () ->
-      for i = 1 to 5 do
-        Gla.propose gla ~node:1 (10 + i)
-      done);
-  Sim.Engine.run_until_quiescent engine;
-  let rec monotone = function
-    | later :: (earlier :: _ as rest) ->
-        View.subset earlier later && monotone rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "learned sets grow" true (monotone !snapshots);
-  Alcotest.(check int) "five snapshots" 5 (List.length !snapshots)
-
 let case name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -192,10 +136,5 @@ let suites =
         case "sequential node guard" test_sequential_node_guard;
         case "stats accounting" test_stats_accounting;
         case "msg kinds" test_msg_kinds;
-      ] );
-    ( "core.generalized_la",
-      [
-        case "validity and comparability" test_gla_validity_and_comparability;
-        case "monotone learned sets" test_gla_monotone;
       ] );
   ]

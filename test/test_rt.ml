@@ -225,6 +225,37 @@ let test_rt_crash_run_linearizes () =
         (Format.asprintf "crash-run history rejected: %a"
            Obs.Monitor.pp_violation v)
 
+(* A stop ends a waiting operation: a work item that awaits a predicate
+   that never holds (as a rejoin does once its peers have stopped) must
+   not keep [Net.stop] from returning. If it does, crashing the node
+   unwinds the wait, so the test fails instead of hanging. *)
+let test_stop_ends_await () =
+  let net = Rt.Net.create ~recorder:false ~n:2 () in
+  Rt.Net.start net;
+  let waiting = Atomic.make false in
+  let cond = (Rt.Net.backend net).new_condition ~node:0 in
+  ignore
+    (Rt.Net.post_work net 0 (fun () ->
+         Atomic.set waiting true;
+         cond.await (fun () -> false))
+      : bool);
+  let within secs flag =
+    let deadline = Unix.gettimeofday () +. secs in
+    while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.005
+    done;
+    Atomic.get flag
+  in
+  if not (within 1. waiting) then Alcotest.fail "the work item never ran";
+  let stopped = Atomic.make false in
+  let stopper =
+    Thread.create (fun () -> Rt.Net.stop net; Atomic.set stopped true) ()
+  in
+  let ok = within 1. stopped in
+  if not ok then Rt.Net.crash net 0;
+  Thread.join stopper;
+  Alcotest.(check bool) "Net.stop returned within 1 s" true ok
+
 let suites =
   [
     ( "rt",
@@ -240,5 +271,7 @@ let suites =
           `Quick test_sim_vs_rt_same_workload;
         Alcotest.test_case "crash run terminates and linearizes" `Quick
           test_rt_crash_run_linearizes;
+        Alcotest.test_case "stop ends an operation's await" `Quick
+          test_stop_ends_await;
       ] );
   ]
