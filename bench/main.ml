@@ -761,6 +761,27 @@ let rt_load ?faults ~secs svc =
   Rt.Service.stop svc;
   r
 
+(* Remove [path] and everything under it, as far as it can: cleanup
+   must not turn a row's own outcome into [Fun.Finally_raised]. *)
+let rec rm_rf path =
+  try
+    match (Unix.lstat path).st_kind with
+    | Unix.S_DIR ->
+        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+        Unix.rmdir path
+    | _ -> Unix.unlink path
+  with Unix.Unix_error _ | Sys_error _ -> ()
+
+(* [f dir] with [dir] a fresh directory in the temp dir whose name
+   starts with [prefix]. The directory is removed when [f] returns or
+   raises. *)
+let with_temp_dir prefix f =
+  (* temp_file reserves the name; reuse it as a directory *)
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
 let ms_quantile q d =
   match Obs.Hdr.dist_quantile d q with
   | None -> "-"
@@ -798,11 +819,7 @@ let rt_row algo =
 (* The socket clients keep the 30% scan mix they have always run. *)
 let dist_row algo =
   let n = 3 in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "aso-bench-dist-%s" (Aso_core.Handle.algo_name algo))
-  in
+  with_temp_dir ("aso-bench-dist-" ^ Aso_core.Handle.algo_name algo) @@ fun dir ->
   let cluster = Dist.Local.start ~algo ~n ~f:1 ~dir () in
   let report =
     load (Dist.Local.deployment cluster) ~secs:0.3 ~scan_fraction:0.3
@@ -970,13 +987,7 @@ let rt_recovery_attempts = 3
 let rt_recovery_run algo =
   let n = 4 and f = 1 in
   let attempt () =
-    let wal_dir =
-      (* temp_file reserves the name; reuse it as a directory *)
-      let p = Filename.temp_file "aso-bench-wal" "" in
-      Sys.remove p;
-      Sys.mkdir p 0o755;
-      p
-    in
+    with_temp_dir "aso-bench-wal" @@ fun wal_dir ->
     let svc = Rt.Service.create ~wal_dir ~algo ~n ~f () in
     let faults = Load.faults ~n ~f ~crash_at:0.1 ~restart_at:0.25 [ 0 ] in
     ignore (rt_load ~faults svc ~secs:0.4 : Load.report);

@@ -89,9 +89,10 @@ let write_frame fd frame =
   go 0
 
 (* Buffered decoder: bytes accumulate in [buf] from [lo] to [hi]. A
-   frame is copied out once, whole, when its header says it has all
-   arrived; the unread tail moves to the front only when the buffer is
-   full, and the buffer doubles only for a frame larger than itself. *)
+   frame is decoded where it lies, over the length its header gives,
+   once all of it has arrived; the unread tail moves to the front only
+   when the buffer is full, and the buffer doubles only for a frame
+   larger than itself. *)
 type reader = {
   fd : Unix.file_descr;
   mutable buf : Bytes.t;
@@ -124,17 +125,21 @@ let fill r =
       `Blocked
   | exception Unix.Unix_error _ -> `Eof
 
-let next r =
+let ready r =
   match Wire.frame_length r.buf ~pos:r.lo ~len:(r.hi - r.lo) with
-  | Error Wire.Truncated -> Ok None
-  | Error e -> Error e
-  | Ok len when len > r.hi - r.lo -> Ok None
-  | Ok len -> (
-      let frame = Bytes.sub_string r.buf r.lo len in
-      r.lo <- r.lo + len;
-      match Wire.decode frame ~pos:0 with
-      | Ok (f, _) -> Ok (Some f)
-      | Error e -> Error e)
+  | Ok len -> len <= r.hi - r.lo
+  | Error Wire.Truncated -> false
+  | Error _ -> true
+
+(* [decode_bytes] parses no further than the frame's own length. *)
+let next r =
+  if not (ready r) then Ok None
+  else
+    match Wire.decode_bytes r.buf ~pos:r.lo ~len:(r.hi - r.lo) with
+    | Ok (f, stop) ->
+        r.lo <- stop;
+        Ok (Some f)
+    | Error e -> Error e
 
 let rec read_frame r =
   match next r with

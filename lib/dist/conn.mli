@@ -36,7 +36,7 @@ val write_frame : Unix.file_descr -> Wire.frame -> bool
 
 type reader
 (** Buffered frame decoder over one fd. Single-consumer. Each frame is
-    copied out of the buffer once, whole, when {!Wire.frame_length}
+    decoded in place ({!Wire.decode_bytes}) once {!Wire.frame_length}
     says all of it has arrived. *)
 
 val reader : Unix.file_descr -> reader
@@ -45,6 +45,10 @@ val fill : reader -> [ `Read | `Blocked | `Eof ]
 (** One [read] into the buffer. [`Blocked] is [EAGAIN]: no bytes yet
     on an [O_NONBLOCK] socket, or an [SO_RCVTIMEO] timeout on a
     blocking one. [`Eof] on a clean close or a read error. *)
+
+val ready : reader -> bool
+(** {!next} would not return [Ok None]: a whole frame, or bytes it
+    rejects, wait in the buffer. *)
 
 val next : reader -> (Wire.frame option, Wire.error) result
 (** Decode the next frame if it is buffered whole; [Ok None] if more

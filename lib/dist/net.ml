@@ -58,6 +58,7 @@ type counters = {
   wire_lost : Obs.Metrics.counter;
   duplicated : Obs.Metrics.counter;
   reordered : Obs.Metrics.counter;
+  socket_writes : Obs.Metrics.counter;
 }
 
 type t = {
@@ -79,7 +80,7 @@ type t = {
   wake_w : Unix.file_descr;
   mutable listener : Unix.file_descr option;
   mutable socks : sock list;
-  mutable holds : (float * sock * string) list;  (* reordered frames *)
+  mutable holds : (float * sock * Wire.frame) list;  (* reordered frames *)
   mutable next_tick : float;
 }
 
@@ -96,8 +97,9 @@ let counters metrics =
   let wire_lost = c "link.wire_lost" in
   let duplicated = c "link.duplicated" in
   let reordered = c "link.reordered" in
+  let socket_writes = c "dist.socket_writes" in
   { sent; delivered; broadcasts; data_sent; retransmits; acks_sent;
-    reconnects; wire_lost; duplicated; reordered }
+    reconnects; wire_lost; duplicated; reordered; socket_writes }
 
 let create ?(faults = Chan.no_faults) ?(seed = 1) ~me ~eps () =
   let n = Array.length eps in
@@ -172,45 +174,69 @@ let add_sock t fd role =
   t.socks <- s :: t.socks;
   s
 
-(* ---- The one write path: [write] appends to the out-buffer and, if
-   that was empty, writes; [pump] writes the rest when it can. ------- *)
+(* ---- The one write path: frames are encoded into the socket's
+   out-buffer, and [pump] writes every socket once per turn, just
+   before [select]; what the socket does not take waits until it is
+   writable. ----------------------------------------------------------- *)
 
 let idle s = s.olo = s.ohi
 
-let rec flush s =
-  if not (s.closed || idle s) then
-    match Unix.single_write s.fd s.obuf s.olo (s.ohi - s.olo) with
-    | k -> s.olo <- s.olo + k; flush s
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error _ -> close_sock s
-
-(* A new buffer only when [bytes] do not fit behind the tail. *)
-let write s bytes =
-  let len = String.length bytes and live = s.ohi - s.olo in
+(* Room for [len] bytes behind the tail: the unwritten bytes move to
+   the front, into a new buffer only when they would not fit. *)
+let reserve s len =
   if s.ohi + len > Bytes.length s.obuf then begin
-    let b = Bytes.create (max 4096 (2 * (live + len))) in
+    let live = s.ohi - s.olo in
+    let b =
+      if live + len <= Bytes.length s.obuf then s.obuf
+      else Bytes.create (max 4096 (2 * (live + len)))
+    in
     Bytes.blit s.obuf s.olo b 0 live;
     s.obuf <- b;
     s.olo <- 0;
     s.ohi <- live
-  end;
-  Bytes.blit_string bytes 0 s.obuf s.ohi len;
-  s.ohi <- s.ohi + len;
-  if live = 0 then flush s
+  end
+
+(* A frame is encoded at the tail; one that does not fit is encoded
+   again once [reserve] has made more than twice the room. *)
+let rec put s frame =
+  match Wire.encode_into s.obuf ~pos:s.ohi frame with
+  | stop -> s.ohi <- stop
+  | exception Invalid_argument _ ->
+      reserve s ((2 * (Bytes.length s.obuf - s.ohi)) + 64);
+      put s frame
+
+(* One [single_write] takes at most 64 KiB, so a larger buffer, such
+   as a [Recover_push] carrying a long history, takes as many calls as
+   the socket accepts. A small one takes one. *)
+let rec flush t s =
+  if not (s.closed || idle s) then begin
+    Obs.Metrics.incr t.c.socket_writes;
+    match Unix.single_write s.fd s.obuf s.olo (s.ohi - s.olo) with
+    | k ->
+        s.olo <- s.olo + k;
+        if k > 0 then flush t s
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+        ()
+    | exception Unix.Unix_error _ -> close_sock s
+  end
 
 (* A [Data] frame toward [l], under the fault dice. A dropped frame, or
    one sent while the connection is down, stays unacked in [Chan]. *)
 let put_data t l seq m =
   match l.out with
   | Some ({ role = Out _; _ } as s) -> (
-      let bytes = Wire.encode (Wire.Data { seq; msg = m }) in
+      let frame = Wire.Data { seq; msg = m } in
       match judge t with
-      | Pass -> write s bytes
+      | Pass -> put s frame
       | Drop -> Obs.Metrics.incr t.c.wire_lost
-      | Duplicate -> Obs.Metrics.incr t.c.duplicated; write s (bytes ^ bytes)
+      | Duplicate ->
+          Obs.Metrics.incr t.c.duplicated;
+          put s frame;
+          put s frame
       | Hold d ->
           Obs.Metrics.incr t.c.reordered;
-          t.holds <- (now () +. d, s, bytes) :: t.holds)
+          t.holds <- (now () +. d, s, frame) :: t.holds)
   | _ -> ()
 
 (* The ack [Chan] says the channel owes goes out once its connection
@@ -219,7 +245,7 @@ let send_ack t l =
   match l.isock with
   | Some s when Chan.rx_ack_due l.irx && idle s ->
       Obs.Metrics.incr t.c.acks_sent;
-      write s (Wire.encode (Wire.Ack { upto = Chan.rx_ack l.irx }))
+      put s (Wire.Ack { upto = Chan.rx_ack l.irx })
   | _ -> ()
 
 (* [boot] names [l]'s peer, in a [Hello] or [Welcome] on [s]. The first
@@ -275,8 +301,7 @@ and on_frame t s frame =
       Option.iter close_sock l.isock;
       s.role <- In l;
       l.isock <- Some s;
-      write s
-        (Wire.encode (Wire.Welcome { boot = t.boot; rx_expected = Chan.rx_ack l.irx }))
+      put s (Wire.Welcome { boot = t.boot; rx_expected = Chan.rx_ack l.irx })
   | In l, Wire.Data { seq; msg } ->
       Chan.rx_data l.irx ~seq msg
       |> List.iter (fun m -> Obs.Metrics.incr t.c.delivered; t.handler ~src:l.id m);
@@ -288,10 +313,7 @@ and on_frame t s frame =
       c.inflight <- c.inflight + 1;
       t.client_handler frame ~reply:(fun resp ->
           c.inflight <- c.inflight - 1;
-          if not s.closed then begin
-            write s (Wire.encode resp);
-            drain t s
-          end)
+          if not s.closed then put s resp)
   | _ -> close_sock s
 
 (* ---- The loop. ----------------------------------------------------- *)
@@ -303,7 +325,7 @@ let dial t l =
   | Ok fd ->
       let s = add_sock t fd (Greeting l) in
       l.out <- Some s;
-      write s (Wire.encode (Wire.Hello { src = t.me; boot = t.boot }))
+      put s (Wire.Hello { src = t.me; boot = t.boot })
   | Error _ -> redial_later l
 
 (* Every [tick]: retransmit what is due on live connections, and ack
@@ -320,17 +342,19 @@ let on_tick t now_ =
       send_ack t l)
     t.links
 
-(* A ready socket: write what it can, read what came, act on every
-   whole frame, and send an ack that waited for the out-buffer. *)
-let serve t s ~readable ~writable =
-  if writable then flush s;
+(* Every socket, every turn: read what came if it is readable, act on
+   every whole frame (also on requests a client pipelined behind a
+   reply that has now gone out), and send an ack that waited for the
+   out-buffer. *)
+let serve t s ~readable =
   if readable && (not s.closed) && Conn.fill s.rd = `Eof then close_sock s;
   drain t s;
   match s.role with In l -> send_ack t l | _ -> ()
 
-(* One turn of the loop: run due timers, [select] until a socket is
-   ready, a deadline passes or [wake] is called, serve the ready
-   sockets, then deliver what this node sent itself. *)
+(* One turn of the loop: run due timers, write once to every socket
+   that holds bytes, [select] until a socket is ready, a deadline
+   passes or [wake] is called, serve the sockets, then deliver what
+   this node sent itself. *)
 let pump t =
   let now_ = now () in
   if now_ >= t.next_tick then begin
@@ -339,7 +363,7 @@ let pump t =
   end;
   let due, held = List.partition (fun (at, _, _) -> at <= now_) t.holds in
   t.holds <- held;
-  List.iter (fun (_, s, bytes) -> if not s.closed then write s bytes) (List.rev due);
+  List.iter (fun (_, s, frame) -> if not s.closed then put s frame) (List.rev due);
   let down l = l.id <> t.me && l.out = None in
   Array.iter (fun l -> if down l && now_ >= l.dial_at then dial t l) t.links;
   let deadline =
@@ -348,21 +372,23 @@ let pump t =
       (List.fold_left (fun d (at, _, _) -> Float.min d at) t.next_tick held)
       t.links
   in
+  List.iter (flush t) t.socks;
   t.socks <- List.filter (fun s -> not s.closed) t.socks;
   let fds f = List.filter_map (fun s -> if f s then Some s.fd else None) t.socks in
   let rd = (t.wake_r :: Option.to_list t.listener) @ fds wants_input
   and wr = fds (fun s -> not (idle s)) in
+  (* A request a client pipelined behind a reply that just went out
+     already sits in its decoder: no byte will make its socket ready. *)
   let timeout =
-    if Queue.is_empty t.loopback then Float.max 0. (deadline -. now_) else 0.
+    if Queue.is_empty t.loopback
+       && not (List.exists (fun s -> wants_input s && Conn.ready s.rd) t.socks)
+    then Float.max 0. (deadline -. now_)
+    else 0.
   in
   (match Unix.select rd wr [] timeout with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | r, w, _ ->
-      List.iter
-        (fun s ->
-          let readable = List.memq s.fd r and writable = List.memq s.fd w in
-          if readable || writable then serve t s ~readable ~writable)
-        t.socks;
+  | r, _, _ ->
+      List.iter (fun s -> serve t s ~readable:(List.memq s.fd r)) t.socks;
       Option.iter
         (fun l ->
           if List.memq l r then
@@ -397,13 +423,16 @@ let await t pred =
 let run t =
   t.loop_thread <- Thread.id (Thread.self ());
   let running () = not (Atomic.get t.stopping) in
-  try
-    while running () do
-      match Atomic.exchange t.posted [] with
-      | [] -> pump t
-      | fs -> List.iter (fun f -> if running () then f ()) (List.rev fs)
-    done
-  with Stopped -> ()
+  (try
+     while running () do
+       match Atomic.exchange t.posted [] with
+       | [] -> pump t
+       | fs -> List.iter (fun f -> if running () then f ()) (List.rev fs)
+     done
+   with Stopped -> ());
+  (* What the last turn or work item left unwritten, such as a reply,
+     gets one write before the loop is gone. *)
+  List.iter (flush t) t.socks
 
 (* At most one byte in the pipe: [pump] clears [woken] before it empties
    the pipe, and [run] reads [posted] after that. *)
@@ -435,6 +464,7 @@ let stop t =
   (match t.eps.(t.me) with
   | Conn.Unix_ep path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Conn.Tcp_ep _ -> ());
+  List.iter (flush t) t.socks;
   List.iter close_sock t.socks;
   (* [woken] stays set from here on, so no later [wake] writes. *)
   Unix.close t.wake_r;

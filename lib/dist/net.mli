@@ -17,16 +17,20 @@
     arrives meanwhile waits until the running operation returns.
 
     {e Who writes a frame.} Every socket is non-blocking with one
-    out-buffer: a write appends and, if the buffer was empty, writes
-    what the socket takes; the loop writes the rest when the socket is
-    writable. A peer that stops reading only grows its own buffer, and
-    a client is read only while its last reply is written and no
-    request of its runs.
+    out-buffer, and frames are encoded straight into it. Each turn of
+    the loop writes every socket that holds bytes, just before
+    [select]: one write under 64 KiB, as many as the socket takes above
+    it; what the socket does not take waits until it is writable.
+    {!run}'s return and {!stop} write once more, so a reply buffered
+    before a stop still goes out. A peer that stops
+    reading only grows its own buffer, and a client is read only while
+    its last reply is written and no request of its runs.
 
     {e Acks.} {!Chan.rx}'s policy, [ack_every = 64] plus the tick; an
     owed ack waits for an empty out-buffer. ["dist.data_sent"],
     ["dist.retransmits"] and ["dist.acks_sent"] count the frames on the
-    wire, link faults aside.
+    wire, link faults aside, and ["dist.socket_writes"] the write calls
+    that carry them.
 
     {e Link faults} ({!Chan.faults}) apply to the [Data] frames a node
     sends: [drop] skips one (counted in ["link.wire_lost"]), [dup]
@@ -70,7 +74,8 @@ val run : t -> unit
 (** The node's loop, on the calling thread: serve sockets and timers,
     run posted work in order, and return once {!request_stop} was
     called. An operation waiting in [await] then ends ({!Stopped});
-    queued work is dropped. *)
+    queued work is dropped. Before it returns, every out-buffer gets
+    one more non-blocking write. *)
 
 val post_work : t -> (unit -> unit) -> unit
 (** Queue a thunk for {!run}, from any thread. A post from another
@@ -86,4 +91,5 @@ val request_stop : t -> unit
 (** Make {!run} return, from any thread or signal handler. *)
 
 val stop : t -> unit
-(** Close the sockets, after {!run} returned. *)
+(** Close the sockets, after {!run} returned, each after one last
+    non-blocking write of its out-buffer. *)

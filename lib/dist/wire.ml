@@ -37,15 +37,15 @@ let pp_error ppf = function
 
 (* Same FNV-1a 32 as the write-ahead log: corruption *detection* on a
    loopback/LAN path, not an integrity MAC. *)
-let checksum_sub s pos len =
+let checksum_sub b pos len =
   let h = ref 0x811c9dc5 in
   for i = pos to pos + len - 1 do
-    h := !h lxor Char.code (String.unsafe_get s i);
+    h := !h lxor Char.code (Bytes.unsafe_get b i);
     h := !h * 0x01000193 land 0xffffffff
   done;
   !h
 
-let checksum s = checksum_sub s 0 (String.length s)
+let checksum s = checksum_sub (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* ---- varints --------------------------------------------------------- *)
 
@@ -56,85 +56,66 @@ let checksum s = checksum_sub s 0 (String.length s)
 let zigzag n = (n lsl 1) lxor (n asr 62)
 let unzigzag u = (u lsr 1) lxor (-(u land 1))
 
-let put_varint buf n =
-  let v = ref (zigzag n) in
-  let continue = ref true in
-  while !continue do
-    if !v land lnot 0x7f = 0 then begin
-      Buffer.add_char buf (Char.chr !v);
-      continue := false
-    end
-    else begin
-      Buffer.add_char buf (Char.chr ((!v land 0x7f) lor 0x80));
-      v := !v lsr 7
-    end
-  done
+(* The encoder writes at [pos] of [b] and returns the offset just past
+   what it wrote; [Bytes.set] stops it at the end of [b]. *)
+let put_byte b pos c =
+  Bytes.set b pos (Char.unsafe_chr c);
+  pos + 1
+
+(* Top-level loops, not local closures: no allocation per integer. *)
+let rec put_leb b pos v =
+  if v land lnot 0x7f = 0 then put_byte b pos v
+  else put_leb b (put_byte b pos (v land 0x7f lor 0x80)) (v lsr 7)
+
+let put_varint b pos n = put_leb b pos (zigzag n)
 
 exception Fail
 
-type parser_ = { s : string; mutable pos : int; limit : int }
+type parser_ = { b : Bytes.t; mutable pos : int; limit : int }
 
 let byte p =
   if p.pos >= p.limit then raise Fail;
-  let c = Char.code p.s.[p.pos] in
+  let c = Char.code (Bytes.get p.b p.pos) in
   p.pos <- p.pos + 1;
   c
 
-let varint p =
-  let rec go acc shift count =
-    if count > 9 then raise Fail;
-    let b = byte p in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go acc (shift + 7) (count + 1)
-  in
-  unzigzag (go 0 0 1)
+let rec get_leb p acc shift count =
+  if count > 9 then raise Fail;
+  let b = byte p in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else get_leb p acc (shift + 7) (count + 1)
+
+let varint p = unzigzag (get_leb p 0 0 1)
 
 (* ---- payloads -------------------------------------------------------- *)
 
+(* [v1] and [v2] write a kind byte and one or two varints. *)
+
 module Msg_ = Aso_core.Lattice_core.Msg
 
-let put_msg buf (m : msg) =
-  let v = put_varint buf in
+let v1 b pos kind x = put_varint b (put_byte b pos kind) x
+let v2 b pos kind x y = put_varint b (v1 b pos kind x) y
+
+let put_entries b pos entries =
+  List.fold_left
+    (fun pos ((ts : Timestamp.t), value) ->
+      put_varint b (put_varint b (put_varint b pos ts.tag) ts.writer) value)
+    pos entries
+
+let put_msg b pos (m : msg) =
   match m with
   | Msg_.Value { ts; value } ->
-      Buffer.add_char buf '\000';
-      v ts.Timestamp.tag;
-      v ts.Timestamp.writer;
-      v value
-  | Msg_.Read_tag { req } ->
-      Buffer.add_char buf '\001';
-      v req
-  | Msg_.Read_ack { req; tag } ->
-      Buffer.add_char buf '\002';
-      v req;
-      v tag
-  | Msg_.Write_tag { req; tag } ->
-      Buffer.add_char buf '\003';
-      v req;
-      v tag
-  | Msg_.Write_ack { req } ->
-      Buffer.add_char buf '\004';
-      v req
-  | Msg_.Echo_tag { tag } ->
-      Buffer.add_char buf '\005';
-      v tag
-  | Msg_.Good_la { tag } ->
-      Buffer.add_char buf '\006';
-      v tag
-  | Msg_.Recover_pull { req } ->
-      Buffer.add_char buf '\007';
-      v req
+      put_varint b (v2 b pos 0 ts.Timestamp.tag ts.Timestamp.writer) value
+  | Msg_.Read_tag { req } -> v1 b pos 1 req
+  | Msg_.Read_ack { req; tag } -> v2 b pos 2 req tag
+  | Msg_.Write_tag { req; tag } -> v2 b pos 3 req tag
+  | Msg_.Write_ack { req } -> v1 b pos 4 req
+  | Msg_.Echo_tag { tag } -> v1 b pos 5 tag
+  | Msg_.Good_la { tag } -> v1 b pos 6 tag
+  | Msg_.Recover_pull { req } -> v1 b pos 7 req
   | Msg_.Recover_push { req; entries; max_tag } ->
-      Buffer.add_char buf '\008';
-      v req;
-      v max_tag;
-      v (List.length entries);
-      List.iter
-        (fun ((ts : Timestamp.t), value) ->
-          v ts.tag;
-          v ts.writer;
-          v value)
-        entries
+      let pos = put_varint b (v2 b pos 8 req max_tag) (List.length entries) in
+      put_entries b pos entries
 
 let get_msg p : msg =
   match byte p with
@@ -169,15 +150,11 @@ let get_msg p : msg =
       Msg_.Recover_push { req; entries; max_tag }
   | _ -> raise Fail
 
-let put_snap buf (snap : int option array) =
-  put_varint buf (Array.length snap);
-  Array.iter
-    (fun cell ->
-      match cell with
-      | None -> Buffer.add_char buf '\000'
-      | Some v ->
-          Buffer.add_char buf '\001';
-          put_varint buf v)
+let put_snap b pos (snap : int option array) =
+  Array.fold_left
+    (fun pos cell ->
+      match cell with None -> put_byte b pos 0 | Some v -> v1 b pos 1 v)
+    (put_varint b pos (Array.length snap))
     snap
 
 let get_snap p =
@@ -189,40 +166,18 @@ let get_snap p =
       | 1 -> Some (varint p)
       | _ -> raise Fail)
 
-let put_frame buf = function
-  | Hello { src; boot } ->
-      Buffer.add_char buf '\001';
-      put_varint buf src;
-      put_varint buf boot
-  | Welcome { boot; rx_expected } ->
-      Buffer.add_char buf '\002';
-      put_varint buf boot;
-      put_varint buf rx_expected
-  | Data { seq; msg } ->
-      Buffer.add_char buf '\003';
-      put_varint buf seq;
-      put_msg buf msg
-  | Ack { upto } ->
-      Buffer.add_char buf '\004';
-      put_varint buf upto
-  | Req { rid; op } -> (
-      Buffer.add_char buf '\005';
-      put_varint buf rid;
-      match op with
-      | Op_scan -> Buffer.add_char buf '\000'
-      | Op_update v ->
-          Buffer.add_char buf '\001';
-          put_varint buf v)
+let put_frame b pos = function
+  | Hello { src; boot } -> v2 b pos 1 src boot
+  | Welcome { boot; rx_expected } -> v2 b pos 2 boot rx_expected
+  | Data { seq; msg } -> put_msg b (v1 b pos 3 seq) msg
+  | Ack { upto } -> v1 b pos 4 upto
+  | Req { rid; op = Op_scan } -> put_byte b (v1 b pos 5 rid) 0
+  | Req { rid; op = Op_update v } -> v1 b (v1 b pos 5 rid) 1 v
   | Resp { rid; t_inv; t_resp; result } -> (
-      Buffer.add_char buf '\006';
-      put_varint buf rid;
-      put_varint buf t_inv;
-      put_varint buf t_resp;
+      let pos = put_varint b (v2 b pos 6 rid t_inv) t_resp in
       match result with
-      | R_update_done -> Buffer.add_char buf '\000'
-      | R_scan snap ->
-          Buffer.add_char buf '\001';
-          put_snap buf snap)
+      | R_update_done -> put_byte b pos 0
+      | R_scan snap -> put_snap b (put_byte b pos 1) snap)
 
 let get_frame p =
   match byte p with
@@ -260,52 +215,65 @@ let get_frame p =
 
 (* ---- framing --------------------------------------------------------- *)
 
-let put_u32 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff))
+let put_u32 b pos v =
+  Bytes.set b pos (Char.unsafe_chr (v land 0xff));
+  Bytes.set b (pos + 1) (Char.unsafe_chr ((v lsr 8) land 0xff));
+  Bytes.set b (pos + 2) (Char.unsafe_chr ((v lsr 16) land 0xff));
+  Bytes.set b (pos + 3) (Char.unsafe_chr ((v lsr 24) land 0xff))
 
 let get_u32 b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xffffffff
 
-let encode frame =
-  let payload = Buffer.create 64 in
-  put_frame payload frame;
-  let p = Buffer.contents payload in
-  let out = Buffer.create (header_len + String.length p) in
-  Buffer.add_string out "AW";
-  Buffer.add_char out (Char.chr version);
-  put_u32 out (String.length p);
-  put_u32 out (checksum p);
-  Buffer.add_string out p;
-  Buffer.contents out
+(* The payload first, behind the header's room, then the header that
+   measures and checksums it where it lies. *)
+let encode_into b ~pos frame =
+  let body = pos + header_len in
+  let limit = put_frame b body frame in
+  Bytes.set b pos 'A';
+  Bytes.set b (pos + 1) 'W';
+  Bytes.set b (pos + 2) (Char.chr version);
+  put_u32 b (pos + 3) (limit - body);
+  put_u32 b (pos + 7) (checksum_sub b body (limit - body));
+  limit
 
+(* The size of a frame is known only once it is written, so a frame
+   that does not fit is written again into a buffer twice as large,
+   like a socket's out-buffer in {!Net}: the format is written down
+   once, in the [put_*] functions. *)
+let rec encode_sized n frame =
+  let b = Bytes.create n in
+  match encode_into b ~pos:0 frame with
+  | stop -> Bytes.sub_string b 0 stop
+  | exception Invalid_argument _ -> encode_sized (2 * n) frame
+
+let encode frame = encode_sized 64 frame
+
+(* No local closure over [b]: this runs for every frame a socket
+   reads, and a closure would be allocated for each. *)
 let frame_length b ~pos ~len =
-  let byte i = Bytes.get b (pos + i) in
   if len < header_len then
     (* Not even a whole header: only reject what we can already see. *)
-    if len > 0 && byte 0 <> 'A' then Error Bad_magic
-    else if len > 1 && byte 1 <> 'W' then Error Bad_magic
+    if len > 0 && Bytes.get b pos <> 'A' then Error Bad_magic
+    else if len > 1 && Bytes.get b (pos + 1) <> 'W' then Error Bad_magic
     else Error Truncated
-  else if byte 0 <> 'A' || byte 1 <> 'W' then Error Bad_magic
-  else if Char.code (byte 2) <> version then
-    Error (Bad_version (Char.code (byte 2)))
+  else if Bytes.get b pos <> 'A' || Bytes.get b (pos + 1) <> 'W' then
+    Error Bad_magic
+  else if Char.code (Bytes.get b (pos + 2)) <> version then
+    Error (Bad_version (Char.code (Bytes.get b (pos + 2))))
   else
     let plen = get_u32 b (pos + 3) in
     if plen > max_payload then Error (Oversize plen)
     else Ok (header_len + plen)
 
-let decode s ~pos =
-  let b = Bytes.unsafe_of_string s in
-  match frame_length b ~pos ~len:(String.length s - pos) with
+let decode_bytes b ~pos ~len =
+  match frame_length b ~pos ~len with
   | Error e -> Error e
-  | Ok total when pos + total > String.length s -> Error Truncated
+  | Ok total when total > len -> Error Truncated
   | Ok total ->
       let body = pos + header_len and limit = pos + total in
-      if checksum_sub s body (limit - body) <> get_u32 b (pos + 7) then
+      if checksum_sub b body (limit - body) <> get_u32 b (pos + 7) then
         Error Bad_checksum
       else
-        let p = { s; pos = body; limit } in
+        let p = { b; pos = body; limit } in
         match get_frame p with
         | exception Fail -> Error Bad_payload
         | frame ->
@@ -313,3 +281,6 @@ let decode s ~pos =
                behind a parsable prefix is still a corrupt frame. *)
             if p.pos <> p.limit then Error Bad_payload
             else Ok (frame, limit)
+
+let decode s ~pos =
+  decode_bytes (Bytes.unsafe_of_string s) ~pos ~len:(String.length s - pos)

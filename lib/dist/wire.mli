@@ -20,9 +20,10 @@
     a zigzag-encoded LEB128 varint, so negative values (timestamps never
     are, but protocol values may be) cost no special casing.
 
-    The codec is pure — encode to a [string], decode from a [string] at
-    an offset — so the fuzz suite can round-trip and mutilate frames
-    without a socket in sight. {!Conn} layers the fd I/O on top. *)
+    The codec is pure — encode into a caller's [Bytes.t] at an offset,
+    decode from one in place — so the fuzz suite can round-trip and
+    mutilate frames without a socket in sight. {!Conn} layers the fd
+    I/O on top; {!Net} encodes straight into a socket's out-buffer. *)
 
 type msg = int Aso_core.Lattice_core.Msg.t
 
@@ -71,19 +72,32 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
+val encode_into : Bytes.t -> pos:int -> frame -> int
+(** Write [frame], header and payload, at [pos] of the buffer and
+    return the offset just past it. The payload is checksummed where it
+    lies.
+    @raise Invalid_argument if it does not fit; the bytes before [pos]
+    are untouched either way. *)
+
 val encode : frame -> string
-(** Header plus payload, ready for a single write. *)
+(** {!encode_into} a fresh string: header plus payload, ready for a
+    single write. *)
 
 val decode : string -> pos:int -> (frame * int, error) result
 (** Decode one frame starting at [pos]; on success also return the
     offset just past it. [Error Truncated] means the bytes so far are a
     valid proper prefix — a streaming reader should wait for more. *)
 
+val decode_bytes : Bytes.t -> pos:int -> len:int -> (frame * int, error) result
+(** {!decode} over the [len] bytes of the buffer from [pos], read in
+    place: nothing is copied, and the frame keeps no reference to the
+    buffer. *)
+
 val frame_length : Bytes.t -> pos:int -> len:int -> (int, error) result
 (** The whole length (header and payload) of the frame starting at
     [pos], judged from the [len] bytes there, as soon as its header is
-    complete: a streaming reader copies out exactly that many bytes
-    once they have arrived. [Error Truncated] until the header is
+    complete: a streaming reader decodes exactly that many bytes once
+    they have arrived. [Error Truncated] until the header is
     whole; [Bad_magic], [Bad_version] and [Oversize] as {!decode}. *)
 
 val checksum : string -> int

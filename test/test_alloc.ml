@@ -1,4 +1,5 @@
-(* Allocation budgets for the rt hot path. Every OCaml 5 minor
+(* Allocation budgets for the rt hot path, and for one frame through
+   the dist codec. Every OCaml 5 minor
    collection stops all domains, so on rt the words a message or an
    operation allocates set how often every node pauses. Each budget is
    measured on one domain with [Gc.minor_words] (this domain's
@@ -134,6 +135,34 @@ let test_history () =
   done;
   check_budget "History begin + finish" ~budget:22 (words_per ~reps:200 op)
 
+(* One [Data] frame out and in, as a dist node moves it: encoded into
+   an out-buffer ([Wire.encode_into]), written to a
+   socketpair, read into a [Conn.reader] and decoded in place. The frame
+   itself is built once, outside the measurement; the decoded copy is
+   counted. *)
+let test_dist_frame () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close a; Unix.close b) @@ fun () ->
+  let rd = Dist.Conn.reader b and out = Bytes.create 4096 in
+  let frame =
+    Dist.Wire.Data
+      {
+        seq = 1000;
+        msg =
+          Aso_core.Lattice_core.Msg.Value
+            { ts = Timestamp.make ~tag:77 ~writer:1; value = 123_456 };
+      }
+  in
+  let one () =
+    let len = Dist.Wire.encode_into out ~pos:0 frame in
+    if Unix.single_write a out 0 len <> len then failwith "short write";
+    ignore (Dist.Conn.fill rd : [ `Read | `Blocked | `Eof ]);
+    match Dist.Conn.next rd with
+    | Ok (Some _) -> ()
+    | Ok None | Error _ -> failwith "frame not decoded"
+  in
+  check_budget "dist frame out + in" ~budget:28 (words_per one)
+
 let suites =
   [
     ( "alloc",
@@ -145,5 +174,6 @@ let suites =
           test_view_add_out_of_order;
         Alcotest.test_case "view, newest first" `Quick test_view_descending;
         Alcotest.test_case "history begin + finish" `Quick test_history;
+        Alcotest.test_case "dist frame out + in" `Quick test_dist_frame;
       ] );
   ]

@@ -110,24 +110,54 @@ let wire_roundtrip =
   QCheck.Test.make ~count:2000 ~name:"wire encode/decode round-trip"
     frame_arb prop_roundtrip
 
+(* [frames] encoded back to back at offset [off] of a buffer whose
+   other bytes are [junk]: the buffer and the offset past the last. *)
+let encode_dirty ~off ~junk frames =
+  let len = List.fold_left (fun k f -> k + String.length (W.encode f)) off frames in
+  let b = Bytes.make (len + 16) junk in
+  (b, List.fold_left (fun pos f -> W.encode_into b ~pos f) off frames)
+
+let dirty_gen = QCheck.Gen.(pair (int_range 1 40) char)
+
+(* Both through [decode] over [encode]'s strings, and through
+   [decode_bytes] over frames encoded at an offset into a dirty buffer:
+   the encoder writes exactly [encode]'s bytes, nothing before the offset,
+   and the walk stops at the end of the second frame, not of the
+   buffer. *)
 let wire_stream =
   QCheck.Test.make ~count:500 ~name:"wire decode walks concatenated frames"
-    (QCheck.pair frame_arb frame_arb)
-    (fun (a, b) ->
+    (QCheck.triple frame_arb frame_arb (QCheck.make dirty_gen))
+    (fun (a, b, (off, junk)) ->
       let s = W.encode a ^ W.encode b in
-      match W.decode s ~pos:0 with
+      let from_string =
+        match W.decode s ~pos:0 with
+        | Error _ -> false
+        | Ok (a', p) -> (
+            a' = a
+            &&
+            match W.decode s ~pos:p with
+            | Ok (b', q) -> b' = b && q = String.length s
+            | Error _ -> false)
+      in
+      let buf, stop = encode_dirty ~off ~junk [ a; b ] in
+      let walk pos = W.decode_bytes buf ~pos ~len:(stop - pos) in
+      from_string
+      && stop = off + String.length s
+      && Bytes.sub_string buf off (stop - off) = s
+      && Bytes.sub_string buf 0 off = String.make off junk
+      &&
+      match walk off with
       | Error _ -> false
       | Ok (a', p) -> (
           a' = a
           &&
-          match W.decode s ~pos:p with
-          | Ok (b', q) -> b' = b && q = String.length s
-          | Error _ -> false))
+          match walk p with Ok (b', q) -> b' = b && q = stop | Error _ -> false))
 
 (* The streaming decoder ({!Dist.Conn.reader}, shared by the node loop
-   and the client): a frame list written through a socketpair in chunks
-   of random size, 1 byte up to 64 KiB, reads back whole and in
-   order. *)
+   and the client): a frame list encoded at an offset into a dirty
+   buffer, as the node loop encodes into an out-buffer, and written
+   through a socketpair in chunks of random size, 1 byte up to 64 KiB,
+   reads back whole and in order. *)
 let wire_socket_chunks =
   let chunks =
     QCheck.make
@@ -136,9 +166,12 @@ let wire_socket_chunks =
         list_size (int_range 1 20) (oneof [ int_range 1 16; int_range 1 65536 ]))
   in
   QCheck.Test.make ~count:100 ~name:"wire reader reassembles socket chunks"
-    (QCheck.pair (QCheck.list_of_size QCheck.Gen.(int_range 0 300) frame_arb) chunks)
-    (fun (frames, chunks) ->
-      let bytes = String.concat "" (List.map W.encode frames) in
+    (QCheck.triple
+       (QCheck.list_of_size QCheck.Gen.(int_range 0 300) frame_arb)
+       chunks (QCheck.make dirty_gen))
+    (fun (frames, chunks, (off, junk)) ->
+      let buf, stop = encode_dirty ~off ~junk frames in
+      let bytes = Bytes.sub_string buf off (stop - off) in
       let chunks = Array.of_list chunks in
       let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       let writer =
@@ -168,6 +201,82 @@ let wire_socket_chunks =
       Thread.join writer;
       Unix.close b;
       got = frames)
+
+(* ---- version 1, byte for byte -------------------------------------- *)
+
+(* One frame of each kind, with every message variant under [Data] and
+   both client ops and results, against pinned bytes: a frame whose
+   bytes change needs a new wire version. *)
+let golden =
+  let ts tag writer = Timestamp.make ~tag ~writer in
+  let data seq msg = W.Data { seq; msg } in
+  [
+    ( W.Hello { src = 2; boot = 123456789 },
+      "4157010600000027262d300104aab4de75" );
+    ( W.Welcome { boot = 987654321; rx_expected = 300 },
+      "4157010800000012d3f35102e2a2f3ad07d804" );
+    ( data 70 (LC.Msg.Value { ts = ts 5 1; value = -42 }),
+      "41570107000000d84996c4038c01000a0253" );
+    ( data 1
+        (LC.Msg.Recover_push
+           {
+             req = 9;
+             entries = [ (ts 3 0, 7); (ts 4 2, -1); (ts 200 1, max_int) ];
+             max_tag = 200;
+           }),
+      "415701190000001de2b3b00302081290030606000e080401900302feffffffffffffff7f" );
+    (data 2 (LC.Msg.Read_tag { req = 5 }), "4157010400000049725fb70304010a");
+    ( data 3 (LC.Msg.Read_ack { req = 5; tag = 11 }),
+      "41570105000000b224c5f00306020a16" );
+    ( data 4 (LC.Msg.Write_tag { req = 6; tag = 12 }),
+      "415701050000007b6c3d4b0308030c18" );
+    (data 5 (LC.Msg.Write_ack { req = 6 }), "41570104000000d85734b1030a040c");
+    (data 6 (LC.Msg.Echo_tag { tag = 13 }), "41570104000000750f9f56030c051a");
+    (data 7 (LC.Msg.Good_la { tag = 14 }), "415701040000005e2dc0b8030e061c");
+    (data 8 (LC.Msg.Recover_pull { req = 15 }), "41570104000000f7914ae90310071e");
+    (W.Ack { upto = 64 }, "4157010300000078f4d84c048001");
+    ( W.Req { rid = 17; op = W.Op_update min_int },
+      "4157010c000000867a9a2b052201ffffffffffffffff7f" );
+    (W.Req { rid = 18; op = W.Op_scan }, "4157010300000004ae8868052400");
+    ( W.Resp { rid = 18; t_inv = 5; t_resp = 6; result = W.R_update_done },
+      "4157010500000013785dd106240a0c00" );
+    ( W.Resp
+        {
+          rid = 17;
+          t_inv = 1_000_000_007;
+          t_resp = 1_000_050_011;
+          result = W.R_scan [| Some 1; None; Some (-300) |];
+        },
+      "41570114000000ca658acb06228ea8d6b907b6b5dcb907010601020001d704" );
+  ]
+
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let unhex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let test_golden () =
+  List.iter
+    (fun (f, want) ->
+      let name = frame_kind f in
+      Alcotest.(check string) (name ^ " bytes") want (hex (W.encode f));
+      (* [Net] grows its out-buffer when a frame does not fit: the
+         encoder must say so, and not write before its offset. *)
+      let len = String.length want / 2 in
+      let b = Bytes.make (len + 2) '.' in
+      Alcotest.(check int) (name ^ " fits exactly") (len + 1) (W.encode_into b ~pos:1 f);
+      let short = Bytes.make (len + 1) '.' in
+      (match W.encode_into short ~pos:2 f with
+      | _ -> Alcotest.failf "%s: encoded past the end of the buffer" name
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check char) (name ^ " before pos untouched") '.' (Bytes.get short 1);
+      match W.decode (unhex want) ~pos:0 with
+      | Ok (f', _) when f' = f -> ()
+      | _ -> Alcotest.failf "%s: the pinned bytes do not decode to the frame" name)
+    golden
 
 (* ---- garbage rejection ---------------------------------------------- *)
 
@@ -688,6 +797,39 @@ let test_client_reads_nothing () =
       let dt = Unix.gettimeofday () -. t0 in
       if dt > 5. then Alcotest.failf "update + scan took %.2f s" dt
 
+(* The read rule under deferred writes: a client that pipelines ten
+   requests in one write, so that all of them sit in the node's decoder
+   at once, gets all ten replies, in order. The node reads the next one
+   only once the previous reply has been written, and must not wait for
+   bytes that already arrived. *)
+let test_client_pipelines () =
+  with_dir "pipeline" @@ fun dir ->
+  let cluster = Dist.Local.start ~algo:Rt.Service.Eq_aso ~n:3 ~f:1 ~dir () in
+  Fun.protect ~finally:(fun () -> Dist.Local.stop cluster) @@ fun () ->
+  let ep = Dist.Conn.Unix_ep (Filename.concat dir "node-0.sock") in
+  let fd =
+    match Dist.Conn.connect ep with
+    | Ok fd -> fd
+    | Error e -> Alcotest.failf "connect: %s" (Printexc.to_string e)
+  in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+  let k = 10 in
+  let reqs =
+    String.concat ""
+      (List.init k (fun rid ->
+           W.encode (W.Req { rid; op = (if rid mod 2 = 0 then W.Op_update rid else W.Op_scan) })))
+  in
+  if Unix.write_substring fd reqs 0 (String.length reqs) <> String.length reqs then
+    Alcotest.fail "requests not written";
+  let rd = Dist.Conn.reader fd in
+  for rid = 0 to k - 1 do
+    match Dist.Conn.read_frame rd with
+    | Ok (W.Resp { rid = r; _ }) when r = rid -> ()
+    | Ok f -> Alcotest.failf "reply %d: got %s" rid (frame_kind f)
+    | Error _ -> Alcotest.failf "reply %d of %d never came" (rid + 1) k
+  done
+
 (* [request_stop] is safe from a signal handler: a SIGUSR1 handler that
    calls it makes a running node's thread (a [Node_main], as
    [Dist.Local] runs on each of its threads) return within 2 s. *)
@@ -973,6 +1115,90 @@ let test_stop_ends_await () =
   Thread.join loop;
   Dist.Net.stop net
 
+(* ---- one write per turn --------------------------------------------- *)
+
+let until secs pred =
+  let deadline = Unix.gettimeofday () +. secs in
+  while (not (pred ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.002
+  done;
+  pred ()
+
+(* Frames wait in the out-buffer until the loop's next [select]: one
+   work item that sends [k] messages to node 1 costs node 0 one write,
+   and node 1 delivers all [k] in order. Both links are up and their
+   acks settled before the count starts. *)
+let test_one_write_per_turn () =
+  with_dir "cork" @@ fun dir ->
+  let eps = sock_eps dir 2 in
+  let nets = Array.init 2 (fun me -> Dist.Net.create ~me ~eps ()) in
+  let got = Array.init 2 (fun _ -> Atomic.make []) in
+  Array.iteri
+    (fun me net ->
+      (Dist.Net.backend net).set_handler me (fun ~src:_ m ->
+          Atomic.set got.(me) (m :: Atomic.get got.(me))))
+    nets;
+  let stops = Array.map spawn_loop nets in
+  Fun.protect ~finally:(fun () -> Array.iter (fun stop -> stop ()) stops) @@ fun () ->
+  let send src msgs =
+    Dist.Net.post_work nets.(src) (fun () ->
+        List.iter ((Dist.Net.backend nets.(src)).send ~src ~dst:(1 - src)) msgs)
+  in
+  let delivered dst n () = List.length (Atomic.get got.(dst)) >= n in
+  send 0 [ echo 0 ];
+  send 1 [ echo 0 ];
+  if not (until 5. (delivered 1 1) && until 5. (delivered 0 1)) then
+    Alcotest.fail "the links never came up";
+  let count me name () =
+    Obs.Metrics.snapshot (Dist.Net.metrics nets.(me))
+    |> Fun.flip Obs.Metrics.find_count name
+    |> Option.value ~default:0
+  in
+  (* Each node's tick acks the other's warm-up message. *)
+  if not (until 5. (fun () -> count 0 "dist.acks_sent" () > 0 && count 1 "dist.acks_sent" () > 0))
+  then Alcotest.fail "the warm-up messages were never acked";
+  Thread.delay 0.05;
+  let writes = count 0 "dist.socket_writes" in
+  let before = writes () in
+  let k = 50 in
+  let msgs = List.init k (fun i -> echo (i + 1)) in
+  send 0 msgs;
+  if not (until 5. (delivered 1 (k + 1))) then
+    Alcotest.failf "node 1 delivered %d of %d" (List.length (Atomic.get got.(1)) - 1) k;
+  Alcotest.(check int) "socket writes for one turn's frames" 1 (writes () - before);
+  Alcotest.(check bool) "delivered in order" true
+    (List.rev (Atomic.get got.(1)) = echo 0 :: msgs)
+
+(* A reply that the last work item buffers before a stop still reaches
+   the client: [run] writes every out-buffer once before it returns,
+   ahead of [stop], which closes the sockets. *)
+let test_reply_before_stop () =
+  with_dir "reply-stop" @@ fun dir ->
+  let eps = sock_eps dir 1 in
+  let net = Dist.Net.create ~me:0 ~eps () in
+  Dist.Net.set_client_handler net (fun frame ~reply ->
+      match frame with
+      | W.Req { rid; _ } ->
+          Dist.Net.post_work net (fun () ->
+              reply (W.Resp { rid; t_inv = 1; t_resp = 2; result = W.R_update_done });
+              Dist.Net.request_stop net)
+      | _ -> ());
+  Dist.Net.start net;
+  let loop = Thread.create Dist.Net.run net in
+  let cleanup () =
+    Dist.Net.request_stop net;
+    Thread.join loop;
+    Dist.Net.stop net
+  in
+  Fun.protect ~finally:cleanup @@ fun () ->
+  match Dist.Client.connect ~rcv_timeout:2. eps.(0) with
+  | None -> Alcotest.fail "node 0 unreachable"
+  | Some c -> (
+      Fun.protect ~finally:(fun () -> Dist.Client.close c) @@ fun () ->
+      match Dist.Client.update c 1 with
+      | Ok _ -> ()
+      | Error () -> Alcotest.fail "the reply was lost at the stop")
+
 (* ---- suites ---------------------------------------------------------- *)
 
 let suites =
@@ -988,6 +1214,7 @@ let suites =
         qcase wire_garbage_no_crash;
         Alcotest.test_case "header rejection matrix" `Quick
           test_header_rejection;
+        Alcotest.test_case "wire version 1 golden bytes" `Quick test_golden;
       ] );
     ( "dist_e2e",
       [
@@ -1008,6 +1235,8 @@ let suites =
         Alcotest.test_case "one thread per node" `Quick test_thread_count;
         Alcotest.test_case "a client that reads nothing stalls no one" `Quick
           test_client_reads_nothing;
+        Alcotest.test_case "a client's pipelined requests are all answered"
+          `Quick test_client_pipelines;
         Alcotest.test_case "request_stop from a signal handler" `Quick
           test_stop_from_signal;
         Alcotest.test_case "work posted on the loop runs at once" `Quick
@@ -1024,5 +1253,9 @@ let suites =
           `Quick test_fence_keeps_reply;
         Alcotest.test_case "request_stop ends an await" `Quick
           test_stop_ends_await;
+        Alcotest.test_case "one turn's frames to a peer cost one write" `Quick
+          test_one_write_per_turn;
+        Alcotest.test_case "a reply buffered before a stop goes out" `Quick
+          test_reply_before_stop;
       ] );
   ]
